@@ -3,8 +3,9 @@
 Subcommands: pmc (risk of a mixture), phm (fit, merge, label), select-k
 (per-K diagnostics and constrained selection), hclust-test (cluster
 existence test), preprocess (standardize/PCA).  Every report carries a
-provenance block and every run with an explicit --seed is bit-reproducible
-regardless of thread count.
+provenance block; runs are single-process, and a seed fixes every number.
+Argument errors follow the same contract as every other failure: one JSON
+error object on stderr and a kind-specific exit code.
 
 Exit codes: 0 success, 2 input or validation error, 3 numerical failure,
 4 infeasible risk constraint in select-k.
@@ -14,7 +15,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 
 import numpy as np
@@ -76,19 +76,6 @@ def _parse_range(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("DISTINGUISH_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise CliError("validation",
-                           f"DISTINGUISH_THREADS={env!r} is not an integer") from None
-    return 1
-
-
 def _load_model(path: str) -> MixtureModel:
     with open(path) as fh:
         raw = json.load(fh)
@@ -108,7 +95,6 @@ def _emit(report: dict) -> None:
 
 
 def _cmd_pmc(args) -> int:
-    threads = _threads(args)
     if args.delta and args.rule != "randomized":
         raise CliError("validation", "delta requires randomized rule")
     model = _load_model(args.model)
@@ -131,7 +117,7 @@ def _cmd_pmc(args) -> int:
                            f"data dimension {X.p} != model dimension {model.p}")
     settings = PmcSettings(m_samples=args.m, seed=args.seed, rule=args.rule,
                            quadrature=args.quadrature)
-    est = pmc(model, config, settings, threads)
+    est = pmc(model, config, settings)
     report = {
         "provenance": _provenance("pmc", args.seed, args.data, args.model,
                                   args.config),
@@ -139,14 +125,12 @@ def _cmd_pmc(args) -> int:
         "rule": args.rule,
     }
     if args.delta:
-        report["delta"] = delta_matrix(model, config, settings,
-                                       threads).to_dict()
+        report["delta"] = delta_matrix(model, config, settings).to_dict()
     _emit(report)
     return 0
 
 
 def _cmd_phm(args) -> int:
-    threads = _threads(args)
     if args.dendrogram and args.tau != 0.0:
         raise CliError("validation", "dendrogram export requires tau = 0")
     X = load_csv(args.data, has_header=args.header)
@@ -156,7 +140,7 @@ def _cmd_phm(args) -> int:
     else:
         fit = select_gmm_bic(X, kappas, n_init=args.n_init, seed=args.seed)
     settings = PmcSettings(m_samples=args.m, seed=args.seed)
-    trace, config = phm_run(fit.model, args.tau, settings, threads)
+    trace, config = phm_run(fit.model, args.tau, settings)
     pi = cluster_posterior_matrix(fit.model, config, X)
     labels = pi.argmax(axis=1)
     report = {
@@ -186,13 +170,11 @@ def _cmd_phm(args) -> int:
 
 
 def _cmd_select_k(args) -> int:
-    threads = _threads(args)
     X = load_csv(args.data, has_header=args.header)
     table = selection_table(X, method=args.method,
                             k_range=_parse_range(args.k_range),
                             tau=args.tau, B=args.b_refs, reps=args.reps,
-                            m_samples=args.m, seed=args.seed,
-                            threads=threads)
+                            m_samples=args.m, seed=args.seed)
     report = {"provenance": _provenance("select-k", args.seed, args.data)}
     report.update(table)
     if args.table:
@@ -214,10 +196,9 @@ def _cmd_select_k(args) -> int:
 
 
 def _cmd_hclust_test(args) -> int:
-    threads = _threads(args)
     X = load_csv(args.data, has_header=args.header)
     report = test_report(X, reps=args.reps, bootstrap=args.bootstrap,
-                         seed=args.seed, threads=threads)
+                         seed=args.seed)
     out = {"provenance": _provenance("hclust-test", args.seed, args.data)}
     out.update(report)
     _emit(out)
@@ -251,8 +232,15 @@ def _cmd_preprocess(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises argument errors as CliError instead of printing usage."""
+
+    def error(self, message):
+        raise CliError("validation", f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="distinguish",
         description="Cluster separability analysis: risk estimation, "
                     "component merging, K selection, existence testing.")
@@ -260,8 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, data_required=True):
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: DISTINGUISH_THREADS or 1)")
         p.add_argument("--header", action="store_true",
                        help="first CSV row is a header")
         if data_required:
@@ -320,13 +306,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit:  # only --help exits here; argument errors raise
+        return 0
     except CliError as exc:
         return _fail(exc.kind, str(exc))
     except FileNotFoundError as exc:

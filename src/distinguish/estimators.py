@@ -29,6 +29,32 @@ def default_regularization(X) -> float:
     return 1e-6 * float(V.var(axis=0, ddof=1).mean())
 
 
+def _unit_sum(w: np.ndarray) -> None:
+    """Nudge the largest weight, in place, until the weights sum to 1.0
+    exactly in floating point (at most 10 passes)."""
+    for _ in range(10):
+        resid = 1.0 - np.sum(w)
+        if resid == 0.0:
+            break
+        w[np.argmax(w)] += resid
+
+
+def newick(n_leaves: int, merges) -> str:
+    """Newick text of a binary merge tree, branch lengths from heights.
+
+    Leaves are 0..n_leaves-1 and the i-th (left, right, height) merge
+    creates node n_leaves + i.
+    """
+    height = [0.0] * n_leaves
+    text = [str(i) for i in range(n_leaves)]
+    for a, b, h in merges:
+        a, b = int(a), int(b)
+        text.append(f"({text[a]}:{h - height[a]:.10g},"
+                    f"{text[b]}:{h - height[b]:.10g})")
+        height.append(h)
+    return text[-1] + ";"
+
+
 # ---------------------------------------------------------------- k-means
 
 @dataclass(frozen=True)
@@ -154,16 +180,7 @@ class HclustTree:
 
     def to_newick(self) -> str:
         """Newick text with branch lengths from merge heights."""
-        height = {i: 0.0 for i in range(self.n)}
-        text = {i: str(i) for i in range(self.n)}
-        for i, (a, b, h) in enumerate(self.merges):
-            a, b = int(a), int(b)
-            node = self.n + i
-            la = h - height[a]
-            lb = h - height[b]
-            text[node] = f"({text[a]}:{la:.10g},{text[b]}:{lb:.10g})"
-            height[node] = h
-        return text[self.n + len(self.merges) - 1] + ";"
+        return newick(self.n, self.merges)
 
 
 def fit_hclust(X) -> HclustTree:
@@ -222,11 +239,7 @@ def partition_to_gaussians(X, part: Partition, reg: float | None = None
     if reg is None:
         reg = default_regularization(V)
     w = np.array([(lab == k).sum() / n for k in range(part.K)])
-    for _ in range(10):
-        resid = 1.0 - np.sum(w)
-        if resid == 0.0:
-            break
-        w[np.argmax(w)] += resid
+    _unit_sum(w)
     means, covs = [], []
     for k in range(part.K):
         S = V[lab == k]
@@ -322,11 +335,7 @@ def _em_single(X: np.ndarray, resp: np.ndarray, reg: float,
             converged = True
             break
         ll_prev = ll
-    for _ in range(10):
-        resid = 1.0 - np.sum(w)
-        if resid == 0.0:
-            break
-        w[np.argmax(w)] += resid
+    _unit_sum(w)
     return ll, w, mu, covs, it, converged, tuple(path)
 
 

@@ -10,8 +10,6 @@ Gaussian; p-values use the add-one estimator so they are never zero.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from .estimators import cut_tree, default_regularization, fit_hclust, \
@@ -42,8 +40,7 @@ def pmc_statistic(X) -> float:
 
 
 def null_distribution(n: int, p: int, reps: int,
-                      seed: int | None = None, threads: int = 1
-                      ) -> np.ndarray:
+                      seed: int | None = None) -> np.ndarray:
     """Sorted sample of the statistic under a standard Gaussian null.
 
     The statistic is location-scale invariant, so the standard normal
@@ -51,15 +48,9 @@ def null_distribution(n: int, p: int, reps: int,
     """
     if reps < 100:
         raise ValueError("reps must be >= 100")
-
-    def one(r: int) -> float:
-        return pmc_statistic(stream(seed, "null-rep", r).standard_normal((n, p)))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = np.fromiter(pool.map(one, range(reps)), float, reps)
-    else:
-        values = np.fromiter((one(r) for r in range(reps)), float, reps)
+    values = np.fromiter(
+        (pmc_statistic(stream(seed, "null-rep", r).standard_normal((n, p)))
+         for r in range(reps)), float, reps)
     return np.sort(values)
 
 
@@ -72,8 +63,7 @@ def pvalue_mc(stat: float, null_sample: np.ndarray) -> float:
     return (1.0 + count) / (1.0 + null_sample.size)
 
 
-def pvalue_bootstrap(X, B: int = 500, seed: int | None = None,
-                     threads: int = 1) -> float:
+def pvalue_bootstrap(X, B: int = 500, seed: int | None = None) -> float:
     """Parametric bootstrap p-value: the null is the Gaussian fitted to X."""
     if B < 100:
         raise ValueError("B must be >= 100")
@@ -84,31 +74,24 @@ def pvalue_bootstrap(X, B: int = 500, seed: int | None = None,
     d = V - mu
     cov = d.T @ d / n + default_regularization(V) * np.eye(p)
     L = np.linalg.cholesky((cov + cov.T) / 2.0)
-
-    def one(b: int) -> float:
-        z = stream(seed, "boot-rep", b).standard_normal((n, p))
-        return pmc_statistic(mu + z @ L.T)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            boots = np.fromiter(pool.map(one, range(B)), float, B)
-    else:
-        boots = np.fromiter((one(b) for b in range(B)), float, B)
+    boots = np.fromiter(
+        (pmc_statistic(mu + stream(seed, "boot-rep", b).standard_normal((n, p))
+                       @ L.T) for b in range(B)), float, B)
     return pvalue_mc(stat, boots)
 
 
 def test_report(X, reps: int = 5000, bootstrap: int | None = None,
-                seed: int | None = None, threads: int = 1) -> dict:
+                seed: int | None = None) -> dict:
     """Full test result: statistic, p-value, and the null quantile table."""
     V = as_matrix(X)
     stat = pmc_statistic(V)
     if bootstrap is not None:
-        p_value = pvalue_bootstrap(V, bootstrap, seed, threads)
+        p_value = pvalue_bootstrap(V, bootstrap, seed)
         method = "bootstrap"
         null_q = None
         reps_used = bootstrap
     else:
-        null = null_distribution(V.shape[0], V.shape[1], reps, seed, threads)
+        null = null_distribution(V.shape[0], V.shape[1], reps, seed)
         p_value = pvalue_mc(stat, null)
         method = "mc"
         null_q = {str(q): float(np.quantile(null, q)) for q in QUANTILE_GRID}

@@ -1,7 +1,7 @@
 """Core value types: data matrices, Gaussian mixtures, cluster configurations,
 Monte Carlo estimates, and merge traces.
 
-All types are immutable after construction and safe to share across threads.
+All types are immutable after construction.
 Component indices are stable for the lifetime of a mixture; clusters are
 identified by sets of component indices, never by reordering.
 """
@@ -171,15 +171,22 @@ class MixtureModel:
                    tuple(GaussianComponent.from_dict(c) for c in d["components"]))
 
 
+def _nonfinite(k: int, mean: np.ndarray, cov: np.ndarray) -> list[str]:
+    return [f"component {k} {name} not finite"
+            for name, a in (("mean", mean), ("covariance", cov))
+            if not np.all(np.isfinite(a))]
+
+
 def mixture(weights, means, covariances) -> MixtureModel:
     """Build a validated MixtureModel from raw arrays.
 
     Weight sums within 1e-12 of 1 are accepted as-is; within 1e-6 they are
-    renormalized with a warning; anything further off is rejected.  Slightly
-    asymmetric covariances (relative error <= 1e-9) are symmetrized.
+    renormalized with a warning; anything further off is rejected.  Means
+    and covariances must be finite.  Slightly asymmetric covariances
+    (relative error <= 1e-9) are symmetrized.
     """
     w = np.atleast_1d(np.asarray(weights, dtype=float))
-    if np.any(w <= 0):
+    if not np.all(w > 0):
         raise ValueError("mixture weights must be strictly positive")
     s = float(np.sum(w))
     if abs(s - 1.0) > WEIGHT_RENORM_TOL:
@@ -189,15 +196,19 @@ def mixture(weights, means, covariances) -> MixtureModel:
                       stacklevel=2)
         w = w / s
     comps = []
-    for mean, cov in zip(means, covariances, strict=True):
+    for k, (mean, cov) in enumerate(zip(means, covariances, strict=True)):
+        mean = np.asarray(mean, dtype=float)
         c = np.atleast_2d(np.asarray(cov, dtype=float))
+        bad = _nonfinite(k, mean, c)
+        if bad:
+            raise ValueError("; ".join(bad))
         if not np.array_equal(c, c.T):
             scale = np.abs(c).max()
             if scale > 0 and np.abs(c - c.T).max() <= 1e-9 * scale:
                 c = (c + c.T) / 2.0
             else:
                 raise ValueError("covariance is not symmetric")
-        comps.append(GaussianComponent(np.asarray(mean, dtype=float), c))
+        comps.append(GaussianComponent(mean, c))
     if len(comps) != w.size:
         raise ValueError("weights and components count mismatch")
     return MixtureModel(w, tuple(comps))
@@ -223,6 +234,10 @@ def validate(model: MixtureModel) -> list[str]:
         issues.append(f"components disagree on dimension: {sorted(dims)}")
     for k, comp in enumerate(model.components):
         cov = comp.covariance
+        bad = _nonfinite(k, comp.mean, cov)
+        if bad:
+            issues.extend(bad)
+            continue
         if not np.array_equal(cov, cov.T):
             issues.append(f"component {k} covariance not symmetric")
             continue

@@ -15,13 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .estimators import newick
 from .models import (ClusterConfiguration, McEstimate, MergeStep, MergeTrace,
                      MixtureModel)
 from .pmc import DeltaMatrix, PmcSettings, delta_matrix
 
 
 def phm_run(model: MixtureModel, tau: float,
-            settings: PmcSettings | None = None, threads: int = 1,
+            settings: PmcSettings | None = None,
             precomputed: DeltaMatrix | None = None
             ) -> tuple[MergeTrace, ClusterConfiguration]:
     """Merge components greedily until the risk is at most tau.
@@ -37,7 +38,7 @@ def phm_run(model: MixtureModel, tau: float,
         raise ValueError("merging requires the randomized rule")
     kappa = model.kappa
     D = precomputed if precomputed is not None else delta_matrix(
-        model, None, settings, threads)
+        model, None, settings)
     raw = D.raw.copy()
     initial = McEstimate(min(max(D.pmc, 0.0), 1.0), D.pmc_std_error,
                          D.m_samples, D.seed)
@@ -107,14 +108,7 @@ class PhmDendrogram:
                          for a, b, h, x in d["nodes"]))
 
     def to_newick(self) -> str:
-        height = {i: 0.0 for i in range(self.kappa)}
-        text = {i: str(i) for i in range(self.kappa)}
-        for t, (a, b, h, _) in enumerate(self.nodes):
-            node = self.kappa + t
-            text[node] = (f"({text[a]}:{h - height[a]:.10g},"
-                          f"{text[b]}:{h - height[b]:.10g})")
-            height[node] = h
-        return text[self.kappa + len(self.nodes) - 1] + ";"
+        return newick(self.kappa, (nd[:3] for nd in self.nodes))
 
 
 def build_dendrogram(trace: MergeTrace) -> PhmDendrogram:

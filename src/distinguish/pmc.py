@@ -16,7 +16,6 @@ estimate bit-identically.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,15 +114,14 @@ def _summands(pi: np.ndarray, rule: str) -> np.ndarray:
 
 
 def sample_mixture(model: MixtureModel, m_samples: int,
-                   seed: int | None = None, threads: int = 1
-                   ) -> tuple[np.ndarray, np.ndarray]:
+                   seed: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Draw m_samples points from the mixture, stratified by component.
 
     Per-component counts are floor(M * alpha) with the remainder drawn
     multinomially; rows come out grouped by component, labels alongside.
     Standard normals are generated in fixed-size chunks whose RNG streams
-    depend only on (seed, chunk index), so the sample is identical for any
-    thread count.
+    depend only on (seed, chunk index); each component then maps its
+    contiguous block of rows through its mean and Cholesky factor.
     """
     alpha = model.weights
     base = np.floor(m_samples * alpha).astype(int)
@@ -132,24 +130,11 @@ def sample_mixture(model: MixtureModel, m_samples: int,
         base = base + stream(seed, "mc-strata").multinomial(rest, alpha)
     labels = np.repeat(np.arange(model.kappa), base)
     X = np.empty((m_samples, model.p))
-    chols = [c.chol for c in model.components]
-    means = [c.mean for c in model.components]
-
-    def fill(c: int) -> None:
-        lo = c * CHUNK
-        hi = min(lo + CHUNK, m_samples)
-        z = stream(seed, "mc-chunk", c).standard_normal((hi - lo, model.p))
-        lab = labels[lo:hi]
-        for j in np.unique(lab):
-            rows = lab == j
-            X[lo:hi][rows] = means[j] + z[rows] @ chols[j].T
-    n_chunks = (m_samples + CHUNK - 1) // CHUNK
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, range(n_chunks)))
-    else:
-        for c in range(n_chunks):
-            fill(c)
+    for c, lo in enumerate(range(0, m_samples, CHUNK)):
+        stream(seed, "mc-chunk", c).standard_normal(out=X[lo:lo + CHUNK])
+    ends = np.cumsum(base)
+    for comp, lo, hi in zip(model.components, ends - base, ends):
+        X[lo:hi] = comp.mean + X[lo:hi] @ comp.chol.T
     return X, labels
 
 
@@ -170,8 +155,7 @@ def pmc_from_sample(model: MixtureModel, config: ClusterConfiguration | None,
 
 
 def pmc_mc(model: MixtureModel, config: ClusterConfiguration | None = None,
-           settings: PmcSettings | None = None, threads: int = 1
-           ) -> McEstimate:
+           settings: PmcSettings | None = None) -> McEstimate:
     """Monte Carlo risk estimate under the configured decision rule."""
     if settings is None:
         settings = PmcSettings()
@@ -179,7 +163,7 @@ def pmc_mc(model: MixtureModel, config: ClusterConfiguration | None = None,
         config = ClusterConfiguration.singletons(model.kappa)
     if config.K == 1:
         return McEstimate(0.0, 0.0, settings.m_samples, settings.seed)
-    X, _ = sample_mixture(model, settings.m_samples, settings.seed, threads)
+    X, _ = sample_mixture(model, settings.m_samples, settings.seed)
     value, se = pmc_from_sample(model, config, X, settings.rule)
     return McEstimate(value, se, settings.m_samples, settings.seed)
 
@@ -190,7 +174,8 @@ def pmc_quadrature(model: MixtureModel,
     """Adaptive quadrature for dimension 1 or 2, absolute tolerance 1e-8.
 
     Integrates density times per-point loss over a box covering every
-    component mean plus/minus 10 standard deviations.
+    component mean plus/minus 10 standard deviations.  A non-finite
+    integral (e.g. from overflow at extreme scales) raises RuntimeError.
     """
     if model.p > 2:
         raise ValueError("quadrature unsupported for p > 2")
@@ -227,6 +212,8 @@ def pmc_quadrature(model: MixtureModel,
         value, _ = integrate.dblquad(
             lambda y, x: integrand_point([x, y]),
             lo[0], hi[0], lo[1], hi[1], epsabs=1e-8)
+    if not np.isfinite(value):
+        raise RuntimeError(f"quadrature integral is not finite: {value}")
     return float(value)
 
 
@@ -272,8 +259,7 @@ class DeltaMatrix:
 
 def delta_matrix(model: MixtureModel,
                  config: ClusterConfiguration | None = None,
-                 settings: PmcSettings | None = None,
-                 threads: int = 1) -> DeltaMatrix:
+                 settings: PmcSettings | None = None) -> DeltaMatrix:
     """All pairwise merge reductions estimated from ONE shared sample.
 
     Only the randomized rule decomposes pairwise, so that rule is required.
@@ -285,7 +271,7 @@ def delta_matrix(model: MixtureModel,
     if config is None:
         config = ClusterConfiguration.singletons(model.kappa)
     K = config.K
-    X, _ = sample_mixture(model, settings.m_samples, settings.seed, threads)
+    X, _ = sample_mixture(model, settings.m_samples, settings.seed)
     pi = cluster_posterior_matrix(model, config, X)
     raw = np.zeros((K, K))
     for i in range(K):
@@ -312,11 +298,11 @@ def pmc_upper_bound(weights, rule: str = "randomized") -> float:
 
 
 def pmc(model: MixtureModel, config: ClusterConfiguration | None = None,
-        settings: PmcSettings | None = None, threads: int = 1) -> McEstimate:
+        settings: PmcSettings | None = None) -> McEstimate:
     """Dispatch: quadrature when enabled in settings, Monte Carlo otherwise."""
     if settings is None:
         settings = PmcSettings()
     if settings.quadrature:
         value = pmc_quadrature(model, config, settings.rule)
         return McEstimate(max(value, 0.0), 0.0, 0, None)
-    return pmc_mc(model, config, settings, threads)
+    return pmc_mc(model, config, settings)

@@ -4,8 +4,8 @@ Every random quantity in the package flows from one user seed through a
 named stream: the stream identity is (seed, component name, index).  Two
 streams with different names or indices are statistically independent, and
 a stream's output never depends on how many other streams were opened or
-in which order.  That makes multi-stage pipelines and parallel chunked
-work bit-reproducible regardless of schedule or thread count.
+in which order.  That makes multi-stage pipelines and chunked work
+bit-reproducible regardless of the order in which chunks are drawn.
 """
 from __future__ import annotations
 

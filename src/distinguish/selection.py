@@ -239,7 +239,7 @@ def prediction_strength(X, clusterer: str, K: int, reps: int = 20,
 def selection_table(X, method: str = "kmeans", k_range=range(1, 9),
                     tau: float = 0.05, B: int = 50, reps: int = 20,
                     m_samples: int = 100000, seed: int | None = None,
-                    restarts: int = 10, threads: int = 1) -> dict:
+                    restarts: int = 10) -> dict:
     """Per-K diagnostics table plus the risk-constrained selection.
 
     Rows carry gap, gap sd, risk of the fitted per-cluster Gaussians,
@@ -257,8 +257,7 @@ def selection_table(X, method: str = "kmeans", k_range=range(1, 9),
         model = partition_to_gaussians(V, part)
         est = pmc_mc(model, None,
                      PmcSettings(m_samples=m_samples,
-                                 seed=derive_seed(seed, "table-pmc", K)),
-                     threads)
+                                 seed=derive_seed(seed, "table-pmc", K)))
         pmc_by_k[K] = est.value
         row = {
             "K": K,

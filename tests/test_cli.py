@@ -80,6 +80,28 @@ class TestPmcCommand:
         assert code == 0
         assert json.loads(out)["estimate"]["std_error"] == 0.0
 
+    def test_non_finite_covariance_named(self, capsys, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text(
+            '{"kappa": 2, "p": 1, "weights": [0.5, 0.5], "components": ['
+            '{"mean": [0.0], "covariance": [[1.0]]},'
+            '{"mean": [3.0], "covariance": [[NaN]]}]}')
+        code, _, err = run(capsys, "pmc", "--model", str(path))
+        assert code == 2
+        e = parse_err(err)
+        assert e["kind"] == "validation"
+        assert "component 1 covariance not finite" in e["message"]
+
+    def test_non_finite_quadrature_is_numeric(self, capsys, tmp_path):
+        m = mixture([0.5, 0.5], [[-1e308], [1e308]], [np.eye(1), np.eye(1)])
+        path = tmp_path / "huge.json"
+        path.write_text(to_json(m))
+        code, out, err = run(capsys, "pmc", "--model", str(path),
+                             "--quadrature")
+        assert code == 3
+        assert out == ""
+        assert parse_err(err)["kind"] == "numeric"
+
     def test_data_dimension_mismatch(self, capsys, model_path, tmp_path):
         path = tmp_path / "wide.csv"
         path.write_text("1,2\n3,4\n")
@@ -201,20 +223,23 @@ class TestPreprocessCommand:
         assert parse_err(err)["kind"] == "validation"
 
 
-class TestThreads:
-    def test_flag_beats_env(self, capsys, model_path, monkeypatch):
-        monkeypatch.setenv("DISTINGUISH_THREADS", "3")
-        args = ("pmc", "--model", model_path, "--m", "30000", "--seed", "7")
-        _, base, _ = run(capsys, *args)
-        _, with_env, _ = run(capsys, *args)
-        _, with_flag, _ = run(capsys, *args, "--threads", "2")
-        assert base == with_env == with_flag
+@pytest.mark.parametrize("argv", [
+    ("pmc", "--threads", "2"),
+    ("pmc", "--m", "notanint"),
+    ("frobnicate",),
+], ids=["unknown-flag", "bad-int", "unknown-subcommand"])
+def test_argument_errors_follow_contract(capsys, model_path, argv):
+    code, out, err = run(capsys, *argv, "--model", model_path)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["kind"] == "validation"
 
-    def test_bad_env_value(self, capsys, model_path, monkeypatch):
-        monkeypatch.setenv("DISTINGUISH_THREADS", "soon")
-        code, _, err = run(capsys, "pmc", "--model", model_path)
-        assert code == 2
-        assert parse_err(err)["kind"] == "validation"
+
+def test_help_exits_0(capsys):
+    assert main(["pmc", "--help"]) == 0
+    assert "--model" in capsys.readouterr().out
 
 
 def test_unknown_subcommand_exits_2(capsys):

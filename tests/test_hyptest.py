@@ -55,9 +55,9 @@ class TestNullDistribution:
         with pytest.raises(ValueError):
             null_distribution(40, 1, reps=99)
 
-    def test_thread_invariance(self):
-        a = null_distribution(30, 1, reps=100, seed=3, threads=1)
-        b = null_distribution(30, 1, reps=100, seed=3, threads=4)
+    def test_same_seed_repeats(self):
+        a = null_distribution(30, 1, reps=100, seed=3)
+        b = null_distribution(30, 1, reps=100, seed=3)
         assert np.array_equal(a, b)
 
     def test_disjoint_seeds_agree_in_distribution(self):
@@ -94,9 +94,9 @@ class TestPvalues:
         with pytest.raises(ValueError):
             pvalue_bootstrap(bimodal, B=50)
 
-    def test_bootstrap_thread_invariance(self, bimodal):
-        p1 = pvalue_bootstrap(bimodal, B=120, seed=5, threads=1)
-        p2 = pvalue_bootstrap(bimodal, B=120, seed=5, threads=3)
+    def test_bootstrap_same_seed_repeats(self, bimodal):
+        p1 = pvalue_bootstrap(bimodal, B=120, seed=5)
+        p2 = pvalue_bootstrap(bimodal, B=120, seed=5)
         assert p1 == p2
 
 

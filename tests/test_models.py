@@ -45,6 +45,21 @@ class TestMixtureFactory:
         with pytest.raises(ValueError):
             mixture([1.0], [[0.0, 0.0]], [c])
 
+    def test_nan_weight_rejected(self):
+        with pytest.raises(ValueError, match="strictly positive"):
+            unit_mixture([[0.0], [3.0]], [1.0, np.nan])
+
+    @pytest.mark.parametrize("mean, cov, name", [
+        ([np.nan], [[1.0]], "mean"),
+        ([np.inf], [[1.0]], "mean"),
+        ([0.0], [[np.nan]], "covariance"),
+        ([0.0], [[np.inf]], "covariance"),
+    ])
+    def test_non_finite_component_named(self, mean, cov, name):
+        with pytest.raises(ValueError,
+                           match=f"^component 1 {name} not finite$"):
+            mixture([0.5, 0.5], [[0.0], mean], [[[1.0]], cov])
+
 
 class TestValidate:
     def test_reports_bad_weight_sum(self):
@@ -62,6 +77,18 @@ class TestValidate:
                                                       [2.0, 1.0]])),))
         issues = validate(m)
         assert any("positive definite" in s for s in issues)
+
+    @pytest.mark.parametrize("mean, cov, name", [
+        ([np.nan, 0.0], np.eye(2), "mean"),
+        ([0.0, -np.inf], np.eye(2), "mean"),
+        ([0.0, 0.0], [[1.0, np.nan], [0.0, 1.0]], "covariance"),
+        ([0.0, 0.0], [[np.inf, 0.0], [0.0, 1.0]], "covariance"),
+    ])
+    def test_reports_non_finite_component_by_name(self, mean, cov, name):
+        m = MixtureModel(np.array([0.5, 0.5]),
+                         (GaussianComponent(np.zeros(2), np.eye(2)),
+                          GaussianComponent(np.array(mean), np.array(cov))))
+        assert validate(m) == [f"component 1 {name} not finite"]
 
     def test_reports_dimension_mismatch(self):
         m = MixtureModel(np.array([0.5, 0.5]),

@@ -4,8 +4,8 @@ import pytest
 from distinguish import (ClusterConfiguration, PmcSettings, cluster_posterior_matrix,
                          cluster_posteriors, cluster_weights, delta_matrix,
                          mixture, pmc, pmc_mc, pmc_quadrature, pmc_upper_bound,
-                         sample_mixture)
-from distinguish.pmc import pmc_from_sample
+                         sample_mixture, stream)
+from distinguish.pmc import CHUNK, pmc_from_sample
 
 # frozen trapezoid values for equal-weight N(0,1) vs N(3,1)
 TWO_GAUSS_RANDOMIZED = 0.0986212510997209
@@ -90,12 +90,20 @@ class TestSampling:
         assert counts[0] >= 2500 - 1 and counts[1] >= 7500 - 1
         assert X.shape == (10000, 1)
 
-    def test_thread_count_does_not_change_sample(self):
+    def test_rows_follow_chunk_streams(self):
+        # row r's normals come from the stream of chunk r // CHUNK; each
+        # component maps its own contiguous block of rows
         rng = np.random.default_rng(2)
         m = random_mixture(rng, 3, 2)
-        X1, l1 = sample_mixture(m, 50000, seed=11, threads=1)
-        X4, l4 = sample_mixture(m, 50000, seed=11, threads=4)
-        assert np.array_equal(X1, X4) and np.array_equal(l1, l4)
+        M = 3 * CHUNK + 123
+        X, labels = sample_mixture(m, M, seed=11)
+        Z = np.vstack([stream(11, "mc-chunk", c).standard_normal(
+                           (min(CHUNK, M - lo), m.p))
+                       for c, lo in enumerate(range(0, M, CHUNK))])
+        assert np.all(np.diff(labels) >= 0)
+        for j, comp in enumerate(m.components):
+            rows = labels == j
+            assert np.array_equal(X[rows], comp.mean + Z[rows] @ comp.chol.T)
 
     def test_seed_changes_sample(self):
         m = two_gauss()
@@ -142,12 +150,12 @@ class TestMonteCarlo:
                      PmcSettings(m_samples=1000, seed=0))
         assert est.value == 0.0 and est.std_error == 0.0
 
-    def test_reproducible_and_thread_invariant(self):
+    def test_reproducible(self):
         rng = np.random.default_rng(3)
         m = random_mixture(rng, 4, 2)
         s = PmcSettings(m_samples=60000, seed=9)
-        a = pmc_mc(m, None, s, threads=1)
-        b = pmc_mc(m, None, s, threads=3)
+        a = pmc_mc(m, None, s)
+        b = pmc_mc(m, None, s)
         assert a.value == b.value and a.std_error == b.std_error
 
     def test_component_permutation_bit_identity_on_shared_sample(self):
