@@ -11,10 +11,9 @@ import numpy as np
 from scipy.cluster.hierarchy import linkage
 from scipy.special import logsumexp
 
-from .models import MixtureModel, Partition, as_matrix, mixture
-from .rng import stream
-
-LOG_2PI = np.log(2.0 * np.pi)
+from .models import (MixtureModel, Partition, as_matrix, gaussian_log_density,
+                     mixture)
+from .rng import derive_seed, stream
 
 
 class DegenerateFitError(RuntimeError):
@@ -55,6 +54,11 @@ def newick(n_leaves: int, merges) -> str:
     return text[-1] + ";"
 
 
+def sq_dists(X: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """(n, k) squared Euclidean distances between the rows of X and C."""
+    return ((X[:, None, :] - C[None]) ** 2).sum(axis=-1)
+
+
 # ---------------------------------------------------------------- k-means
 
 @dataclass(frozen=True)
@@ -85,14 +89,14 @@ def _kmeanspp_centers(X: np.ndarray, K: int, rng: np.random.Generator) -> np.nda
     n = X.shape[0]
     centers = np.empty((K, X.shape[1]))
     centers[0] = X[rng.integers(n)]
-    d2 = ((X - centers[0]) ** 2).sum(axis=1)
+    d2 = sq_dists(X, centers[:1])[:, 0]
     for j in range(1, K):
         total = d2.sum()
         if total <= 0:
             centers[j] = X[rng.integers(n)]
         else:
             centers[j] = X[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, ((X - centers[j]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, sq_dists(X, centers[j:j + 1])[:, 0])
     return centers
 
 
@@ -101,7 +105,7 @@ def _lloyd(X: np.ndarray, centers: np.ndarray, max_iter: int):
     labels = None
     path = []
     for _ in range(max_iter):
-        d2 = ((X[:, None, :] - centers[None]) ** 2).sum(axis=-1)
+        d2 = sq_dists(X, centers)
         new_labels = d2.argmin(axis=1)
         for j in range(K):
             mask = new_labels == j
@@ -283,7 +287,7 @@ def _seed_responsibilities(X: np.ndarray, kappa: int,
                            rng: np.random.Generator, soft: bool) -> np.ndarray:
     n, p = X.shape
     centers = _kmeanspp_centers(X, kappa, rng)
-    d2 = ((X[:, None, :] - centers[None]) ** 2).sum(axis=-1)
+    d2 = sq_dists(X, centers)
     if soft:
         nearest = np.take_along_axis(d2, d2.argmin(axis=1)[:, None], axis=1)
         h2 = max(float(nearest.mean()) / p, 1e-12)
@@ -323,9 +327,7 @@ def _em_single(X: np.ndarray, resp: np.ndarray, reg: float,
             if np.linalg.cond(C) > 1e12:
                 return None
             covs.append(C)
-            v = np.linalg.solve(L, (X - mu[j]).T)
-            logd[:, j] = (-0.5 * np.einsum("ij,ij->j", v, v)
-                          - np.log(np.diag(L)).sum() - 0.5 * p * LOG_2PI)
+            logd[:, j] = gaussian_log_density(X, mu[j], L)
         a = np.log(w) + logd
         lz = logsumexp(a, axis=1)
         ll = float(lz.sum())
@@ -387,7 +389,6 @@ def select_gmm_bic(X, kappa_range, tol: float = 1e-8, max_iter: int = 500,
     if not kappas:
         raise ValueError("kappa_range is empty")
     best: EmFit | None = None
-    from .rng import derive_seed
     for kappa in kappas:
         try:
             fit = fit_gmm_em(X, kappa, tol=tol, max_iter=max_iter,

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .estimators import cut_tree, default_regularization, fit_hclust, \
-    partition_to_gaussians
-from .models import as_matrix
+from .estimators import cut_tree, fit_hclust, partition_to_gaussians
+from .models import Partition, as_matrix
 from .pmc import pmc_from_sample
 from .rng import stream
 
@@ -70,13 +69,11 @@ def pvalue_bootstrap(X, B: int = 500, seed: int | None = None) -> float:
     V = as_matrix(X)
     stat = pmc_statistic(V)
     n, p = V.shape
-    mu = V.mean(axis=0)
-    d = V - mu
-    cov = d.T @ d / n + default_regularization(V) * np.eye(p)
-    L = np.linalg.cholesky((cov + cov.T) / 2.0)
+    fit, = partition_to_gaussians(V, Partition(np.zeros(n, int), 1)).components
     boots = np.fromiter(
-        (pmc_statistic(mu + stream(seed, "boot-rep", b).standard_normal((n, p))
-                       @ L.T) for b in range(B)), float, B)
+        (pmc_statistic(fit.mean + stream(seed, "boot-rep", b)
+                       .standard_normal((n, p)) @ fit.chol.T)
+         for b in range(B)), float, B)
     return pvalue_mc(stat, boots)
 
 

@@ -79,6 +79,13 @@ def as_matrix(X) -> np.ndarray:
     return a
 
 
+def gaussian_log_density(X: np.ndarray, mean, L) -> np.ndarray:
+    """Log density of N(mean, L L^T) at each row of the 2-D array X."""
+    v = np.linalg.solve(L, (X - mean).T)
+    return (-0.5 * np.einsum("ij,ij->j", v, v)
+            - np.log(np.diag(L)).sum() - 0.5 * mean.size * np.log(2.0 * np.pi))
+
+
 @dataclass(frozen=True)
 class GaussianComponent:
     """One Gaussian: mean vector and full covariance matrix.
@@ -112,12 +119,8 @@ class GaussianComponent:
 
     def log_density(self, X) -> np.ndarray:
         """Log density at each row of X; returns shape (n,)."""
-        X = np.atleast_2d(as_matrix(X))
-        L = self.chol
-        v = np.linalg.solve(L, (X - self.mean).T)
-        return (-0.5 * np.einsum("ij,ij->j", v, v)
-                - np.log(np.diag(L)).sum()
-                - 0.5 * self.p * np.log(2.0 * np.pi))
+        return gaussian_log_density(np.atleast_2d(as_matrix(X)), self.mean,
+                                    self.chol)
 
     def to_dict(self) -> dict:
         return {"mean": self.mean.tolist(), "covariance": self.covariance.tolist()}
@@ -154,7 +157,7 @@ class MixtureModel:
         X = np.atleast_2d(as_matrix(X))
         out = np.empty((X.shape[0], self.kappa))
         for j, comp in enumerate(self.components):
-            out[:, j] = comp.log_density(X)
+            out[:, j] = gaussian_log_density(X, comp.mean, comp.chol)
         return out
 
     def to_dict(self) -> dict:

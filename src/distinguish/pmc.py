@@ -9,14 +9,16 @@ decomposition: merging clusters i and j removes 2 E[pi_i pi_j] from the
 risk, which is what the merge machinery in phm.py consumes.
 
 Estimates are Monte Carlo over samples drawn from the mixture, with a
-small-dimension quadrature route as an oracle.  All reductions that define
+small-dimension quadrature route as an oracle.  Both routes and the delta
+matrix take posteriors from one path, `_posteriors_and_density`, and
+per-point loss from `_summands`.  All reductions that define
 reported values are performed in a canonical (value-sorted) order, so a
 relabeling of components that leaves the sample unchanged reproduces every
 estimate bit-identically.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
@@ -74,14 +76,10 @@ def cluster_weights(model: MixtureModel, config: ClusterConfiguration
     return w
 
 
-def cluster_posterior_matrix(model: MixtureModel,
-                             config: ClusterConfiguration | None,
-                             X) -> np.ndarray:
-    """(n, K) posterior cluster probabilities, log-space normalized.
-
-    A cluster's posterior is the sum of its member components' posteriors.
-    Per-row totals and per-cluster sums use value-sorted addend order.
-    """
+def _posteriors_and_density(model: MixtureModel,
+                            config: ClusterConfiguration | None,
+                            X) -> tuple[np.ndarray, np.ndarray]:
+    """Posteriors and the (n,) mixture density, one normalization for both."""
     X = np.atleast_2d(as_matrix(X))
     if config is None:
         config = ClusterConfiguration.singletons(model.kappa)
@@ -93,7 +91,18 @@ def cluster_posterior_matrix(model: MixtureModel,
     for k in range(config.K):
         members = list(config.members(k))
         pi[:, k] = _sorted_sum(e[:, members], axis=1) / total
-    return pi
+    return pi, np.exp(m[:, 0]) * total
+
+
+def cluster_posterior_matrix(model: MixtureModel,
+                             config: ClusterConfiguration | None,
+                             X) -> np.ndarray:
+    """(n, K) posterior cluster probabilities, log-space normalized.
+
+    A cluster's posterior is the sum of its member components' posteriors.
+    Per-row totals and per-cluster sums use value-sorted addend order.
+    """
+    return _posteriors_and_density(model, config, X)[0]
 
 
 def cluster_posteriors(model: MixtureModel,
@@ -111,6 +120,14 @@ def _summands(pi: np.ndarray, rule: str) -> np.ndarray:
         # event for Gaussians); only the max value enters the risk
         return 1.0 - pi.max(axis=1)
     raise ValueError(f"rule must be one of {RULES}")
+
+
+def _mean_and_se(s: np.ndarray) -> tuple[float, float]:
+    """Sorted-order mean of per-point summands and its standard error."""
+    value = _sorted_mean(s)
+    d = s - value
+    sd = np.sqrt(_sorted_sum(d * d) / (s.size - 1)) if s.size > 1 else 0.0
+    return value, float(sd / np.sqrt(s.size))
 
 
 def sample_mixture(model: MixtureModel, m_samples: int,
@@ -141,17 +158,8 @@ def sample_mixture(model: MixtureModel, m_samples: int,
 def pmc_from_sample(model: MixtureModel, config: ClusterConfiguration | None,
                     X, rule: str = "randomized") -> tuple[float, float]:
     """Risk estimate and standard error evaluated on a given sample."""
-    pi = cluster_posterior_matrix(model, config, X)
-    s = _summands(pi, rule)
-    m = s.size
-    value = _sorted_sum(s) / m
-    if m > 1:
-        d = s - value
-        sd = np.sqrt(_sorted_sum(d * d) / (m - 1))
-        se = float(sd / np.sqrt(m))
-    else:
-        se = 0.0
-    return float(value), se
+    return _mean_and_se(_summands(cluster_posterior_matrix(model, config, X),
+                                  rule))
 
 
 def pmc_mc(model: MixtureModel, config: ClusterConfiguration | None = None,
@@ -188,30 +196,16 @@ def pmc_quadrature(model: MixtureModel,
     lo = (means - 10.0 * sds).min(axis=0)
     hi = (means + 10.0 * sds).max(axis=0)
 
-    def integrand_point(x) -> float:
-        x = np.atleast_2d(x)
-        a = np.log(model.weights) + model.log_component_densities(x)
-        m = a.max()
-        e = np.exp(a[0] - m)
-        total = _sorted_sum(e)
-        dens = float(np.exp(m) * total)
-        pi = np.array([_sorted_sum(e[list(config.members(k))]) / total
-                       for k in range(config.K)])
-        if rule == "randomized":
-            loss = 1.0 - _sorted_sum(pi * pi)
-        elif rule == "optimal":
-            loss = 1.0 - pi.max()
-        else:
-            raise ValueError(f"rule must be one of {RULES}")
-        return dens * loss
+    def integrand_point(*x) -> float:
+        pi, dens = _posteriors_and_density(model, config, [x])
+        return float(dens[0] * _summands(pi, rule)[0])
 
     if model.p == 1:
-        value, _ = integrate.quad(lambda x: integrand_point([x]),
-                                  lo[0], hi[0], epsabs=1e-8, limit=200)
+        value, _ = integrate.quad(integrand_point, lo[0], hi[0], epsabs=1e-8,
+                                  limit=200)
     else:
-        value, _ = integrate.dblquad(
-            lambda y, x: integrand_point([x, y]),
-            lo[0], hi[0], lo[1], hi[1], epsabs=1e-8)
+        value, _ = integrate.dblquad(lambda y, x: integrand_point(x, y),
+                                     lo[0], hi[0], lo[1], hi[1], epsabs=1e-8)
     if not np.isfinite(value):
         raise RuntimeError(f"quadrature integral is not finite: {value}")
     return float(value)
@@ -221,12 +215,13 @@ def pmc_quadrature(model: MixtureModel,
 class DeltaMatrix:
     """Pairwise risk reductions from merging each cluster pair.
 
-    `values` is the symmetric K x K matrix with tiny negative Monte Carlo
-    noise clamped to zero; the clamp is presentation only.  `pmc` is the
-    ascending upper-triangle sum of the unclamped entries and serves as the
-    shared-sample risk estimate: the pairwise decomposition makes that sum
-    the estimate by definition, keeping merge bookkeeping exact in floating
-    point.  `raw` retains the unclamped entries for that bookkeeping.
+    `values` is the one symmetric K x K array: entry (i, j) is 2 E[pi_i pi_j]
+    over the shared sample, a mean of products of posteriors, so it is >= 0
+    and needs no clamp; the diagonal is zero.  `pmc` is the ascending
+    upper-triangle sum and serves as the shared-sample risk estimate: the
+    pairwise decomposition makes that sum the estimate by definition,
+    keeping merge bookkeeping exact in floating point.  `raw` is an alias
+    of `values`.
     """
 
     values: np.ndarray
@@ -234,7 +229,10 @@ class DeltaMatrix:
     seed: int | None
     pmc: float
     pmc_std_error: float
-    raw: np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def raw(self) -> np.ndarray:
+        return self.values
 
     def to_dict(self) -> dict:
         return {"values": self.values.tolist(), "m_samples": self.m_samples,
@@ -245,7 +243,7 @@ class DeltaMatrix:
     def from_dict(cls, d: dict) -> "DeltaMatrix":
         v = np.asarray(d["values"], dtype=float)
         return cls(v, int(d["m_samples"]), d.get("seed"), float(d["pmc"]),
-                   float(d.get("pmc_std_error", 0.0)), v)
+                   float(d.get("pmc_std_error", 0.0)))
 
     def to_pairs_csv(self) -> str:
         """Heatmap-ready rows: cluster_i,cluster_j,delta."""
@@ -273,18 +271,13 @@ def delta_matrix(model: MixtureModel,
     K = config.K
     X, _ = sample_mixture(model, settings.m_samples, settings.seed)
     pi = cluster_posterior_matrix(model, config, X)
-    raw = np.zeros((K, K))
+    delta = np.zeros((K, K))
     for i in range(K):
         for j in range(i + 1, K):
-            raw[i, j] = raw[j, i] = 2.0 * _sorted_mean(pi[:, i] * pi[:, j])
-    total = float(_sorted_sum(raw[np.triu_indices(K, 1)])) if K > 1 else 0.0
-    s = _summands(pi, "randomized")
-    d = s - _sorted_sum(s) / s.size
-    se = float(np.sqrt(_sorted_sum(d * d) / (s.size - 1)) / np.sqrt(s.size))
-    clamped = np.maximum(raw, 0.0)
-    np.fill_diagonal(clamped, 0.0)
-    return DeltaMatrix(clamped, settings.m_samples, settings.seed,
-                       float(total), se, raw)
+            delta[i, j] = delta[j, i] = 2.0 * _sorted_mean(pi[:, i] * pi[:, j])
+    total = float(_sorted_sum(delta[np.triu_indices(K, 1)])) if K > 1 else 0.0
+    _, se = _mean_and_se(_summands(pi, "randomized"))
+    return DeltaMatrix(delta, settings.m_samples, settings.seed, total, se)
 
 
 def pmc_upper_bound(weights, rule: str = "randomized") -> float:

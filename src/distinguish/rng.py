@@ -20,19 +20,19 @@ def _name_key(name: str) -> int:
     return zlib.crc32(name.encode("utf-8"))
 
 
+def _seed_sequence(seed: int | None, name: str,
+                   index: int) -> np.random.SeedSequence:
+    return np.random.SeedSequence(
+        entropy=int(DEFAULT_SEED if seed is None else seed),
+        spawn_key=(_name_key(name), int(index)))
+
+
 def stream(seed: int | None, name: str, index: int = 0) -> np.random.Generator:
     """Return the generator for the (seed, name, index) stream."""
-    if seed is None:
-        seed = DEFAULT_SEED
-    ss = np.random.SeedSequence(entropy=int(seed),
-                                spawn_key=(_name_key(name), int(index)))
-    return np.random.default_rng(ss)
+    return np.random.default_rng(_seed_sequence(seed, name, index))
 
 
 def derive_seed(seed: int | None, name: str, index: int = 0) -> int:
     """Collapse a named stream into a plain integer seed for nested use."""
-    if seed is None:
-        seed = DEFAULT_SEED
-    ss = np.random.SeedSequence(entropy=int(seed),
-                                spawn_key=(_name_key(name), int(index)))
+    ss = _seed_sequence(seed, name, index)
     return int(ss.generate_state(2, dtype=np.uint64)[0])

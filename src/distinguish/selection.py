@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import cut_tree, fit_hclust, fit_kmeans, partition_to_gaussians
+from .estimators import (cut_tree, fit_hclust, fit_kmeans,
+                         partition_to_gaussians, sq_dists)
 from .models import Partition, as_matrix
 from .pmc import PmcSettings, pmc_mc
 from .rng import derive_seed, stream
@@ -108,23 +109,25 @@ def silhouette(X, part: Partition) -> float:
     if part.K < 2:
         raise ValueError("silhouette requires K >= 2")
     n = V.shape[0]
-    D = np.sqrt(np.maximum(((V[:, None, :] - V[None]) ** 2).sum(axis=-1), 0.0))
     lab = part.labels
     sizes = np.bincount(lab, minlength=part.K)
-    s = np.zeros(n)
-    cluster_sums = np.zeros((n, part.K))
-    for k in range(part.K):
-        cluster_sums[:, k] = D[:, lab == k].sum(axis=1)
-    for i in range(n):
-        own = lab[i]
-        if sizes[own] == 1:
-            continue
-        a = cluster_sums[i, own] / (sizes[own] - 1)
-        others = [cluster_sums[i, k] / sizes[k]
-                  for k in range(part.K) if k != own]
-        b = min(others)
-        denom = max(a, b)
-        s[i] = 0.0 if denom == 0 else (b - a) / denom
+    # distance sums to each cluster, in row blocks whose (rows, n, p)
+    # difference array holds at most 2**21 elements
+    cluster_sums = np.empty((n, part.K))
+    step = max(1, (1 << 21) // V.size)
+    for lo in range(0, n, step):
+        D = np.sqrt(sq_dists(V[lo:lo + step], V))
+        for k in range(part.K):
+            cluster_sums[lo:lo + step, k] = D[:, lab == k].sum(axis=1)
+    rows = np.arange(n)
+    own = sizes[lab]
+    a = cluster_sums[rows, lab] / np.maximum(own - 1, 1)
+    mean_to = cluster_sums / sizes
+    mean_to[rows, lab] = np.inf
+    b = mean_to.min(axis=1)
+    denom = np.maximum(a, b)
+    s = np.divide(b - a, denom, out=np.zeros(n),  # singletons score 0
+                  where=(own > 1) & (denom != 0))
     return float(s.mean())
 
 
@@ -161,7 +164,7 @@ def _centroids(X: np.ndarray, part: Partition) -> np.ndarray:
 
 
 def _nearest(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    return ((X[:, None, :] - centroids[None]) ** 2).sum(axis=-1).argmin(axis=1)
+    return sq_dists(X, centroids).argmin(axis=1)
 
 
 def lange_stability(X, clusterer: str, K: int, reps: int = 20,

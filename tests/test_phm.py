@@ -20,9 +20,7 @@ def random_mixture(rng, kappa, p):
 
 
 def hand_delta(raw, pmc_value):
-    clamped = np.maximum(raw, 0.0)
-    np.fill_diagonal(clamped, 0.0)
-    return DeltaMatrix(clamped, 1000, 0, pmc_value, 0.0, raw)
+    return DeltaMatrix(raw, 1000, 0, pmc_value, 0.0)
 
 
 class TestPhmRun:

@@ -221,6 +221,12 @@ class TestDeltaMatrix:
         assert np.all(D.values >= 0)
         assert np.all(np.diag(D.values) == 0)
 
+    def test_raw_is_values(self):
+        rng = np.random.default_rng(12)
+        m = random_mixture(rng, 4, 2)
+        D = delta_matrix(m, None, PmcSettings(m_samples=5000, seed=8))
+        assert D.raw is D.values
+
     def test_close_to_summand_estimate(self):
         rng = np.random.default_rng(9)
         m = random_mixture(rng, 4, 2)
@@ -249,6 +255,7 @@ class TestDeltaMatrix:
         from distinguish import DeltaMatrix
         back = DeltaMatrix.from_dict(D.to_dict())
         assert np.array_equal(back.values, D.values)
+        assert np.array_equal(back.raw, D.raw)
         assert back.pmc == D.pmc
 
 

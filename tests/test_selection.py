@@ -1,9 +1,28 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from distinguish import (Partition, adjusted_rand_index, argmax_gap,
                          gap_statistic, lange_stability, prediction_strength,
                          select_k_constrained, selection_table, silhouette)
+
+def loop_silhouette(X, part):
+    """Reference: full distance matrix and a per-point loop."""
+    D = np.sqrt(((X[:, None, :] - X[None]) ** 2).sum(axis=-1))
+    lab = part.labels
+    sizes = np.bincount(lab, minlength=part.K)
+    sums = np.stack([D[:, lab == k].sum(axis=1) for k in range(part.K)], 1)
+    s = np.zeros(X.shape[0])
+    for i, own in enumerate(lab):
+        if sizes[own] == 1:
+            continue
+        a = sums[i, own] / (sizes[own] - 1)
+        b = min(sums[i, k] / sizes[k] for k in range(part.K) if k != own)
+        denom = max(a, b)
+        s[i] = 0.0 if denom == 0 else (b - a) / denom
+    return float(s.mean())
+
 
 # hand-worked: for the square below every point has a = 1 and
 # b = (4 + sqrt(17)) / 2, so s = 1 - 2 / (4 + sqrt(17)) everywhere
@@ -37,6 +56,34 @@ class TestSilhouette:
     def test_requires_two_clusters(self):
         with pytest.raises(ValueError):
             silhouette(SQUARE, Partition(np.zeros(4, dtype=int), 1))
+
+    @pytest.mark.parametrize("n, p, K", [(7, 1, 3), (60, 3, 4), (1200, 2, 3)])
+    def test_matches_loop_reference_bit_for_bit(self, n, p, K):
+        # cluster 0 is a singleton; n = 1200, p = 2 spans two row blocks
+        rng = np.random.default_rng(n)
+        X = rng.normal(size=(n, p))
+        lab = rng.integers(1, K, n)
+        lab[0] = 0
+        lab[1:K] = np.arange(1, K)
+        part = Partition(lab, K)
+        assert silhouette(X, part) == loop_silhouette(X, part)
+
+    def test_coincident_points_score_zero(self):
+        part = Partition(np.array([0, 0, 1, 1]), 2)
+        assert silhouette(np.zeros((4, 1)), part) == 0.0
+
+    def test_memory_stays_bounded(self):
+        # the full n x n x p difference array peaks at about 206 MiB here
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(3000, 2))
+        part = Partition(np.arange(3000) % 3, 3)
+        tracemalloc.start()
+        try:
+            silhouette(X, part)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_poor_split_scores_lower(self):
         good = Partition(np.array([0, 0, 1, 1]), 2)
