@@ -9,10 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.cluster.hierarchy import linkage
-from scipy.special import logsumexp
 
-from .models import (MixtureModel, Partition, as_matrix, gaussian_log_density,
-                     mixture)
+from .models import (BLOCK_ELEMENTS, MixtureModel, Partition, as_matrix,
+                     gaussian_log_density, mixture)
 from .rng import derive_seed, stream
 
 
@@ -202,27 +201,17 @@ def cut_tree(tree: HclustTree, K: int) -> Partition:
     n = tree.n
     if not 1 <= K <= n:
         raise ValueError(f"need 1 <= K <= n={n}, got K={K}")
-    parent = list(range(n + len(tree.merges)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(n - K):
-        a, b, _ = tree.merges[i]
-        node = n + i
-        parent[find(int(a))] = node
-        parent[find(int(b))] = node
-    labels = np.empty(n, dtype=int)
+    # top-down: the K roots label themselves, and walking the first n-K
+    # merges in reverse hands each node's label to both of its children
+    root = list(range(2 * n - K))
+    pairs = tree.merges[:n - K, :2].astype(int).tolist()
+    for i in range(n - K - 1, -1, -1):
+        a, b = pairs[i]
+        root[a] = root[b] = root[n + i]
+    # canonical labels: clusters numbered by first appearance among leaves
     seen: dict[int, int] = {}
-    for i in range(n):
-        root = find(i)
-        if root not in seen:
-            seen[root] = len(seen)
-        labels[i] = seen[root]
-    return Partition(labels, K)
+    return Partition(np.array([seen.setdefault(r, len(seen))
+                               for r in root[:n]]), K)
 
 
 # ------------------------------------------------ partitions to mixtures
@@ -304,6 +293,7 @@ def _em_single(X: np.ndarray, resp: np.ndarray, reg: float,
                tol: float, max_iter: int):
     n, p = X.shape
     kappa = resp.shape[1]
+    rows = max(1, BLOCK_ELEMENTS // (kappa * p))
     ll_prev = -np.inf
     converged = False
     it = 0
@@ -314,25 +304,27 @@ def _em_single(X: np.ndarray, resp: np.ndarray, reg: float,
             return None
         w = nk / n
         mu = (resp.T @ X) / nk[:, None]
-        covs = []
-        logd = np.empty((n, kappa))
-        for j in range(kappa):
-            d = X - mu[j]
-            C = (resp[:, j, None] * d).T @ d / nk[j] + reg * np.eye(p)
-            C = (C + C.T) / 2.0
-            try:
-                L = np.linalg.cholesky(C)
-            except np.linalg.LinAlgError:
-                return None
-            if np.linalg.cond(C) > 1e12:
-                return None
-            covs.append(C)
-            logd[:, j] = gaussian_log_density(X, mu[j], L)
-        a = np.log(w) + logd
-        lz = logsumexp(a, axis=1)
-        ll = float(lz.sum())
+        scatter = np.zeros((kappa, p, p))
+        for lo in range(0, n, rows):
+            d = X[lo:lo + rows] - mu[:, None]
+            scatter += (resp[lo:lo + rows].T[:, :, None] * d
+                        ).transpose(0, 2, 1) @ d
+        covs = scatter / nk[:, None, None] + reg * np.eye(p)
+        covs = (covs + covs.transpose(0, 2, 1)) / 2.0
+        try:
+            L = np.linalg.cholesky(covs)
+        except np.linalg.LinAlgError:
+            return None
+        ev = np.linalg.eigvalsh(covs)
+        if np.any(ev[:, -1] > 1e12 * ev[:, 0]):
+            return None
+        a = np.log(w) + gaussian_log_density(X, mu, L)
+        m = a.max(axis=1, keepdims=True)
+        e = np.exp(a - m)
+        total = e.sum(axis=1, keepdims=True)
+        ll = float((m + np.log(total)).sum())
         path.append(ll)
-        resp = np.exp(a - lz[:, None])
+        resp = e / total
         if it > 1 and ll - ll_prev < tol * abs(ll):
             converged = True
             break

@@ -79,11 +79,29 @@ def as_matrix(X) -> np.ndarray:
     return a
 
 
-def gaussian_log_density(X: np.ndarray, mean, L) -> np.ndarray:
-    """Log density of N(mean, L L^T) at each row of the 2-D array X."""
-    v = np.linalg.solve(L, (X - mean).T)
-    return (-0.5 * np.einsum("ij,ij->j", v, v)
-            - np.log(np.diag(L)).sum() - 0.5 * mean.size * np.log(2.0 * np.pi))
+# Most (rows x k x p) differences one row block holds, in the kernel and EM.
+BLOCK_ELEMENTS = 2 ** 18
+
+
+def gaussian_log_density(X: np.ndarray, means: np.ndarray, L: np.ndarray
+                         ) -> np.ndarray:
+    """(n, k) log densities of N(means[j], L[j] L[j]^T) at the rows of X.
+
+    means is (k, p) and L the stacked lower Cholesky factors (k, p, p).
+    Rows are centred on each mean before one batched product with L^-T,
+    so a mean far from the origin costs no precision; row blocks bound
+    the temporaries at BLOCK_ELEMENTS differences.
+    """
+    k, p = means.shape
+    inv_lt = np.linalg.inv(L).transpose(0, 2, 1)
+    const = (-np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
+             - 0.5 * p * np.log(2.0 * np.pi))
+    out = np.empty((X.shape[0], k))
+    rows = max(1, BLOCK_ELEMENTS // (k * p))
+    for lo in range(0, X.shape[0], rows):
+        z = (X[None, lo:lo + rows] - means[:, None]) @ inv_lt
+        out[lo:lo + rows] = const - 0.5 * np.einsum("kij,kij->ik", z, z)
+    return out
 
 
 @dataclass(frozen=True)
@@ -119,8 +137,8 @@ class GaussianComponent:
 
     def log_density(self, X) -> np.ndarray:
         """Log density at each row of X; returns shape (n,)."""
-        return gaussian_log_density(np.atleast_2d(as_matrix(X)), self.mean,
-                                    self.chol)
+        return gaussian_log_density(np.atleast_2d(as_matrix(X)),
+                                    self.mean[None], self.chol[None])[:, 0]
 
     def to_dict(self) -> dict:
         return {"mean": self.mean.tolist(), "covariance": self.covariance.tolist()}
@@ -154,11 +172,10 @@ class MixtureModel:
 
     def log_component_densities(self, X) -> np.ndarray:
         """(n, kappa) matrix of per-component log densities."""
-        X = np.atleast_2d(as_matrix(X))
-        out = np.empty((X.shape[0], self.kappa))
-        for j, comp in enumerate(self.components):
-            out[:, j] = gaussian_log_density(X, comp.mean, comp.chol)
-        return out
+        return gaussian_log_density(
+            np.atleast_2d(as_matrix(X)),
+            np.array([c.mean for c in self.components]),
+            np.array([c.chol for c in self.components]))
 
     def to_dict(self) -> dict:
         return {

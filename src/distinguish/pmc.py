@@ -8,13 +8,14 @@ summand 1 - max_k pi_k(x).  The randomized rule admits an exact pairwise
 decomposition: merging clusters i and j removes 2 E[pi_i pi_j] from the
 risk, which is what the merge machinery in phm.py consumes.
 
-Estimates are Monte Carlo over samples drawn from the mixture, with a
-small-dimension quadrature route as an oracle.  Both routes and the delta
-matrix take posteriors from one path, `_posteriors_and_density`, and
-per-point loss from `_summands`.  All reductions that define
-reported values are performed in a canonical (value-sorted) order, so a
-relabeling of components that leaves the sample unchanged reproduces every
-estimate bit-identically.
+Estimates are Monte Carlo over samples drawn from the mixture, with
+adaptive Gauss-Kronrod cubature over vectorised point batches as an oracle
+in one and two dimensions.  Both routes and the delta matrix take
+posteriors from one path, `_posteriors_and_density`, and per-point loss
+from `_summands`.  All reductions that define reported values are
+performed in a canonical (value-sorted) order, so a relabeling of
+components that leaves the sample unchanged reproduces every estimate
+bit-identically.
 """
 from __future__ import annotations
 
@@ -179,10 +180,12 @@ def pmc_mc(model: MixtureModel, config: ClusterConfiguration | None = None,
 def pmc_quadrature(model: MixtureModel,
                    config: ClusterConfiguration | None = None,
                    rule: str = "randomized") -> float:
-    """Adaptive quadrature for dimension 1 or 2, absolute tolerance 1e-8.
+    """Adaptive Gauss-Kronrod cubature for dimension 1 or 2.
 
     Integrates density times per-point loss over a box covering every
-    component mean plus/minus 10 standard deviations.  A non-finite
+    component mean plus/minus 10 standard deviations, with a 21-point
+    Gauss-Kronrod rule per axis (absolute tolerance 1e-8, relative 1.49e-8)
+    whose points are scored a whole batch per integrand call.  A non-finite
     integral (e.g. from overflow at extreme scales) raises RuntimeError.
     """
     if model.p > 2:
@@ -196,16 +199,13 @@ def pmc_quadrature(model: MixtureModel,
     lo = (means - 10.0 * sds).min(axis=0)
     hi = (means + 10.0 * sds).max(axis=0)
 
-    def integrand_point(*x) -> float:
-        pi, dens = _posteriors_and_density(model, config, [x])
-        return float(dens[0] * _summands(pi, rule)[0])
+    def integrand(x: np.ndarray) -> np.ndarray:
+        pi, dens = _posteriors_and_density(model, config, x)
+        return dens * _summands(pi, rule)
 
-    if model.p == 1:
-        value, _ = integrate.quad(integrand_point, lo[0], hi[0], epsabs=1e-8,
-                                  limit=200)
-    else:
-        value, _ = integrate.dblquad(lambda y, x: integrand_point(x, y),
-                                     lo[0], hi[0], lo[1], hi[1], epsabs=1e-8)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = integrate.cubature(integrand, lo, hi, rule="gk21", atol=1e-8,
+                                   rtol=1.49e-8).estimate
     if not np.isfinite(value):
         raise RuntimeError(f"quadrature integral is not finite: {value}")
     return float(value)
@@ -292,7 +292,7 @@ def pmc_upper_bound(weights, rule: str = "randomized") -> float:
 
 def pmc(model: MixtureModel, config: ClusterConfiguration | None = None,
         settings: PmcSettings | None = None) -> McEstimate:
-    """Dispatch: quadrature when enabled in settings, Monte Carlo otherwise."""
+    """Gauss-Kronrod cubature if settings.quadrature, else Monte Carlo."""
     if settings is None:
         settings = PmcSettings()
     if settings.quadrature:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -96,8 +97,11 @@ class TestPmcCommand:
         m = mixture([0.5, 0.5], [[-1e308], [1e308]], [np.eye(1), np.eye(1)])
         path = tmp_path / "huge.json"
         path.write_text(to_json(m))
-        code, out, err = run(capsys, "pmc", "--model", str(path),
-                             "--quadrature")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "pmc", "--model", str(path),
+                                 "--quadrature")
+        assert [str(w.message) for w in caught] == []
         assert code == 3
         assert out == ""
         assert parse_err(err)["kind"] == "numeric"

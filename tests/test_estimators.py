@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from distinguish import (DegenerateFitError, Partition, cut_tree,
-                         default_regularization, fit_gmm_em, fit_hclust,
-                         fit_kmeans, free_parameters, partition_to_gaussians,
-                         select_gmm_bic)
+                         default_regularization, estimators, fit_gmm_em,
+                         fit_hclust, fit_kmeans, free_parameters, models,
+                         partition_to_gaussians, select_gmm_bic)
+from distinguish.estimators import _em_single, _seed_responsibilities
 
 
 @pytest.fixture(scope="module")
@@ -21,6 +24,29 @@ def agree(a, b):
     # label-permutation-proof agreement for tiny K
     from distinguish import adjusted_rand_index
     return adjusted_rand_index(a, b)
+
+
+def union_find_cut(tree, K):
+    """Reference cut: union-find over the first n - K merges, clusters
+    numbered by first appearance among the leaves."""
+    n = tree.n
+    parent = list(range(n + len(tree.merges)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i in range(n - K):
+        a, b, _ = tree.merges[i]
+        parent[find(int(a))] = n + i
+        parent[find(int(b))] = n + i
+    labels = np.empty(n, dtype=int)
+    seen = {}
+    for i in range(n):
+        labels[i] = seen.setdefault(find(i), len(seen))
+    return labels
 
 
 class TestKmeans:
@@ -106,6 +132,22 @@ class TestHclust:
         n = X.shape[0]
         assert cut_tree(tree, n).K == n
 
+    @pytest.mark.parametrize("n, duplicates", [(2, False), (9, False),
+                                               (40, False), (30, True)])
+    def test_cut_matches_union_find(self, n, duplicates):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            X = rng.normal(size=(n, 2))
+            if duplicates:
+                # repeated points tie the merge heights at zero
+                X = X[rng.integers(0, n // 3, n)]
+            tree = fit_hclust(X)
+            for K in range(1, n + 1):
+                expect = union_find_cut(tree, K)
+                got = cut_tree(tree, K).labels
+                assert got.dtype == expect.dtype
+                assert np.array_equal(got, expect)
+
     def test_newick_well_formed(self):
         X = np.array([[0.0], [0.1], [5.0], [5.2]])
         text = fit_hclust(X).to_newick()
@@ -185,6 +227,44 @@ class TestEm:
         X = np.zeros((12, 2))
         with pytest.raises(DegenerateFitError, match="degenerate"):
             fit_gmm_em(X, 2, seed=0)
+
+    @pytest.mark.parametrize("scale, degenerate", [(1e-7, True),
+                                                   (1e-5, False)])
+    def test_condition_number_over_1e12_collapses(self, scale, degenerate):
+        # covariance eigenvalues 1 and scale**2: Cholesky succeeds in both
+        # cases, so only the condition-number rule can discard the starts
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(200, 2)) * [1.0, scale]
+        if degenerate:
+            with pytest.raises(DegenerateFitError, match="degenerate"):
+                fit_gmm_em(X, 1, n_init=2, seed=0, reg=0.0)
+        else:
+            assert fit_gmm_em(X, 1, n_init=2, seed=0, reg=0.0).converged
+
+    def test_row_blocks_do_not_change_the_fit(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        X = np.vstack([rng.normal(0, 1, (150, 2)),
+                       rng.normal(4, 1, (150, 2))])
+        whole = fit_gmm_em(X, 3, n_init=2, seed=1)
+        # 5 rows per block of the scatter sums and the log-density kernel
+        monkeypatch.setattr(estimators, "BLOCK_ELEMENTS", 30)
+        monkeypatch.setattr(models, "BLOCK_ELEMENTS", 30)
+        blocked = fit_gmm_em(X, 3, n_init=2, seed=1)
+        assert blocked.iterations == whole.iterations
+        assert abs(blocked.loglik - whole.loglik) <= 1e-10 * abs(whole.loglik)
+
+    def test_iteration_memory_is_bounded(self):
+        # (kappa, n, p) scatter temporaries at n = 50000 would take 36 MB each
+        rng = np.random.default_rng(10)
+        X = rng.normal(size=(50_000, 10))
+        resp = _seed_responsibilities(X, 9, rng, soft=True)
+        tracemalloc.start()
+        try:
+            _em_single(X, resp, 1e-6, 1e-8, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
 
     def test_kappa_one_is_gaussian_mle(self):
         rng = np.random.default_rng(6)

@@ -130,6 +130,28 @@ class TestQuadrature:
         with pytest.raises(ValueError, match="p > 2"):
             pmc_quadrature(m, None)
 
+    # values of the former quad (p = 1) and dblquad (p = 2) integrators;
+    # "reference" is criterion 1's equal-weight triple at 0 and +/- d,
+    # ||d|| = 3, and "two_gauss" in 2-D adds an independent coordinate
+    @pytest.mark.parametrize("name, p, rule, expect", [
+        ("reference", 1, "randomized", 0.1314370399964841),
+        ("reference", 1, "optimal", 0.08907626838520712),
+        ("reference", 2, "randomized", 0.1314370399960845),
+        ("reference", 2, "optimal", 0.08907626482531183),
+        ("two_gauss", 1, "randomized", 0.09862125109972242),
+        ("two_gauss", 1, "optimal", 0.06680720126885804),
+        ("two_gauss", 2, "randomized", 0.09862125109972172),
+        ("two_gauss", 2, "optimal", 0.06680720126885745),
+    ])
+    def test_matches_former_integrators(self, name, p, rule, expect):
+        if name == "reference":
+            mu = np.ones(p) * 3.0 / np.sqrt(p)
+            m = mixture([1 / 3] * 3, [np.zeros(p), mu, -mu], [np.eye(p)] * 3)
+        else:
+            m = mixture([0.5, 0.5], [np.zeros(p), np.eye(p)[0] * 3.0],
+                        [np.eye(p)] * 2)
+        assert abs(pmc_quadrature(m, None, rule) - expect) <= 1e-8
+
     def test_2d_matches_1d_product_structure(self):
         # independent second coordinate must not change the risk
         m1 = two_gauss()
