@@ -55,7 +55,24 @@ def newick(n_leaves: int, merges) -> str:
 
 def sq_dists(X: np.ndarray, C: np.ndarray) -> np.ndarray:
     """(n, k) squared Euclidean distances between the rows of X and C."""
-    return ((X[:, None, :] - C[None]) ** 2).sum(axis=-1)
+    return np.ascontiguousarray(_stack_sq_dists(X[None], C[None])[0].T)
+
+
+def _stack_sq_dists(X: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """(S, K, rows) squared distances between the rows of X (S, rows, p)
+    and the centres C (S, K, p).
+
+    One coordinate at a time keeps the long rows axis innermost.  The
+    coordinates add up as ((x - c) ** 2).sum(axis=-1) adds them: left to
+    right below 8 terms, pairwise by numpy's own sum from 8 on.
+    """
+    p = X.shape[-1]
+    if p >= 8:
+        return ((X[:, None] - C[:, :, None]) ** 2).sum(axis=-1)
+    d2 = (X[:, None, :, 0] - C[:, :, 0, None]) ** 2
+    for c in range(1, p):
+        d2 += (X[:, None, :, c] - C[:, :, c, None]) ** 2
+    return d2
 
 
 # ---------------------------------------------------------------- k-means
@@ -84,80 +101,175 @@ class KmeansFit:
                    float(d["distortion"]), int(d["restarts_used"]))
 
 
-def _kmeanspp_centers(X: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
-    n = X.shape[0]
-    centers = np.empty((K, X.shape[1]))
-    centers[0] = X[rng.integers(n)]
-    d2 = sq_dists(X, centers[:1])[:, 0]
+def _kmeanspp_centers(X: np.ndarray, K: int, rngs) -> np.ndarray:
+    """(S, K, p) kmeans++ centres for a stack of starts: start s draws from
+    the rows of X[s] (n, p) with rngs[s].
+
+    Each next centre is a row drawn with probability proportional to its
+    squared distance to the nearest centre so far, or uniformly once every
+    distance is 0.  The draw is rng.choice(n, p=d2 / total) written out: the
+    first index whose normalised cumulative sum exceeds rng.random().
+    """
+    S, n, _ = X.shape
+    own = np.arange(S)
+    centers = np.empty((S, K, X.shape[2]))
+    centers[:, 0] = X[own, [rng.integers(n) for rng in rngs]]
+    d2 = _stack_sq_dists(X, centers[:, :1])[:, 0]
     for j in range(1, K):
-        total = d2.sum()
-        if total <= 0:
-            centers[j] = X[rng.integers(n)]
-        else:
-            centers[j] = X[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, sq_dists(X, centers[j:j + 1])[:, 0])
+        total = d2.sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cdf = (d2 / total[:, None]).cumsum(axis=1)
+            cdf /= cdf[:, -1:]
+        u = np.array([rng.random() if t > 0 else np.nan
+                      for rng, t in zip(rngs, total)])
+        pick = (cdf <= u[:, None]).sum(axis=1)
+        for i in np.flatnonzero(total <= 0):
+            pick[i] = rngs[i].integers(n)
+        centers[:, j] = X[own, pick]
+        d2 = np.minimum(d2, _stack_sq_dists(X, centers[:, j:j + 1])[:, 0])
     return centers
 
 
-def _lloyd(X: np.ndarray, centers: np.ndarray, max_iter: int):
-    n, K = X.shape[0], centers.shape[0]
-    labels = None
-    path = []
-    for _ in range(max_iter):
-        d2 = sq_dists(X, centers)
-        new_labels = d2.argmin(axis=1)
-        for j in range(K):
-            mask = new_labels == j
-            if mask.any():
-                centers[j] = X[mask].mean(axis=0)
-            else:
-                # repair: hand the point farthest from its centroid to the
-                # empty cluster so K never shrinks
-                far = d2[np.arange(n), new_labels].argmax()
-                new_labels[far] = j
-                centers[j] = X[far]
-                for jj in range(K):
-                    m2 = new_labels == jj
-                    if m2.any():
-                        centers[jj] = X[m2].mean(axis=0)
-        path.append(float(((X - centers[new_labels]) ** 2).sum()))
-        if labels is not None and np.array_equal(new_labels, labels):
-            labels = new_labels
-            break
-        labels = new_labels
+def _segment_means(X: np.ndarray, labels: np.ndarray, K: int,
+                   out: np.ndarray) -> np.ndarray:
+    """Write each start's non-empty cluster means into out (S, K, p) and
+    return the (S, K) cluster sizes; X is (S, n, p), labels (S, n).
+
+    A weighted bincount adds each cluster's rows in row order, the order
+    in which X[mask].mean(axis=0) adds them for p >= 2, so the means are
+    the same to the bit.
+    """
+    S, n, p = X.shape
+    bins = (labels + K * np.arange(S)[:, None]).ravel()
+    counts = np.bincount(bins, minlength=S * K).reshape(S, K)
+    full = counts > 0
+    for c in range(p):
+        sums = np.bincount(bins, weights=X[..., c].ravel(), minlength=S * K)
+        out[..., c][full] = sums.reshape(S, K)[full] / counts[full]
+    return counts
+
+
+def _repair(X: np.ndarray, labels: np.ndarray, centers: np.ndarray,
+            previous: np.ndarray) -> None:
+    """Refill one start's empty clusters in place, in index order.
+
+    Each empty cluster takes the point farthest from its centre as it was
+    at the start of the iteration (previous), and every non-empty mean is
+    recomputed after each hand-over.  A hand-over can empty a cluster that
+    was already visited; that cluster stays empty until the next iteration.
+    """
+    K = centers.shape[0]
     for j in range(K):
-        centers[j] = X[labels == j].mean(axis=0)
-    distortion = float(((X - centers[labels]) ** 2).sum())
-    return labels, centers, distortion, tuple(path)
+        if (labels == j).any():
+            continue
+        far = ((X - previous[labels]) ** 2).sum(axis=-1).argmax()
+        labels[far] = j
+        _segment_means(X[None], labels[None], K, centers[None])
 
 
-def fit_kmeans(X, K: int, restarts: int = 10, seed: int | None = None,
-               max_iter: int = 300) -> KmeansFit:
-    """Best-of-restarts Lloyd iteration from kmeans++ starting centers."""
-    V = as_matrix(X)
-    n = V.shape[0]
+def _lloyd(X: np.ndarray, centers: np.ndarray, max_iter: int):
+    """Lloyd iterations for a stack of starts: start s runs on X[s] (n, p)
+    from centers[s] (K, p), which is updated in place.
+
+    Each iteration assigns the rows of every active start in one
+    squared-difference pass, in row blocks of at most BLOCK_ELEMENTS
+    differences, and updates all centroids with one set of segment sums.
+    Only a start with an empty cluster is repaired, on its own.  A start
+    leaves the batch once its labels repeat.  Returns the (S, n) labels and
+    each start's distortion after every iteration it ran.
+    """
+    S, n, p = X.shape
+    K = centers.shape[1]
+    labels = np.empty((S, n), dtype=np.intp)
+    paths = [[] for _ in range(S)]
+    act = np.arange(S)
+    Xa, Ca, La = X, centers, np.full((S, n), -1)
+    for it in range(max_iter):
+        a = act.size
+        rows = max(1, BLOCK_ELEMENTS // (a * K * p))
+        new = np.empty((a, n), dtype=np.intp)
+        for lo in range(0, n, rows):
+            new[:, lo:lo + rows] = _stack_sq_dists(Xa[:, lo:lo + rows],
+                                                   Ca).argmin(axis=1)
+        C = Ca.copy()
+        counts = _segment_means(Xa, new, K, C)
+        for i in np.flatnonzero((counts == 0).any(axis=1)):
+            _repair(Xa[i], new[i], C[i], Ca[i])
+        dist = np.zeros(a)
+        own = np.arange(a)[:, None]
+        for lo in range(0, n, rows):
+            dist += ((Xa[:, lo:lo + rows] - C[own, new[:, lo:lo + rows]]) ** 2
+                     ).sum(axis=(1, 2))
+        for s, d in zip(act.tolist(), dist.tolist()):
+            paths[s].append(d)
+        stop = (new == La).all(axis=1) | (it + 1 == max_iter)
+        labels[act[stop]] = new[stop]
+        centers[act[stop]] = C[stop]
+        keep = ~stop
+        if not keep.any():
+            break
+        act, Xa, Ca, La = act[keep], Xa[keep], C[keep], new[keep]
+    return labels, paths
+
+
+def fit_kmeans_many(Xs, K: int, seeds, restarts: int = 10,
+                    max_iter: int = 300) -> list[KmeansFit]:
+    """fit_kmeans on each of the D datasets of a (D, n, p) stack, with
+    seeds[d] for dataset d, in one stacked Lloyd loop.
+
+    Restart r of dataset d starts from kmeans++ centres drawn on
+    stream(seeds[d], "kmeans-restart", r).  The D x restarts starts run in
+    chunks whose squared-difference array holds at most BLOCK_ELEMENTS
+    elements; a start too large for that runs alone in row blocks.  Starts
+    do not interact, so each fit equals fit_kmeans on its dataset.
+    """
+    Xs = np.asarray(Xs, dtype=float)
+    D, n, p = Xs.shape
     if not 1 <= K <= n:
         raise ValueError(f"need 1 <= K <= n={n}, got K={K}")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    best = None
-    for r in range(restarts):
-        rng = stream(seed, "kmeans-restart", r)
-        centers = _kmeanspp_centers(V, K, rng)
-        labels, centers, distortion, path = _lloyd(V, centers.copy(), max_iter)
-        if best is None or distortion < best[0]:
-            best = (distortion, labels, centers, path)
-    distortion, labels, centers, path = best
-    # relabel clusters by order of first appearance so output is canonical
-    order = {}
-    for lab in labels:
-        if lab not in order:
-            order[lab] = len(order)
-    relabeled = np.array([order[lab] for lab in labels])
-    centroids = np.vstack([centers[old] for old in
-                           sorted(order, key=order.get)])
-    return KmeansFit(Partition(relabeled, K), centroids, distortion, restarts,
-                     path)
+    S = D * restarts
+    chunk = max(1, BLOCK_ELEMENTS // (n * K * p))
+    fits = []
+    for lo in range(0, S, chunk):
+        owner = np.arange(lo, min(S, lo + chunk)) // restarts
+        X = Xs[owner]
+        centers = _kmeanspp_centers(
+            X, K, [stream(seeds[d], "kmeans-restart", s % restarts)
+                   for s, d in enumerate(owner, lo)])
+        labels, paths = _lloyd(X, centers, max_iter)
+        # starts run dataset by dataset, so a fit is final at its last start
+        for i, s in enumerate(range(lo, lo + owner.size)):
+            if s % restarts == 0 or paths[i][-1] < best[0]:
+                best = (paths[i][-1], labels[i], centers[i], tuple(paths[i]))
+            if s % restarts == restarts - 1:
+                fits.append(_canonical_fit(*best, restarts))
+    return fits
+
+
+def _canonical_fit(distortion: float, labels: np.ndarray,
+                   centers: np.ndarray, path: tuple,
+                   restarts: int) -> KmeansFit:
+    """KmeansFit with clusters numbered by order of first appearance."""
+    K = centers.shape[0]
+    present, first = np.unique(labels, return_index=True)
+    order = present[np.argsort(first)]
+    rank = np.empty(K, dtype=int)
+    rank[order] = np.arange(order.size)
+    return KmeansFit(Partition(rank[labels], K), centers[order], distortion,
+                     restarts, path)
+
+
+def fit_kmeans(X, K: int, restarts: int = 10, seed: int | None = None,
+               max_iter: int = 300) -> KmeansFit:
+    """Best-of-restarts Lloyd iteration from kmeans++ starting centers.
+
+    The restarts run as one stack (fit_kmeans_many with one dataset); the
+    first restart with the smallest distortion wins.
+    """
+    V = as_matrix(X)
+    return fit_kmeans_many(V[None], K, [seed], restarts, max_iter)[0]
 
 
 # ------------------------------------------------- hierarchical clustering
@@ -275,7 +387,7 @@ def free_parameters(kappa: int, p: int) -> int:
 def _seed_responsibilities(X: np.ndarray, kappa: int,
                            rng: np.random.Generator, soft: bool) -> np.ndarray:
     n, p = X.shape
-    centers = _kmeanspp_centers(X, kappa, rng)
+    centers = _kmeanspp_centers(X[None], kappa, [rng])[0]
     d2 = sq_dists(X, centers)
     if soft:
         nearest = np.take_along_axis(d2, d2.argmin(axis=1)[:, None], axis=1)

@@ -39,7 +39,7 @@ def phm_run(model: MixtureModel, tau: float,
     kappa = model.kappa
     D = precomputed if precomputed is not None else delta_matrix(
         model, None, settings)
-    raw = D.raw.copy()
+    raw = D.values.copy()
     initial = McEstimate(min(max(D.pmc, 0.0), 1.0), D.pmc_std_error,
                          D.m_samples, D.seed)
     active = set(range(kappa))

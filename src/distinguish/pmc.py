@@ -220,8 +220,7 @@ class DeltaMatrix:
     and needs no clamp; the diagonal is zero.  `pmc` is the ascending
     upper-triangle sum and serves as the shared-sample risk estimate: the
     pairwise decomposition makes that sum the estimate by definition,
-    keeping merge bookkeeping exact in floating point.  `raw` is an alias
-    of `values`.
+    keeping merge bookkeeping exact in floating point.
     """
 
     values: np.ndarray
@@ -229,10 +228,6 @@ class DeltaMatrix:
     seed: int | None
     pmc: float
     pmc_std_error: float
-
-    @property
-    def raw(self) -> np.ndarray:
-        return self.values
 
     def to_dict(self) -> dict:
         return {"values": self.values.tolist(), "m_samples": self.m_samples,

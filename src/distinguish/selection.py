@@ -1,6 +1,10 @@
 """Choosing the number of clusters: gap statistic, risk-constrained
 selection, and the validity indices used for comparison (silhouette,
 adjusted Rand, split stability, prediction strength).
+
+The k-means fits of one K that share a shape run as one stack of restarts
+(estimators.fit_kmeans_many): all gap reference datasets, and each side of
+the half-splits across all repetitions.
 """
 from __future__ import annotations
 
@@ -8,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import (cut_tree, fit_hclust, fit_kmeans,
+from .estimators import (cut_tree, fit_hclust, fit_kmeans, fit_kmeans_many,
                          partition_to_gaussians, sq_dists)
 from .models import Partition, as_matrix
 from .pmc import PmcSettings, pmc_mc
@@ -24,6 +28,15 @@ def _cluster(X: np.ndarray, K: int, method: str, seed: int | None,
     if method == "hclust":
         return cut_tree(fit_hclust(X), K)
     raise ValueError(f"clusterer must be one of {CLUSTERERS}")
+
+
+def _cluster_many(Xs, K: int, method: str, seeds,
+                  restarts: int = 10) -> list[Partition]:
+    """_cluster on each dataset of a (D, n, p) stack, seeds[d] for the d-th."""
+    if method == "kmeans":
+        return [fit.partition
+                for fit in fit_kmeans_many(Xs, K, seeds, restarts)]
+    return [_cluster(X, K, method, None) for X in Xs]
 
 
 def _within_dispersion(X: np.ndarray, part: Partition) -> float:
@@ -52,19 +65,20 @@ def gap_statistic(X, clusterer: str = "kmeans",
     if B < 10:
         raise ValueError("B must be >= 10")
     lo, hi = V.min(axis=0), V.max(axis=0)
-    refs = [lo + stream(seed, "gap-ref", b).random(V.shape) * (hi - lo)
-            for b in range(B)]
+    refs = np.empty((B,) + V.shape)
+    for b in range(B):
+        refs[b] = lo + stream(seed, "gap-ref", b).random(V.shape) * (hi - lo)
     out: dict[int, tuple[float, float]] = {}
     for K in ks:
         part = _cluster(V, K, clusterer, derive_seed(seed, "gap-obs", K),
                         restarts)
         log_w = np.log(_within_dispersion(V, part))
-        ref_log = np.empty(B)
-        for b, R in enumerate(refs):
-            rp = _cluster(R, K, clusterer,
-                          derive_seed(seed, "gap-fit", (b << 12) | K),
-                          restarts)
-            ref_log[b] = np.log(_within_dispersion(R, rp))
+        ref_parts = _cluster_many(
+            refs, K, clusterer,
+            [derive_seed(seed, "gap-fit", (b << 12) | K) for b in range(B)],
+            restarts)
+        ref_log = np.array([np.log(_within_dispersion(R, rp))
+                            for R, rp in zip(refs, ref_parts)])
         gap = float(ref_log.mean() - log_w)
         sd = float(ref_log.std(ddof=0) * np.sqrt(1.0 + 1.0 / B))
         out[K] = (gap, sd)
@@ -167,6 +181,34 @@ def _nearest(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return sq_dists(X, centroids).argmin(axis=1)
 
 
+def _split_fits(V: np.ndarray, K: int, clusterer: str, reps: int,
+                seed: int | None, split: str, fit: str, restarts: int):
+    """Per repetition, the two halves of a random split of the rows (from
+    the `split` stream) and a partition of each half.
+
+    Each side is clustered as one stack across all repetitions, since every
+    first half has n // 2 rows; side s of repetition r is seeded with
+    derive_seed(seed, fit, 2 * r + s).
+    """
+    n = V.shape[0]
+    halves = [np.split(stream(seed, split, r).permutation(n), [n // 2])
+              for r in range(reps)]
+    sides = [_cluster_many(V[np.array([h[side] for h in halves])], K,
+                           clusterer,
+                           [derive_seed(seed, fit, 2 * r + side)
+                            for r in range(reps)], restarts)
+             for side in (0, 1)]
+    return list(zip(halves, zip(*sides)))
+
+
+def _kept_together(labels: np.ndarray) -> float:
+    """Fraction of the ordered pairs of distinct entries whose labels are
+    equal: exact integer counts, O(m) rather than an m x m comparison."""
+    m = labels.size
+    c = np.bincount(labels)
+    return ((c * c).sum() - m) / (m * (m - 1))
+
+
 def lange_stability(X, clusterer: str, K: int, reps: int = 20,
                     seed: int | None = None, restarts: int = 10) -> float:
     """Agreement between direct and transferred clusterings of half-splits.
@@ -180,19 +222,11 @@ def lange_stability(X, clusterer: str, K: int, reps: int = 20,
         raise ValueError("stability requires K >= 2")
     if reps < 2:
         raise ValueError("reps must be >= 2")
-    n = V.shape[0]
     scores = []
-    for r in range(reps):
-        perm = stream(seed, "stability-split", r).permutation(n)
-        halves = (perm[:n // 2], perm[n // 2:])
-        parts = []
-        cents = []
-        for side, idx in enumerate(halves):
-            part = _cluster(V[idx], K, clusterer,
-                            derive_seed(seed, "stability-fit", 2 * r + side),
-                            restarts)
-            parts.append(part)
-            cents.append(_centroids(V[idx], part))
+    for halves, parts in _split_fits(V, K, clusterer, reps, seed,
+                                     "stability-split", "stability-fit",
+                                     restarts):
+        cents = [_centroids(V[idx], part) for idx, part in zip(halves, parts)]
         for src in (0, 1):
             dst = 1 - src
             induced = _nearest(V[halves[dst]], cents[src])
@@ -214,15 +248,9 @@ def prediction_strength(X, clusterer: str, K: int, reps: int = 20,
         raise ValueError("prediction strength requires K >= 2")
     if reps < 2:
         raise ValueError("reps must be >= 2")
-    n = V.shape[0]
     values = []
-    for r in range(reps):
-        perm = stream(seed, "ps-split", r).permutation(n)
-        train, test = perm[:n // 2], perm[n // 2:]
-        train_part = _cluster(V[train], K, clusterer,
-                              derive_seed(seed, "ps-fit", 2 * r), restarts)
-        test_part = _cluster(V[test], K, clusterer,
-                             derive_seed(seed, "ps-fit", 2 * r + 1), restarts)
+    for (train, test), (train_part, test_part) in _split_fits(
+            V, K, clusterer, reps, seed, "ps-split", "ps-fit", restarts):
         transfer = _nearest(V[test], _centroids(V[train], train_part))
         worst = 1.0
         scored = False
@@ -231,10 +259,7 @@ def prediction_strength(X, clusterer: str, K: int, reps: int = 20,
             if members.size < 2:
                 continue
             scored = True
-            same = transfer[members][:, None] == transfer[members][None, :]
-            pairs = members.size * (members.size - 1)
-            agree = (same.sum() - members.size) / pairs
-            worst = min(worst, agree)
+            worst = min(worst, _kept_together(transfer[members]))
         values.append(worst if scored else 1.0)
     return float(np.mean(values))
 

@@ -132,7 +132,7 @@ def test_pairwise_reductions_sum_to_risk():
             m = random_mixture(rng, kappa, p)
             st = PmcSettings(m_samples=20000, seed=1000 + t)
             D = delta_matrix(m, None, st)
-            upper = D.raw[np.triu_indices(kappa, 1)]
+            upper = D.values[np.triu_indices(kappa, 1)]
             exact += float(np.sort(upper).sum()) == D.pmc
             X, _ = sample_mixture(m, st.m_samples, st.seed)
             v, _ = pmc_from_sample(

@@ -1,13 +1,15 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from distinguish import (DegenerateFitError, Partition, cut_tree,
+from distinguish import (DegenerateFitError, KmeansFit, Partition, cut_tree,
                          default_regularization, estimators, fit_gmm_em,
                          fit_hclust, fit_kmeans, free_parameters, models,
-                         partition_to_gaussians, select_gmm_bic)
-from distinguish.estimators import _em_single, _seed_responsibilities
+                         partition_to_gaussians, select_gmm_bic, stream)
+from distinguish.estimators import (_em_single, _lloyd,
+                                    _seed_responsibilities)
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +49,109 @@ def union_find_cut(tree, K):
     for i in range(n):
         labels[i] = seen.setdefault(find(i), len(seen))
     return labels
+
+
+def per_restart_kmeanspp(X, K, rng):
+    """Reference kmeans++: one restart, drawing with rng.choice."""
+    n = X.shape[0]
+    centers = np.empty((K, X.shape[1]))
+    centers[0] = X[rng.integers(n)]
+    d2 = ((X - centers[0]) ** 2).sum(axis=-1)
+    for j in range(1, K):
+        total = d2.sum()
+        if total <= 0:
+            centers[j] = X[rng.integers(n)]
+        else:
+            centers[j] = X[rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, ((X - centers[j]) ** 2).sum(axis=-1))
+    return centers
+
+
+def per_restart_lloyd(X, centers, max_iter):
+    """Reference Lloyd loop: one restart, a per-cluster centroid update,
+    and a repair that recomputes every centroid after each hand-over."""
+    n, K = X.shape[0], centers.shape[0]
+    labels = None
+    path = []
+    for _ in range(max_iter):
+        d2 = ((X[:, None, :] - centers[None]) ** 2).sum(axis=-1)
+        new_labels = d2.argmin(axis=1)
+        for j in range(K):
+            mask = new_labels == j
+            if mask.any():
+                centers[j] = X[mask].mean(axis=0)
+            else:
+                far = d2[np.arange(n), new_labels].argmax()
+                new_labels[far] = j
+                centers[j] = X[far]
+                for jj in range(K):
+                    m2 = new_labels == jj
+                    if m2.any():
+                        centers[jj] = X[m2].mean(axis=0)
+        path.append(float(((X - centers[new_labels]) ** 2).sum()))
+        if labels is not None and np.array_equal(new_labels, labels):
+            labels = new_labels
+            break
+        labels = new_labels
+    with warnings.catch_warnings():
+        # a cluster a repair emptied has no mean: "Mean of empty slice"
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for j in range(K):
+            centers[j] = X[labels == j].mean(axis=0)
+    distortion = float(((X - centers[labels]) ** 2).sum())
+    return labels, centers, distortion, tuple(path)
+
+
+def per_restart_kmeans(X, K, restarts, seed):
+    """Reference fit_kmeans: restarts one after another."""
+    best = None
+    for r in range(restarts):
+        centers = per_restart_kmeanspp(X, K, stream(seed, "kmeans-restart", r))
+        labels, centers, distortion, path = per_restart_lloyd(X, centers, 300)
+        if best is None or distortion < best[0]:
+            best = (distortion, labels, centers, path)
+    distortion, labels, centers, path = best
+    order = {}
+    for lab in labels:
+        order.setdefault(lab, len(order))
+    relabeled = np.array([order[lab] for lab in labels])
+    centroids = np.vstack([centers[old]
+                           for old in sorted(order, key=order.get)])
+    return KmeansFit(Partition(relabeled, K), centroids, distortion, restarts,
+                     path)
+
+
+def spy_on_repairs(monkeypatch):
+    """Cluster sizes after each call of the empty-cluster repair."""
+    sizes = []
+    repair = estimators._repair
+
+    def spy(X, labels, centers, previous):
+        repair(X, labels, centers, previous)
+        sizes.append(np.bincount(labels, minlength=centers.shape[0]))
+
+    monkeypatch.setattr(estimators, "_repair", spy)
+    return sizes
+
+
+def assert_same_fit(got, expect):
+    assert np.array_equal(got.partition.labels, expect.partition.labels)
+    assert np.array_equal(got.centroids, expect.centroids)
+    assert got.distortion == expect.distortion
+    assert got.distortion_path == expect.distortion_path
+
+
+# Five points on a line and three hand-picked starts.  The far point 20 is
+# alone in its cluster and farthest from its centre, so the repair of the
+# empty cluster takes it and empties the cluster it came from.
+FIVE = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0], [6.0, 0.0], [20.0, 0.0]])
+REPAIR_STARTS = {
+    # cluster 0 is visited before the repair of cluster 1 empties it
+    "empties_visited_cluster": [[12.0, 0.0], [100.0, 0.0], [3.0, 0.0]],
+    # the repair of cluster 0 empties cluster 1, whose own repair in the
+    # same iteration takes the far point back and empties cluster 0 again
+    "empties_later_cluster": [[100.0, 0.0], [12.0, 0.0], [3.0, 0.0]],
+}
 
 
 class TestKmeans:
@@ -95,6 +200,79 @@ class TestKmeans:
         X = np.arange(6.0).reshape(3, 2)
         fit = fit_kmeans(X, 3, seed=0)
         assert fit.distortion == 0.0
+
+    @pytest.mark.parametrize("case", [*REPAIR_STARTS, "fewer_points_than_k_1d",
+                                      "fewer_points_than_k_2d", "float_3d"])
+    def test_repair_matches_per_restart_lloyd(self, case, monkeypatch):
+        sizes = spy_on_repairs(monkeypatch)
+        if case in REPAIR_STARTS:
+            start = np.array(REPAIR_STARTS[case])
+            labels, centers, distortion, path = per_restart_lloyd(
+                FIVE, start.copy(), 300)
+            stack = start[None].copy()
+            got_labels, got_paths = _lloyd(FIVE[None], stack, 300)
+            assert np.array_equal(got_labels[0], labels)
+            assert np.array_equal(stack[0], centers)
+            assert got_paths[0][-1] == distortion
+            assert tuple(got_paths[0]) == path
+            # the first repair left a cluster empty, and the fit recovered
+            assert (sizes[0] == 0).any()
+            assert np.bincount(labels).min() > 0
+            return
+        # integer coordinates: every centroid sum is exact, so p = 1 (whose
+        # former mean summed pairwise) compares bit for bit as well
+        p = {"fewer_points_than_k_1d": 1, "fewer_points_than_k_2d": 2,
+             "float_3d": 3}[case]
+        fitted = 0
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(4, 14))
+            if case == "float_3d":
+                X = rng.normal(size=(n, p))
+                X[rng.integers(0, n, n // 2)] = X[0]
+                K = int(rng.integers(2, n + 1))
+            else:
+                base = rng.integers(-3, 4, size=(int(rng.integers(1, n)), p))
+                X = base[rng.integers(0, len(base), n)].astype(float)
+                K = int(rng.integers(len(np.unique(X, axis=0)) + 1, n + 1))
+            try:
+                expect = per_restart_kmeans(X, K, 3, seed)
+            except ValueError:
+                # the winning restart ended with a cluster that a repair
+                # emptied; the stacked loop must reach the same state
+                with pytest.raises(ValueError, match="every cluster index"):
+                    fit_kmeans(X, K, restarts=3, seed=seed)
+                continue
+            assert_same_fit(fit_kmeans(X, K, restarts=3, seed=seed), expect)
+            fitted += 1
+        assert sizes and fitted >= 15
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 8, 10])
+    def test_matches_per_restart_kmeans_bit_for_bit(self, p):
+        # clusters of tens of rows: their sums round differently unless
+        # they are added in row order, as the former per-cluster mean did;
+        # from p = 8 on numpy sums the coordinates pairwise
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            X = rng.normal(size=(int(rng.integers(60, 240)), p))
+            X[: len(X) // 2] += 4.0
+            K = int(rng.integers(2, 6))
+            assert_same_fit(fit_kmeans(X, K, restarts=3, seed=seed),
+                            per_restart_kmeans(X, K, 3, seed))
+
+    def test_row_blocks_do_not_change_the_partition(self, blobs,
+                                                   monkeypatch):
+        X, _ = blobs
+        whole = fit_kmeans(X, 4, seed=3)
+        # one start per chunk and 5 rows per assignment block
+        monkeypatch.setattr(estimators, "BLOCK_ELEMENTS", 40)
+        blocked = fit_kmeans(X, 4, seed=3)
+        assert np.array_equal(blocked.partition.labels,
+                              whole.partition.labels)
+        assert np.array_equal(blocked.centroids, whole.centroids)
+        assert len(blocked.distortion_path) == len(whole.distortion_path)
+        assert np.isclose(blocked.distortion, whole.distortion, rtol=1e-12,
+                          atol=0)
 
     def test_bad_k_rejected(self, blobs):
         X, _ = blobs

@@ -58,7 +58,7 @@ class TestPhmRun:
         D = delta_matrix(m, None, PmcSettings(m_samples=20000, seed=3))
         trace, _ = phm_run(m, 0.0, precomputed=D)
         first = trace.steps[0]
-        assert first.delta_pmc == D.raw[np.triu_indices(5, 1)].max()
+        assert first.delta_pmc == D.values[np.triu_indices(5, 1)].max()
 
     def test_threshold_stops_merging(self):
         # two near-identical components plus one far away: one merge suffices

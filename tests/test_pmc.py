@@ -232,7 +232,7 @@ class TestDeltaMatrix:
         rng = np.random.default_rng(7)
         m = random_mixture(rng, 5, 2)
         D = delta_matrix(m, None, PmcSettings(m_samples=30000, seed=3))
-        upper = D.raw[np.triu_indices(5, 1)]
+        upper = D.values[np.triu_indices(5, 1)]
         assert float(np.sort(upper).sum()) == D.pmc
 
     def test_symmetric_nonnegative_zero_diagonal(self):
@@ -242,12 +242,6 @@ class TestDeltaMatrix:
         assert np.array_equal(D.values, D.values.T)
         assert np.all(D.values >= 0)
         assert np.all(np.diag(D.values) == 0)
-
-    def test_raw_is_values(self):
-        rng = np.random.default_rng(12)
-        m = random_mixture(rng, 4, 2)
-        D = delta_matrix(m, None, PmcSettings(m_samples=5000, seed=8))
-        assert D.raw is D.values
 
     def test_close_to_summand_estimate(self):
         rng = np.random.default_rng(9)
@@ -277,7 +271,6 @@ class TestDeltaMatrix:
         from distinguish import DeltaMatrix
         back = DeltaMatrix.from_dict(D.to_dict())
         assert np.array_equal(back.values, D.values)
-        assert np.array_equal(back.raw, D.raw)
         assert back.pmc == D.pmc
 
 

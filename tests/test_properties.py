@@ -1,14 +1,17 @@
 """Property tests for the estimation chain: log-density, posteriors,
-per-point loss, and the mean with its Monte Carlo standard error."""
+per-point loss, and the mean with its Monte Carlo standard error; and for
+the stacked k-means restarts."""
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import multivariate_normal
 
 from distinguish import (MixtureModel, PmcSettings, cluster_posterior_matrix,
-                         delta_matrix, mixture, pmc_from_sample, pmc_mc,
-                         pmc_upper_bound)
+                         delta_matrix, fit_kmeans, mixture, pmc_from_sample,
+                         pmc_mc, pmc_upper_bound)
+from distinguish.estimators import fit_kmeans_many, sq_dists
 from distinguish.models import BLOCK_ELEMENTS, gaussian_log_density
 from distinguish.pmc import RULES
 
@@ -117,3 +120,41 @@ def test_log_component_densities_memory_is_bounded():
         tracemalloc.stop()
     assert out.shape == (100_000, 9)
     assert peak < 32 * 2**20
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 10),
+       st.integers(1, 6))
+def test_sq_dists_adds_coordinates_as_numpy_sum(seed, n, p, K):
+    rng = np.random.default_rng(seed)
+    X, C = rng.normal(0, 3, (n, p)), rng.normal(0, 3, (K, p))
+    # bit for bit: the former sq_dists, which every caller relied on
+    assert np.array_equal(sq_dists(X, C),
+                          ((X[:, None, :] - C[None]) ** 2).sum(axis=-1))
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(2, 40),
+       st.integers(1, 9), st.integers(1, 5), st.integers(1, 4),
+       st.booleans())
+def test_stacked_fits_equal_one_by_one(seed, D, n, p, K, restarts,
+                                       duplicates):
+    rng = np.random.default_rng(seed)
+    K = min(K, n)
+    Xs = rng.normal(0, 3, (D, n, p))
+    if duplicates:
+        # repeated rows make empty clusters and their repair likely
+        Xs = Xs[:, rng.integers(0, max(1, n // 3), n)]
+    seeds = [int(s) for s in rng.integers(0, 2**32, D)]
+    try:
+        alone = [fit_kmeans(X, K, restarts=restarts, seed=s)
+                 for X, s in zip(Xs, seeds)]
+    except ValueError:
+        with pytest.raises(ValueError):
+            fit_kmeans_many(Xs, K, seeds, restarts)
+        return
+    for got, expect in zip(fit_kmeans_many(Xs, K, seeds, restarts), alone):
+        assert np.array_equal(got.partition.labels, expect.partition.labels)
+        assert np.array_equal(got.centroids, expect.centroids)
+        assert got.distortion == expect.distortion
+        assert got.distortion_path == expect.distortion_path

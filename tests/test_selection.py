@@ -1,11 +1,14 @@
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from distinguish import (Partition, adjusted_rand_index, argmax_gap,
-                         gap_statistic, lange_stability, prediction_strength,
-                         select_k_constrained, selection_table, silhouette)
+                         estimators, gap_statistic, lange_stability,
+                         prediction_strength, select_k_constrained,
+                         selection, selection_table, silhouette)
+from distinguish.selection import _kept_together
 
 def loop_silhouette(X, part):
     """Reference: full distance matrix and a per-point loop."""
@@ -129,6 +132,23 @@ class TestGap:
         table = gap_statistic(blobs3, k_range=range(1, 3), B=10, seed=1)
         assert all(sd > 0 for _, sd in table.values())
 
+    def test_reference_fits_memory_is_bounded(self, monkeypatch):
+        # The 500 reference starts of one K, stacked unblocked, would hold a
+        # (500, 20000, 3, 2) difference array of 458 MiB.  The B reference
+        # datasets take 15.3 MiB and their 50 partitions 7.6 MiB of that.
+        rng = np.random.default_rng(15)
+        X = rng.normal(size=(20_000, 2))
+        # one Lloyd iteration per reference start
+        monkeypatch.setattr(selection, "fit_kmeans_many", functools.partial(
+            estimators.fit_kmeans_many, max_iter=1))
+        tracemalloc.start()
+        try:
+            gap_statistic(X, "kmeans", [3], B=50, seed=0, restarts=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
     def test_argmax_tie_takes_smaller_k(self):
         assert argmax_gap({2: (1.0, 0.1), 3: (1.0, 0.1), 4: (0.5, 0.1)}) == 2
 
@@ -179,6 +199,16 @@ class TestResamplingIndices:
         a = lange_stability(blobs3, "kmeans", 2, reps=4, seed=7)
         b = lange_stability(blobs3, "kmeans", 2, reps=4, seed=7)
         assert a == b
+
+    @pytest.mark.parametrize("m, kinds", [(2, 1), (2, 2), (7, 3), (50, 4),
+                                          (300, 6)])
+    def test_kept_together_matches_pair_matrix(self, m, kinds):
+        for seed in range(5):
+            labels = np.random.default_rng(seed).integers(0, kinds, m)
+            # the former m x m form of prediction strength's pair count
+            same = labels[:, None] == labels[None, :]
+            expect = (same.sum() - m) / (m * (m - 1))
+            assert _kept_together(labels) == expect
 
     def test_k_floor(self, blobs3):
         with pytest.raises(ValueError):
