@@ -19,22 +19,29 @@ class DegenerateFitError(RuntimeError):
     """Raised when every EM initialization collapses numerically."""
 
 
-def default_regularization(X) -> float:
-    """Scale-aware covariance floor: 1e-6 times the mean feature variance."""
+def default_regularization(X):
+    """Scale-aware covariance floor: 1e-6 times the mean feature variance.
+
+    For a (D, n, p) stack of datasets, an array of D floors, one each.
+    """
     V = as_matrix(X)
-    if V.shape[0] < 2:
-        return 1e-6
-    return 1e-6 * float(V.var(axis=0, ddof=1).mean())
+    if V.shape[-2] < 2:
+        floor = np.full(V.shape[:-2], 1e-6)
+    else:
+        floor = 1e-6 * V.var(axis=-2, ddof=1).mean(axis=-1)
+    return float(floor) if V.ndim == 2 else floor
 
 
 def _unit_sum(w: np.ndarray) -> None:
     """Nudge the largest weight, in place, until the weights sum to 1.0
-    exactly in floating point (at most 10 passes)."""
+    exactly in floating point (at most 10 passes); each row of a stack of
+    weight vectors (..., K) separately."""
     for _ in range(10):
-        resid = 1.0 - np.sum(w)
-        if resid == 0.0:
+        resid = 1.0 - w.sum(axis=-1, keepdims=True)
+        if not resid.any():
             break
-        w[np.argmax(w)] += resid
+        top = w.argmax(axis=-1)[..., None]
+        np.put_along_axis(w, top, np.take_along_axis(w, top, -1) + resid, -1)
 
 
 def newick(n_leaves: int, merges) -> str:
@@ -328,32 +335,46 @@ def cut_tree(tree: HclustTree, K: int) -> Partition:
 
 # ------------------------------------------------ partitions to mixtures
 
+def _gaussian_moments(X: np.ndarray, labels: np.ndarray, K: int,
+                      reg: np.ndarray):
+    """Weights (D, K), means (D, K, p) and covariances (D, K, p, p) of the
+    K clusters of each dataset of a stack: X is (D, n, p), labels (D, n)
+    with every cluster non-empty, reg (D,) one covariance floor each.
+
+    Weights are the cluster frequencies n_k/n, adjusted so that each
+    dataset's weights sum to 1.0 exactly in floating point; covariances are
+    maximum likelihood (divide by n_k) plus reg times the identity.  Means
+    are segment sums; each cluster's scatter is one batched product over
+    all datasets of the centred rows, zeroed outside the cluster.
+    """
+    D, n, p = X.shape
+    means = np.empty((D, K, p))
+    counts = _segment_means(X, labels, K, means)
+    d = X - means[np.arange(D)[:, None], labels]
+    covs = np.empty((D, K, p, p))
+    for k in range(K):
+        inside = np.where((labels == k)[..., None], d, 0.0)
+        covs[:, k] = inside.swapaxes(-1, -2) @ d
+    covs /= counts[..., None, None]
+    covs += reg[:, None, None, None] * np.eye(p)
+    w = counts / n
+    _unit_sum(w)
+    return w, means, (covs + covs.swapaxes(-1, -2)) / 2.0
+
+
 def partition_to_gaussians(X, part: Partition, reg: float | None = None
                            ) -> MixtureModel:
-    """Fit one Gaussian per cluster of a hard partition.
-
-    Weights are the cluster frequencies n_k/n, adjusted so they sum to 1.0
-    exactly in floating point; covariances are maximum-likelihood (divide
-    by n_k) plus reg times the identity.
-    """
+    """Fit one Gaussian per cluster of a hard partition: the one-dataset
+    case of the stacked moment fit (_gaussian_moments), validated by
+    mixture()."""
     V = as_matrix(X)
-    n, p = V.shape
-    lab = part.labels
-    if lab.size != n:
+    if part.labels.size != V.shape[0]:
         raise ValueError("partition length != number of rows")
     if reg is None:
         reg = default_regularization(V)
-    w = np.array([(lab == k).sum() / n for k in range(part.K)])
-    _unit_sum(w)
-    means, covs = [], []
-    for k in range(part.K):
-        S = V[lab == k]
-        mu = S.mean(axis=0)
-        d = S - mu
-        C = d.T @ d / S.shape[0] + reg * np.eye(p)
-        means.append(mu)
-        covs.append((C + C.T) / 2.0)
-    return mixture(w, means, covs)
+    w, means, covs = _gaussian_moments(V[None], part.labels[None], part.K,
+                                       np.array([reg], dtype=float))
+    return mixture(w[0], means[0], covs[0])
 
 
 # ------------------------------------------------------------ mixture EM

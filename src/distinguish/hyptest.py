@@ -7,18 +7,62 @@ values mean well-separated halves, which is evidence AGAINST the null, so
 the rejection region is the left tail.  Calibration is by Monte Carlo
 draws from the null or by a parametric bootstrap around the fitted
 Gaussian; p-values use the add-one estimator so they are never zero.
+
+Replicate r of the null (bootstrap replicate b) is drawn from its own
+stream(seed, "null-rep", r) (stream(seed, "boot-rep", b)) and gets its own
+Ward tree and two-way cut.  The rest is scored in stacked chunks of
+replicates: one moment fit, one batched Cholesky and one log-density call
+per chunk.  A chunk holds at most BLOCK_ELEMENTS replicates x n x 2 x p
+elements, so memory does not grow with the replicate count, and a
+replicate's statistic does not depend on the chunk it falls in:
+pmc_statistic is the one-replicate case.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .estimators import cut_tree, fit_hclust, partition_to_gaussians
-from .models import Partition, as_matrix
-from .pmc import pmc_from_sample
+from .estimators import (_gaussian_moments, cut_tree, default_regularization,
+                         fit_hclust, partition_to_gaussians)
+from .models import (BLOCK_ELEMENTS, Partition, as_matrix,
+                     gaussian_log_density, mixture)
+from .pmc import _normalise, _sorted_mean, _summands
 from .rng import stream
 
 QUANTILE_GRID = (0.01, 0.025, 0.05, 0.10, 0.25, 0.50,
                  0.75, 0.90, 0.95, 0.975, 0.99)
+
+
+def _statistics(Vs: np.ndarray) -> np.ndarray:
+    """pmc_statistic of each dataset of a (R, n, p) stack."""
+    n = Vs.shape[1]
+    if n < 4:
+        raise ValueError("statistic needs n >= 4")
+    if np.all(Vs == Vs[:, :1], axis=(1, 2)).any():
+        raise ValueError("degenerate data: all points identical")
+    labels = np.array([cut_tree(fit_hclust(V), 2).labels for V in Vs])
+    w, means, covs = _gaussian_moments(Vs, labels, 2,
+                                       default_regularization(Vs))
+    bad = np.flatnonzero(~(np.isfinite(means).all(axis=(1, 2))
+                           & np.isfinite(covs).all(axis=(1, 2, 3))))
+    if bad.size:
+        # the first such replicate raises mixture()'s validation error
+        mixture(w[bad[0]], means[bad[0]], covs[bad[0]])
+    a = gaussian_log_density(Vs, means, np.linalg.cholesky(covs))
+    a += np.log(w)[:, None]
+    pi, _ = _normalise(a, [[0], [1]])
+    return _sorted_mean(_summands(pi, "randomized"))
+
+
+def _replicate_statistics(draw, reps: int, n: int, p: int) -> np.ndarray:
+    """Statistics of the datasets draw(0), ..., draw(reps - 1), each (n, p),
+    drawn and scored one chunk of at most BLOCK_ELEMENTS // (n * 2 * p)
+    replicates at a time."""
+    chunk = max(1, BLOCK_ELEMENTS // (n * 2 * p))
+    values = np.empty(reps)
+    for lo in range(0, reps, chunk):
+        hi = min(reps, lo + chunk)
+        values[lo:hi] = _statistics(np.array([draw(r) for r in range(lo, hi)]))
+    return values
 
 
 def pmc_statistic(X) -> float:
@@ -27,15 +71,7 @@ def pmc_statistic(X) -> float:
     Deterministic: the risk is the posterior loss of the fitted two-part
     Gaussian model averaged over the observed points themselves.
     """
-    V = as_matrix(X)
-    if V.shape[0] < 4:
-        raise ValueError("statistic needs n >= 4")
-    if np.all(V == V[0]):
-        raise ValueError("degenerate data: all points identical")
-    part = cut_tree(fit_hclust(V), 2)
-    model = partition_to_gaussians(V, part)
-    value, _ = pmc_from_sample(model, None, V, "randomized")
-    return float(value)
+    return float(_statistics(as_matrix(X)[None])[0])
 
 
 def null_distribution(n: int, p: int, reps: int,
@@ -47,10 +83,9 @@ def null_distribution(n: int, p: int, reps: int,
     """
     if reps < 100:
         raise ValueError("reps must be >= 100")
-    values = np.fromiter(
-        (pmc_statistic(stream(seed, "null-rep", r).standard_normal((n, p)))
-         for r in range(reps)), float, reps)
-    return np.sort(values)
+    return np.sort(_replicate_statistics(
+        lambda r: stream(seed, "null-rep", r).standard_normal((n, p)),
+        reps, n, p))
 
 
 def pvalue_mc(stat: float, null_sample: np.ndarray) -> float:
@@ -62,18 +97,22 @@ def pvalue_mc(stat: float, null_sample: np.ndarray) -> float:
     return (1.0 + count) / (1.0 + null_sample.size)
 
 
-def pvalue_bootstrap(X, B: int = 500, seed: int | None = None) -> float:
-    """Parametric bootstrap p-value: the null is the Gaussian fitted to X."""
+def pvalue_bootstrap(X, B: int = 500, seed: int | None = None, *,
+                     _stat: float | None = None) -> float:
+    """Parametric bootstrap p-value: the null is the Gaussian fitted to X.
+
+    test_report passes _stat, the pmc_statistic(X) it has already
+    computed, so that the data are scored once.
+    """
     if B < 100:
         raise ValueError("B must be >= 100")
     V = as_matrix(X)
-    stat = pmc_statistic(V)
+    stat = pmc_statistic(V) if _stat is None else _stat
     n, p = V.shape
     fit, = partition_to_gaussians(V, Partition(np.zeros(n, int), 1)).components
-    boots = np.fromiter(
-        (pmc_statistic(fit.mean + stream(seed, "boot-rep", b)
-                       .standard_normal((n, p)) @ fit.chol.T)
-         for b in range(B)), float, B)
+    boots = _replicate_statistics(
+        lambda b: fit.mean + stream(seed, "boot-rep", b)
+        .standard_normal((n, p)) @ fit.chol.T, B, n, p)
     return pvalue_mc(stat, boots)
 
 
@@ -83,7 +122,7 @@ def test_report(X, reps: int = 5000, bootstrap: int | None = None,
     V = as_matrix(X)
     stat = pmc_statistic(V)
     if bootstrap is not None:
-        p_value = pvalue_bootstrap(V, bootstrap, seed)
+        p_value = pvalue_bootstrap(V, bootstrap, seed, _stat=stat)
         method = "bootstrap"
         null_q = None
         reps_used = bootstrap

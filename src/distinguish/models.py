@@ -85,22 +85,27 @@ BLOCK_ELEMENTS = 2 ** 18
 
 def gaussian_log_density(X: np.ndarray, means: np.ndarray, L: np.ndarray
                          ) -> np.ndarray:
-    """(n, k) log densities of N(means[j], L[j] L[j]^T) at the rows of X.
+    """(..., n, k) log densities of N(means[j], L[j] L[j]^T) at rows of X.
 
-    means is (k, p) and L the stacked lower Cholesky factors (k, p, p).
-    Rows are centred on each mean before one batched product with L^-T,
-    so a mean far from the origin costs no precision; row blocks bound
-    the temporaries at BLOCK_ELEMENTS differences.
+    X is (..., n, p), means (..., k, p) and L the stacked lower Cholesky
+    factors (..., k, p, p), with the same leading batch shape: dataset b
+    is scored against its own k components.  Without a batch axis this is
+    one (n, p) dataset against k components.  Rows are centred on each
+    mean before one batched product with L^-T, so a mean far from the
+    origin costs no precision; row blocks bound the temporaries at
+    BLOCK_ELEMENTS differences over the whole batch.
     """
-    k, p = means.shape
-    inv_lt = np.linalg.inv(L).transpose(0, 2, 1)
-    const = (-np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
-             - 0.5 * p * np.log(2.0 * np.pi))
-    out = np.empty((X.shape[0], k))
-    rows = max(1, BLOCK_ELEMENTS // (k * p))
-    for lo in range(0, X.shape[0], rows):
-        z = (X[None, lo:lo + rows] - means[:, None]) @ inv_lt
-        out[lo:lo + rows] = const - 0.5 * np.einsum("kij,kij->ik", z, z)
+    k, p = means.shape[-2:]
+    inv_lt = np.linalg.inv(L).swapaxes(-1, -2)
+    const = (-np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)
+             - 0.5 * p * np.log(2.0 * np.pi))[..., None, :]
+    n = X.shape[-2]
+    out = np.empty(X.shape[:-1] + (k,))
+    rows = max(1, BLOCK_ELEMENTS // means.size)
+    for lo in range(0, n, rows):
+        z = (X[..., None, lo:lo + rows, :] - means[..., None, :]) @ inv_lt
+        out[..., lo:lo + rows, :] = const - 0.5 * np.einsum(
+            "...kij,...kij->...ik", z, z)
     return out
 
 

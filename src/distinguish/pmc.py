@@ -58,13 +58,15 @@ class PmcSettings:
                    bool(d.get("quadrature", False)))
 
 
-def _sorted_sum(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Sum in ascending value order: canonical, hence order-independent."""
-    return np.sort(a, axis=axis).sum(axis=axis)
+def _sorted_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the last axis in ascending value order: canonical, hence
+    order-independent."""
+    return np.sort(a, axis=-1).sum(axis=-1)
 
 
-def _sorted_mean(a: np.ndarray) -> float:
-    return float(_sorted_sum(np.ravel(a)) / a.size)
+def _sorted_mean(a: np.ndarray) -> np.ndarray:
+    """Mean over the last axis, each row summed in ascending value order."""
+    return _sorted_sum(a) / a.shape[-1]
 
 
 def cluster_weights(model: MixtureModel, config: ClusterConfiguration
@@ -77,6 +79,22 @@ def cluster_weights(model: MixtureModel, config: ClusterConfiguration
     return w
 
 
+def _normalise(a: np.ndarray, groups) -> tuple[np.ndarray, np.ndarray]:
+    """Posteriors and density from log weighted densities a (..., kappa).
+
+    The posterior of group k (a list of component indices) is the sum of
+    its members' shares of the per-row total; the density is that total.
+    One log-space normalisation serves both, over the last axis.
+    """
+    m = a.max(axis=-1, keepdims=True)
+    e = np.exp(a - m)
+    total = _sorted_sum(e)
+    pi = np.empty(a.shape[:-1] + (len(groups),))
+    for k, members in enumerate(groups):
+        pi[..., k] = _sorted_sum(e[..., members]) / total
+    return pi, np.exp(m[..., 0]) * total
+
+
 def _posteriors_and_density(model: MixtureModel,
                             config: ClusterConfiguration | None,
                             X) -> tuple[np.ndarray, np.ndarray]:
@@ -84,15 +102,8 @@ def _posteriors_and_density(model: MixtureModel,
     X = np.atleast_2d(as_matrix(X))
     if config is None:
         config = ClusterConfiguration.singletons(model.kappa)
-    a = np.log(model.weights) + model.log_component_densities(X)
-    m = a.max(axis=1, keepdims=True)
-    e = np.exp(a - m)
-    total = _sorted_sum(e, axis=1)
-    pi = np.empty((X.shape[0], config.K))
-    for k in range(config.K):
-        members = list(config.members(k))
-        pi[:, k] = _sorted_sum(e[:, members], axis=1) / total
-    return pi, np.exp(m[:, 0]) * total
+    return _normalise(np.log(model.weights) + model.log_component_densities(X),
+                      [list(g) for g in config.member_sets()])
 
 
 def cluster_posterior_matrix(model: MixtureModel,
@@ -114,18 +125,19 @@ def cluster_posteriors(model: MixtureModel,
 
 
 def _summands(pi: np.ndarray, rule: str) -> np.ndarray:
+    """Per-point loss from posteriors pi (..., K), over the last axis."""
     if rule == "randomized":
-        return 1.0 - _sorted_sum(pi * pi, axis=1)
+        return 1.0 - _sorted_sum(pi * pi)
     if rule == "optimal":
         # argmax ties break toward the lowest cluster index (measure-zero
         # event for Gaussians); only the max value enters the risk
-        return 1.0 - pi.max(axis=1)
+        return 1.0 - pi.max(axis=-1)
     raise ValueError(f"rule must be one of {RULES}")
 
 
 def _mean_and_se(s: np.ndarray) -> tuple[float, float]:
     """Sorted-order mean of per-point summands and its standard error."""
-    value = _sorted_mean(s)
+    value = float(_sorted_mean(s))
     d = s - value
     sd = np.sqrt(_sorted_sum(d * d) / (s.size - 1)) if s.size > 1 else 0.0
     return value, float(sd / np.sqrt(s.size))

@@ -51,12 +51,15 @@ def _within_dispersion(X: np.ndarray, part: Partition) -> float:
 def gap_statistic(X, clusterer: str = "kmeans",
                   k_range=range(1, 9), B: int = 50,
                   seed: int | None = None, restarts: int = 10
-                  ) -> dict[int, tuple[float, float]]:
+                  ) -> dict[int, tuple[float | None, float | None]]:
     """Gap and its standard error per K.
 
     gap(K) compares log within-cluster dispersion of the data against the
     mean over B reference datasets drawn uniformly over the feature-wise
     bounding box; the standard error carries the sqrt(1 + 1/B) factor.
+    A K whose clusters have no within-cluster dispersion (K reaches the
+    number of distinct rows) has no log dispersion: its gap and standard
+    error are None, and its reference datasets are not fitted.
     """
     V = as_matrix(X)
     ks = sorted(set(int(k) for k in k_range))
@@ -72,7 +75,11 @@ def gap_statistic(X, clusterer: str = "kmeans",
     for K in ks:
         part = _cluster(V, K, clusterer, derive_seed(seed, "gap-obs", K),
                         restarts)
-        log_w = np.log(_within_dispersion(V, part))
+        within = _within_dispersion(V, part)
+        if within == 0.0:
+            out[K] = (None, None)
+            continue
+        log_w = np.log(within)
         ref_parts = _cluster_many(
             refs, K, clusterer,
             [derive_seed(seed, "gap-fit", (b << 12) | K) for b in range(B)],
@@ -85,9 +92,19 @@ def gap_statistic(X, clusterer: str = "kmeans",
     return out
 
 
-def argmax_gap(table: dict[int, tuple[float, float]]) -> int:
-    """K with the largest gap; ties break toward the smaller K."""
-    return max(sorted(table), key=lambda k: table[k][0])
+def _defined(table: dict[int, tuple[float | None, float | None]]
+             ) -> list[int]:
+    """The K of a gap table whose gap is defined, in increasing order."""
+    ks = [k for k in sorted(table) if table[k][0] is not None]
+    if not ks:
+        raise ValueError("the gap statistic is undefined for every K: the "
+                         "data have no within-cluster dispersion at any")
+    return ks
+
+
+def argmax_gap(table: dict[int, tuple[float | None, float | None]]) -> int:
+    """K with the largest defined gap; ties break toward the smaller K."""
+    return max(_defined(table), key=lambda k: table[k][0])
 
 
 @dataclass(frozen=True)
@@ -272,11 +289,12 @@ def selection_table(X, method: str = "kmeans", k_range=range(1, 9),
 
     Rows carry gap, gap sd, risk of the fitted per-cluster Gaussians,
     silhouette, split stability, and prediction strength (the last three
-    only for K >= 2).
+    only for K >= 2).  Only a K with a defined gap can be selected.
     """
     V = as_matrix(X)
     ks = sorted(set(int(k) for k in k_range))
     gaps = gap_statistic(V, method, ks, B=B, seed=seed, restarts=restarts)
+    defined = _defined(gaps)
     rows = []
     pmc_by_k: dict[int, float] = {}
     for K in ks:
@@ -303,7 +321,8 @@ def selection_table(X, method: str = "kmeans", k_range=range(1, 9),
                 restarts=restarts) if K >= 2 else None,
         }
         rows.append(row)
-    scores = {K: -gaps[K][0] for K in ks}
-    chosen = select_k_constrained(scores, pmc_by_k, tau)
+    scores = {K: -gaps[K][0] for K in defined}
+    chosen = select_k_constrained(scores, {K: pmc_by_k[K] for K in scores},
+                                  tau)
     return {"rows": rows, "tau": tau, "selected_K": chosen.K,
             "infeasible": chosen.infeasible}

@@ -35,6 +35,23 @@ def parse_err(err):
     return json.loads(err.strip().splitlines()[-1])["error"]
 
 
+def run_quiet(capsys, *argv):
+    """run, asserting that nothing reached stderr, warnings included."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *argv)
+    assert [str(w.message) for w in caught] == []
+    assert err == ""
+    return code, out
+
+
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which JSON lacks."""
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestPmcCommand:
     def test_happy_path(self, capsys, model_path):
         code, out, _ = run(capsys, "pmc", "--model", model_path,
@@ -180,6 +197,24 @@ class TestSelectKCommand:
         assert parse_err(err)["kind"] == "infeasible"
 
 
+    def test_k_without_dispersion_has_null_gap(self, capsys, tmp_path):
+        # 5 distinct points, 4 copies each: at K = 5 every cluster is one
+        # repeated point, so the within-cluster dispersion is 0
+        path = tmp_path / "repeats.csv"
+        path.write_text("".join(f"{v!r}\n" for v in (0.0, 1.0, 3.0, 7.0, 12.0)
+                                for _ in range(4)))
+        code, out = run_quiet(capsys, "select-k", "--data", str(path),
+                              "--k-range", "1:5", "--b-refs", "10",
+                              "--reps", "2", "--seed", "1")
+        assert code == 0
+        report = strict_json(out)
+        last = report["rows"][-1]
+        assert last["K"] == 5
+        assert last["gap"] is None and last["gap_sd"] is None
+        assert all(row["gap"] is not None for row in report["rows"][:-1])
+        assert report["selected_K"] != 5
+
+
 class TestHclustTestCommand:
     def test_rejects_bimodal(self, capsys, data_path):
         code, out, _ = run(capsys, "hclust-test", "--data", data_path,
@@ -194,6 +229,22 @@ class TestHclustTestCommand:
                            "--bootstrap", "120", "--seed", "3")
         assert code == 0
         assert json.loads(out)["method"] == "bootstrap"
+
+
+@pytest.mark.parametrize("argv", [
+    ("phm", "--kappa-range", "1:3", "--n-init", "2", "--m", "20000"),
+    ("select-k", "--k-range", "1:3", "--b-refs", "10", "--reps", "3",
+     "--m", "20000"),
+    ("hclust-test", "--reps", "100"),
+    ("hclust-test", "--bootstrap", "100"),
+], ids=["phm", "select-k", "hclust-test-mc", "hclust-test-bootstrap"])
+def test_same_seed_repeats_are_byte_identical(capsys, data_path, argv):
+    args = (*argv, "--data", data_path, "--seed", "11")
+    code1, out1 = run_quiet(capsys, *args)
+    code2, out2 = run_quiet(capsys, *args)
+    assert code1 == code2 == 0
+    assert out1 == out2
+    strict_json(out1)
 
 
 class TestPreprocessCommand:

@@ -1,8 +1,11 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from distinguish import (null_distribution, pmc_statistic, pvalue_bootstrap,
-                         pvalue_mc)
+from distinguish import (fit_hclust, hyptest, null_distribution,
+                         pmc_statistic, pvalue_bootstrap, pvalue_mc)
 from distinguish import test_report as run_test
 
 
@@ -60,6 +63,20 @@ class TestNullDistribution:
         b = null_distribution(30, 1, reps=100, seed=3)
         assert np.array_equal(a, b)
 
+    def test_memory_is_bounded(self):
+        # 2000 replicates of 100 x 6: one unchunked stack would hold 2.4M
+        # (replicate, row, side, coordinate) elements per temporary, and
+        # peaked at 40 MiB; chunks of BLOCK_ELEMENTS peak at about 6 MiB
+        null_distribution(100, 6, 100, seed=1)
+        tracemalloc.start()
+        try:
+            null = null_distribution(100, 6, 2000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert null.size == 2000
+        assert peak < 16 * 2**20
+
     def test_disjoint_seeds_agree_in_distribution(self):
         # Kolmogorov-Smirnov distance between two independent null samples
         a = null_distribution(60, 1, reps=400, seed=10)
@@ -116,6 +133,14 @@ class TestReport:
         assert r["method"] == "bootstrap"
         assert r["reps"] == 120
         assert r["null_quantiles"] is None
+        assert r["p_value"] == pvalue_bootstrap(bimodal, B=120, seed=6)
+
+    def test_bootstrap_report_scores_the_data_once(self, bimodal):
+        # one Ward tree for the observed data, one per replicate
+        with mock.patch.object(hyptest, "fit_hclust",
+                               wraps=fit_hclust) as spy:
+            run_test(bimodal, bootstrap=120, seed=6)
+        assert spy.call_count == 121
 
     def test_rejects_structure_accepts_noise(self, bimodal):
         r_clustered = run_test(bimodal, reps=200, seed=7)

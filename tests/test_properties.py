@@ -1,17 +1,22 @@
 """Property tests for the estimation chain: log-density, posteriors,
-per-point loss, and the mean with its Monte Carlo standard error; and for
-the stacked k-means restarts."""
+per-point loss, and the mean with its Monte Carlo standard error; for the
+stacked k-means restarts; and for the stacked existence-test statistic."""
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import multivariate_normal
 
-from distinguish import (MixtureModel, PmcSettings, cluster_posterior_matrix,
-                         delta_matrix, fit_kmeans, mixture, pmc_from_sample,
-                         pmc_mc, pmc_upper_bound)
-from distinguish.estimators import fit_kmeans_many, sq_dists
+from distinguish import (MixtureModel, Partition, PmcSettings,
+                         cluster_posterior_matrix, cut_tree,
+                         default_regularization, delta_matrix, fit_hclust,
+                         fit_kmeans, hyptest, mixture, partition_to_gaussians,
+                         pmc_from_sample, pmc_mc, pmc_statistic,
+                         pmc_upper_bound, stream)
+from distinguish.estimators import (_gaussian_moments, fit_kmeans_many,
+                                    sq_dists)
 from distinguish.models import BLOCK_ELEMENTS, gaussian_log_density
 from distinguish.pmc import RULES
 
@@ -158,3 +163,118 @@ def test_stacked_fits_equal_one_by_one(seed, D, n, p, K, restarts,
         assert np.array_equal(got.centroids, expect.centroids)
         assert got.distortion == expect.distortion
         assert got.distortion_path == expect.distortion_path
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 40),
+       st.integers(1, 5), st.integers(0, 300))
+def test_batched_kernel_equals_unbatched(seed, D, kappa, p, extra):
+    rng = np.random.default_rng(seed)
+    # past one block of the whole batch, so the batched call splits the
+    # rows into other blocks than the unbatched calls do
+    n = BLOCK_ELEMENTS // (D * kappa * p) + extra
+    X = rng.normal(0, 3, (D, n, p))
+    means = rng.normal(0, 2, (D, kappa, p))
+    A = rng.normal(size=(D, kappa, p, p))
+    L = np.linalg.cholesky(A @ A.swapaxes(-1, -2) + 0.5 * np.eye(p))
+    got = gaussian_log_density(X, means, L)
+    for d in range(D):
+        assert np.array_equal(got[d],
+                              gaussian_log_density(X[d], means[d], L[d]))
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(2, 40),
+       st.integers(1, 6), st.integers(1, 5))
+def test_stacked_moments_equal_one_by_one(seed, D, n, p, K):
+    rng = np.random.default_rng(seed)
+    K = min(K, n)
+    Xs = rng.normal(0, 3, (D, n, p)) * rng.uniform(0.1, 10, p)
+    labels = np.array([rng.permutation(np.arange(n) % K) for _ in range(D)])
+    reg = default_regularization(Xs)
+    w, means, covs = _gaussian_moments(Xs, labels, K, reg)
+    for d in range(D):
+        assert reg[d] == default_regularization(Xs[d])
+        model = partition_to_gaussians(Xs[d], Partition(labels[d], K))
+        assert np.array_equal(model.weights, w[d])
+        assert np.sum(w[d]) == 1.0
+        for k, comp in enumerate(model.components):
+            assert np.array_equal(comp.mean, means[d, k])
+            assert np.array_equal(comp.covariance, covs[d, k])
+
+
+def former_statistic(V):
+    """pmc_statistic as it was computed one replicate at a time: Ward
+    split, per-cluster masked means and d.T @ d scatter, a MixtureModel,
+    and the sorted-order risk of its posteriors on V."""
+    n, p = V.shape
+    lab = cut_tree(fit_hclust(V), 2).labels
+    reg = 1e-6 * float(V.var(axis=0, ddof=1).mean())
+    w = np.array([(lab == k).sum() / n for k in range(2)])
+    for _ in range(10):
+        resid = 1.0 - np.sum(w)
+        if resid == 0.0:
+            break
+        w[np.argmax(w)] += resid
+    means, covs = [], []
+    for k in range(2):
+        S = V[lab == k]
+        mu = S.mean(axis=0)
+        d = S - mu
+        C = d.T @ d / S.shape[0] + reg * np.eye(p)
+        means.append(mu)
+        covs.append((C + C.T) / 2.0)
+    value, _ = pmc_from_sample(mixture(w, means, covs), None, V, "randomized")
+    return value
+
+
+def replicate_draw(seed, n, p, shift):
+    """Two groups shift apart, so both clean and overlapping splits occur."""
+    def draw(r):
+        X = stream(seed, "null-rep", r).standard_normal((n, p))
+        X[: n // 2, 0] += shift
+        return X
+    return draw
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.integers(4, 40), st.integers(1, 3),
+       st.integers(1, 12), st.integers(1, 5), st.floats(0, 6))
+def test_stacked_statistics_equal_one_by_one(seed, n, p, reps, per_chunk,
+                                             shift):
+    draw = replicate_draw(seed, n, p, shift)
+    alone = np.array([pmc_statistic(draw(r)) for r in range(reps)])
+    assert np.array_equal(hyptest._replicate_statistics(draw, reps, n, p),
+                          alone)
+    # chunks of per_chunk replicates: a replicate's statistic does not
+    # depend on the chunk it lands in
+    with mock.patch.object(hyptest, "BLOCK_ELEMENTS", n * 2 * p * per_chunk):
+        assert np.array_equal(
+            hyptest._replicate_statistics(draw, reps, n, p), alone)
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.integers(4, 60), st.integers(1, 3),
+       st.floats(0, 6), st.floats(-3, 3))
+def test_statistic_matches_former_per_replicate_path(seed, n, p, shift,
+                                                     log_scale):
+    X = replicate_draw(seed, n, p, shift)(0) * 10.0 ** log_scale + 7.0
+    expect = former_statistic(X)
+    assert abs(pmc_statistic(X) - expect) <= 1e-12 * expect
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.integers(4, 60), st.integers(1, 3),
+       st.floats(0, 6), st.floats(-3, 3), st.floats(-100, 100))
+def test_statistic_is_similarity_invariant(seed, n, p, shift, log_scale,
+                                           offset):
+    # Ward compares Euclidean distances, so only similarity maps a X Q + b
+    # (a > 0, Q orthogonal) keep its split; the Gaussian risk would
+    # survive any affine map
+    rng = np.random.default_rng(seed)
+    X = replicate_draw(seed, n, p, shift)(0)
+    Q, R = np.linalg.qr(rng.normal(size=(p, p)))
+    Q *= np.sign(np.diag(R))
+    a = 10.0 ** log_scale
+    b = a * offset * rng.uniform(-1, 1, p)
+    assert abs(pmc_statistic(a * X @ Q + b) - pmc_statistic(X)) <= 1e-10

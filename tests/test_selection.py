@@ -152,6 +152,17 @@ class TestGap:
     def test_argmax_tie_takes_smaller_k(self):
         assert argmax_gap({2: (1.0, 0.1), 3: (1.0, 0.1), 4: (0.5, 0.1)}) == 2
 
+    def test_k_without_dispersion_has_no_gap(self):
+        # three distinct rows, so at K = 3 every cluster is one repeated row
+        X = np.repeat([[0.0], [2.0], [7.0]], 4, axis=0)
+        table = gap_statistic(X, k_range=range(1, 4), B=10, seed=2)
+        assert table[3] == (None, None)
+        assert all(g is not None and np.isfinite(g)
+                   for g, _ in (table[1], table[2]))
+        assert argmax_gap(table) in (1, 2)
+        with pytest.raises(ValueError, match="undefined for every K"):
+            argmax_gap({3: (None, None)})
+
 
 class TestConstrainedSelection:
     def test_feasible_takes_best_score(self):
