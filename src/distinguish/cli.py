@@ -24,7 +24,8 @@ from .estimators import DegenerateFitError, fit_gmm_em, select_gmm_bic
 from .hyptest import test_report
 from .models import ClusterConfiguration, MixtureModel, validate
 from .phm import build_dendrogram, phm_run
-from .pmc import PmcSettings, cluster_posterior_matrix, delta_matrix, pmc
+from .pmc import (PmcSettings, _mc_sample, cluster_posterior_matrix,
+                  delta_matrix, pmc, pmc_mc)
 from .preprocess import load_csv, pca, save_csv, standardize
 from .rng import DEFAULT_SEED
 from .selection import selection_table
@@ -117,7 +118,13 @@ def _cmd_pmc(args) -> int:
                            f"data dimension {X.p} != model dimension {model.p}")
     settings = PmcSettings(m_samples=args.m, seed=args.seed, rule=args.rule,
                            quadrature=args.quadrature)
-    est = pmc(model, config, settings)
+    if args.delta and not args.quadrature:
+        # one sample pass gives the estimate and the delta matrix
+        sample = _mc_sample(model, config, settings)
+        est = pmc_mc(model, config, settings, _sample=sample)
+    else:
+        sample = None
+        est = pmc(model, config, settings)
     report = {
         "provenance": _provenance("pmc", args.seed, args.data, args.model,
                                   args.config),
@@ -125,7 +132,8 @@ def _cmd_pmc(args) -> int:
         "rule": args.rule,
     }
     if args.delta:
-        report["delta"] = delta_matrix(model, config, settings).to_dict()
+        report["delta"] = delta_matrix(model, config, settings,
+                                       _sample=sample).to_dict()
     _emit(report)
     return 0
 

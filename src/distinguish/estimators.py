@@ -161,15 +161,19 @@ def _repair(X: np.ndarray, labels: np.ndarray, centers: np.ndarray,
     """Refill one start's empty clusters in place, in index order.
 
     Each empty cluster takes the point farthest from its centre as it was
-    at the start of the iteration (previous), and every non-empty mean is
-    recomputed after each hand-over.  A hand-over can empty a cluster that
-    was already visited; that cluster stays empty until the next iteration.
+    at the start of the iteration (previous), among the clusters of at
+    least two rows, and every non-empty mean is recomputed after each
+    hand-over.  No hand-over empties a cluster: while one is empty, n >= K
+    rows leave some cluster with at least two.
     """
     K = centers.shape[0]
-    for j in range(K):
-        if (labels == j).any():
-            continue
-        far = ((X - previous[labels]) ** 2).sum(axis=-1).argmax()
+    counts = np.bincount(labels, minlength=K)
+    for j in np.flatnonzero(counts == 0):
+        d2 = ((X - previous[labels]) ** 2).sum(axis=-1)
+        d2[counts[labels] < 2] = -np.inf
+        far = d2.argmax()
+        counts[labels[far]] -= 1
+        counts[j] = 1
         labels[far] = j
         _segment_means(X[None], labels[None], K, centers[None])
 

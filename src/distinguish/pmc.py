@@ -12,10 +12,16 @@ Estimates are Monte Carlo over samples drawn from the mixture, with
 adaptive Gauss-Kronrod cubature over vectorised point batches as an oracle
 in one and two dimensions.  Both routes and the delta matrix take
 posteriors from one path, `_posteriors_and_density`, and per-point loss
-from `_summands`.  All reductions that define reported values are
-performed in a canonical (value-sorted) order, so a relabeling of
-components that leaves the sample unchanged reproduces every estimate
-bit-identically.
+from `_summands`.  `pmc_mc` and `delta_matrix` score the seeded sample in
+one pass, `_mc_sample`, which `pmc --delta` hands to both.
+
+Summation order is fixed so that a relabeling of components that leaves
+the sample unchanged reproduces every estimate bit-identically.  Sums
+across components within a row (posterior totals, group sums, per-point
+loss) add in ascending value order.  Sums across rows (the risk mean, its
+standard error, each pair's delta) add pairwise in row order, which a
+relabeling does not change.  The delta matrix's upper-triangle total adds
+in ascending value order.
 """
 from __future__ import annotations
 
@@ -24,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .models import ClusterConfiguration, McEstimate, MixtureModel, as_matrix
+from .models import (BLOCK_ELEMENTS, ClusterConfiguration, McEstimate,
+                     MixtureModel, as_matrix)
 from .rng import stream
 
 CHUNK = 16384
@@ -64,11 +71,6 @@ def _sorted_sum(a: np.ndarray) -> np.ndarray:
     return np.sort(a, axis=-1).sum(axis=-1)
 
 
-def _sorted_mean(a: np.ndarray) -> np.ndarray:
-    """Mean over the last axis, each row summed in ascending value order."""
-    return _sorted_sum(a) / a.shape[-1]
-
-
 def cluster_weights(model: MixtureModel, config: ClusterConfiguration
                     ) -> np.ndarray:
     """Per-cluster weights: sums of member component weights."""
@@ -84,14 +86,18 @@ def _normalise(a: np.ndarray, groups) -> tuple[np.ndarray, np.ndarray]:
 
     The posterior of group k (a list of component indices) is the sum of
     its members' shares of the per-row total; the density is that total.
-    One log-space normalisation serves both, over the last axis.
+    One log-space normalisation serves both, over the last axis.  Singleton
+    groups are divided directly: a one-term sorted sum is its term.
     """
     m = a.max(axis=-1, keepdims=True)
     e = np.exp(a - m)
     total = _sorted_sum(e)
     pi = np.empty(a.shape[:-1] + (len(groups),))
     for k, members in enumerate(groups):
-        pi[..., k] = _sorted_sum(e[..., members]) / total
+        if len(members) == 1:
+            np.divide(e[..., members[0]], total, out=pi[..., k])
+        else:
+            pi[..., k] = _sorted_sum(e[..., members]) / total
     return pi, np.exp(m[..., 0]) * total
 
 
@@ -112,7 +118,8 @@ def cluster_posterior_matrix(model: MixtureModel,
     """(n, K) posterior cluster probabilities, log-space normalized.
 
     A cluster's posterior is the sum of its member components' posteriors.
-    Per-row totals and per-cluster sums use value-sorted addend order.
+    Within each row, the total and each cluster's sum add their component
+    terms in ascending value order, so they do not depend on the labels.
     """
     return _posteriors_and_density(model, config, X)[0]
 
@@ -136,10 +143,14 @@ def _summands(pi: np.ndarray, rule: str) -> np.ndarray:
 
 
 def _mean_and_se(s: np.ndarray) -> tuple[float, float]:
-    """Sorted-order mean of per-point summands and its standard error."""
-    value = float(_sorted_mean(s))
+    """Mean of per-point summands (M,) and its standard error.
+
+    Both sums add pairwise in row order: a shared sample fixes that order,
+    whatever the component labels.
+    """
+    value = float(s.sum() / s.size)
     d = s - value
-    sd = np.sqrt(_sorted_sum(d * d) / (s.size - 1)) if s.size > 1 else 0.0
+    sd = np.sqrt((d * d).sum() / (s.size - 1)) if s.size > 1 else 0.0
     return value, float(sd / np.sqrt(s.size))
 
 
@@ -168,24 +179,47 @@ def sample_mixture(model: MixtureModel, m_samples: int,
     return X, labels
 
 
+def _mc_sample(model: MixtureModel, config: ClusterConfiguration | None,
+               settings: PmcSettings) -> tuple[np.ndarray, np.ndarray]:
+    """The seeded Monte Carlo sample and its (M, K) posterior matrix.
+
+    This is the one sample pass behind pmc_mc and delta_matrix; a caller
+    that needs both passes it to each as _sample.
+    """
+    X, _ = sample_mixture(model, settings.m_samples, settings.seed)
+    return X, cluster_posterior_matrix(model, config, X)
+
+
 def pmc_from_sample(model: MixtureModel, config: ClusterConfiguration | None,
-                    X, rule: str = "randomized") -> tuple[float, float]:
-    """Risk estimate and standard error evaluated on a given sample."""
-    return _mean_and_se(_summands(cluster_posterior_matrix(model, config, X),
-                                  rule))
+                    X, rule: str = "randomized", *,
+                    _pi: np.ndarray | None = None) -> tuple[float, float]:
+    """Risk estimate and standard error evaluated on a given sample.
+
+    _pi is cluster_posterior_matrix(model, config, X), when the caller
+    already holds it.
+    """
+    if _pi is None:
+        _pi = cluster_posterior_matrix(model, config, X)
+    return _mean_and_se(_summands(_pi, rule))
 
 
 def pmc_mc(model: MixtureModel, config: ClusterConfiguration | None = None,
-           settings: PmcSettings | None = None) -> McEstimate:
-    """Monte Carlo risk estimate under the configured decision rule."""
+           settings: PmcSettings | None = None, *,
+           _sample: tuple[np.ndarray, np.ndarray] | None = None
+           ) -> McEstimate:
+    """Monte Carlo risk estimate under the configured decision rule.
+
+    _sample is _mc_sample(model, config, settings), when the caller already
+    holds it.
+    """
     if settings is None:
         settings = PmcSettings()
     if config is None:
         config = ClusterConfiguration.singletons(model.kappa)
     if config.K == 1:
         return McEstimate(0.0, 0.0, settings.m_samples, settings.seed)
-    X, _ = sample_mixture(model, settings.m_samples, settings.seed)
-    value, se = pmc_from_sample(model, config, X, settings.rule)
+    X, pi = _mc_sample(model, config, settings) if _sample is None else _sample
+    value, se = pmc_from_sample(model, config, X, settings.rule, _pi=pi)
     return McEstimate(value, se, settings.m_samples, settings.seed)
 
 
@@ -262,12 +296,37 @@ class DeltaMatrix:
         return "\n".join(lines) + "\n"
 
 
+def _pair_deltas(pi: np.ndarray) -> np.ndarray:
+    """(K, K) symmetric 2 E[pi_i pi_j] over the rows of pi (M, K), with a
+    zero diagonal.
+
+    The pairs (i, j > i) go in blocks of at most BLOCK_ELEMENTS products
+    (one pair when M is larger): row i of a contiguous pi^T times the rows
+    of j, each product row summed pairwise in row order.  A pair's sum does
+    not depend on its block, so a relabeling permutes the entries exactly.
+    """
+    M, K = pi.shape
+    cols = np.ascontiguousarray(pi.T)
+    rows = max(1, BLOCK_ELEMENTS // M)
+    delta = np.zeros((K, K))
+    for i in range(K - 1):
+        for lo in range(i + 1, K, rows):
+            hi = min(K, lo + rows)
+            delta[i, lo:hi] = delta[lo:hi, i] = 2.0 * (
+                (cols[i] * cols[lo:hi]).sum(axis=-1) / M)
+    return delta
+
+
 def delta_matrix(model: MixtureModel,
                  config: ClusterConfiguration | None = None,
-                 settings: PmcSettings | None = None) -> DeltaMatrix:
+                 settings: PmcSettings | None = None, *,
+                 _sample: tuple[np.ndarray, np.ndarray] | None = None
+                 ) -> DeltaMatrix:
     """All pairwise merge reductions estimated from ONE shared sample.
 
     Only the randomized rule decomposes pairwise, so that rule is required.
+    _sample is _mc_sample(model, config, settings), when the caller already
+    holds it.
     """
     if settings is None:
         settings = PmcSettings()
@@ -276,12 +335,8 @@ def delta_matrix(model: MixtureModel,
     if config is None:
         config = ClusterConfiguration.singletons(model.kappa)
     K = config.K
-    X, _ = sample_mixture(model, settings.m_samples, settings.seed)
-    pi = cluster_posterior_matrix(model, config, X)
-    delta = np.zeros((K, K))
-    for i in range(K):
-        for j in range(i + 1, K):
-            delta[i, j] = delta[j, i] = 2.0 * _sorted_mean(pi[:, i] * pi[:, j])
+    _, pi = _mc_sample(model, config, settings) if _sample is None else _sample
+    delta = _pair_deltas(pi)
     total = float(_sorted_sum(delta[np.triu_indices(K, 1)])) if K > 1 else 0.0
     _, se = _mean_and_se(_summands(pi, "randomized"))
     return DeltaMatrix(delta, settings.m_samples, settings.seed, total, se)

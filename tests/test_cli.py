@@ -123,6 +123,43 @@ class TestPmcCommand:
         assert out == ""
         assert parse_err(err)["kind"] == "numeric"
 
+    def test_delta_reports_the_plain_estimate(self, capsys, model_path):
+        args = ("pmc", "--model", model_path, "--m", "20000", "--seed", "7")
+        _, plain, _ = run(capsys, *args)
+        code, out = run_quiet(capsys, *args, "--delta")
+        assert code == 0
+        report = strict_json(out)
+        assert report["estimate"] == strict_json(plain)["estimate"]
+        delta = report["delta"]
+        assert delta["pmc_std_error"] == report["estimate"]["std_error"]
+        assert abs(delta["pmc"] - report["estimate"]["value"]) <= 1e-12
+
+    def test_delta_with_quadrature(self, capsys, model_path):
+        code, out = run_quiet(capsys, "pmc", "--model", model_path, "--m",
+                              "20000", "--seed", "7", "--delta",
+                              "--quadrature")
+        assert code == 0
+        report = strict_json(out)
+        _, quad, _ = run(capsys, "pmc", "--model", model_path,
+                         "--quadrature")
+        assert report["estimate"] == strict_json(quad)["estimate"]
+        _, mc, _ = run(capsys, "pmc", "--model", model_path, "--m", "20000",
+                       "--seed", "7", "--delta")
+        assert report["delta"] == strict_json(mc)["delta"]
+
+    def test_delta_with_one_cluster(self, capsys, model_path, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"assignment": [0, 0], "K": 1}))
+        code, out = run_quiet(capsys, "pmc", "--model", model_path,
+                              "--config", str(config), "--m", "20000",
+                              "--delta")
+        assert code == 0
+        report = strict_json(out)
+        assert report["estimate"]["value"] == 0.0
+        assert report["estimate"]["std_error"] == 0.0
+        assert report["delta"]["values"] == [[0.0]]
+        assert report["delta"]["pmc"] == 0.0
+
     def test_data_dimension_mismatch(self, capsys, model_path, tmp_path):
         path = tmp_path / "wide.csv"
         path.write_text("1,2\n3,4\n")
@@ -213,6 +250,21 @@ class TestSelectKCommand:
         assert last["gap"] is None and last["gap_sd"] is None
         assert all(row["gap"] is not None for row in report["rows"][:-1])
         assert report["selected_K"] != 5
+
+    def test_repair_keeps_every_cluster(self, capsys, tmp_path):
+        # 5 distinct points, 4 copies each: some restart at K = 5 or 6
+        # leaves a cluster empty whose farthest point is alone in its own
+        path = tmp_path / "corners.csv"
+        path.write_text("".join(f"{x!r},{y!r}\n"
+                                for x, y in ((0.0, 0.0), (1.0, 0.0),
+                                             (0.0, 1.0), (1.0, 1.0),
+                                             (2.0, 2.0))
+                                for _ in range(4)))
+        code, out, err = run(capsys, "select-k", "--data", str(path),
+                             "--k-range", "1:6", "--b-refs", "10",
+                             "--reps", "2", "--seed", "1")
+        assert code in (0, 4), err
+        assert [row["K"] for row in strict_json(out)["rows"]] == [*range(1, 7)]
 
 
 class TestHclustTestCommand:

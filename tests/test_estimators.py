@@ -1,5 +1,4 @@
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -69,7 +68,8 @@ def per_restart_kmeanspp(X, K, rng):
 
 def per_restart_lloyd(X, centers, max_iter):
     """Reference Lloyd loop: one restart, a per-cluster centroid update,
-    and a repair that recomputes every centroid after each hand-over."""
+    and a repair that takes the farthest point of a cluster with at least
+    two rows and recomputes every centroid after each hand-over."""
     n, K = X.shape[0], centers.shape[0]
     labels = None
     path = []
@@ -81,7 +81,10 @@ def per_restart_lloyd(X, centers, max_iter):
             if mask.any():
                 centers[j] = X[mask].mean(axis=0)
             else:
-                far = d2[np.arange(n), new_labels].argmax()
+                own = d2[np.arange(n), new_labels]
+                own[np.bincount(new_labels, minlength=K)[new_labels] < 2] = (
+                    -np.inf)
+                far = own.argmax()
                 new_labels[far] = j
                 centers[j] = X[far]
                 for jj in range(K):
@@ -93,11 +96,8 @@ def per_restart_lloyd(X, centers, max_iter):
             labels = new_labels
             break
         labels = new_labels
-    with warnings.catch_warnings():
-        # a cluster a repair emptied has no mean: "Mean of empty slice"
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for j in range(K):
-            centers[j] = X[labels == j].mean(axis=0)
+    for j in range(K):
+        centers[j] = X[labels == j].mean(axis=0)
     distortion = float(((X - centers[labels]) ** 2).sum())
     return labels, centers, distortion, tuple(path)
 
@@ -142,14 +142,14 @@ def assert_same_fit(got, expect):
 
 
 # Five points on a line and three hand-picked starts.  The far point 20 is
-# alone in its cluster and farthest from its centre, so the repair of the
-# empty cluster takes it and empties the cluster it came from.
+# alone in its cluster and farthest from its centre.  Taking it would empty
+# the cluster it came from, so the repair of the empty cluster takes the
+# farthest point of a cluster with two rows instead.
 FIVE = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0], [6.0, 0.0], [20.0, 0.0]])
 REPAIR_STARTS = {
-    # cluster 0 is visited before the repair of cluster 1 empties it
+    # taking the far point would empty cluster 0, visited before the repair
     "empties_visited_cluster": [[12.0, 0.0], [100.0, 0.0], [3.0, 0.0]],
-    # the repair of cluster 0 empties cluster 1, whose own repair in the
-    # same iteration takes the far point back and empties cluster 0 again
+    # taking the far point would empty cluster 1, repaired after cluster 0
     "empties_later_cluster": [[100.0, 0.0], [12.0, 0.0], [3.0, 0.0]],
 }
 
@@ -215,9 +215,8 @@ class TestKmeans:
             assert np.array_equal(stack[0], centers)
             assert got_paths[0][-1] == distortion
             assert tuple(got_paths[0]) == path
-            # the first repair left a cluster empty, and the fit recovered
-            assert (sizes[0] == 0).any()
-            assert np.bincount(labels).min() > 0
+            # no repair left a cluster empty
+            assert sizes and all(s.min() > 0 for s in sizes)
             return
         # integer coordinates: every centroid sum is exact, so p = 1 (whose
         # former mean summed pairwise) compares bit for bit as well
@@ -235,17 +234,10 @@ class TestKmeans:
                 base = rng.integers(-3, 4, size=(int(rng.integers(1, n)), p))
                 X = base[rng.integers(0, len(base), n)].astype(float)
                 K = int(rng.integers(len(np.unique(X, axis=0)) + 1, n + 1))
-            try:
-                expect = per_restart_kmeans(X, K, 3, seed)
-            except ValueError:
-                # the winning restart ended with a cluster that a repair
-                # emptied; the stacked loop must reach the same state
-                with pytest.raises(ValueError, match="every cluster index"):
-                    fit_kmeans(X, K, restarts=3, seed=seed)
-                continue
-            assert_same_fit(fit_kmeans(X, K, restarts=3, seed=seed), expect)
+            assert_same_fit(fit_kmeans(X, K, restarts=3, seed=seed),
+                            per_restart_kmeans(X, K, 3, seed))
             fitted += 1
-        assert sizes and fitted >= 15
+        assert sizes and all(s.min() > 0 for s in sizes) and fitted == 100
 
     @pytest.mark.parametrize("p", [2, 3, 7, 8, 10])
     def test_matches_per_restart_kmeans_bit_for_bit(self, p):

@@ -1,11 +1,12 @@
 """Property tests for the estimation chain: log-density, posteriors,
-per-point loss, and the mean with its Monte Carlo standard error; for the
-stacked k-means restarts; and for the stacked existence-test statistic."""
+per-point loss, the mean with its Monte Carlo standard error, the delta
+matrix and the merge bookkeeping; for the stacked k-means restarts; and for
+the stacked existence-test statistic."""
+import importlib
 import tracemalloc
 from unittest import mock
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import multivariate_normal
 
@@ -13,12 +14,15 @@ from distinguish import (MixtureModel, Partition, PmcSettings,
                          cluster_posterior_matrix, cut_tree,
                          default_regularization, delta_matrix, fit_hclust,
                          fit_kmeans, hyptest, mixture, partition_to_gaussians,
-                         pmc_from_sample, pmc_mc, pmc_statistic,
+                         phm_run, pmc_from_sample, pmc_mc, pmc_statistic,
                          pmc_upper_bound, stream)
 from distinguish.estimators import (_gaussian_moments, fit_kmeans_many,
                                     sq_dists)
 from distinguish.models import BLOCK_ELEMENTS, gaussian_log_density
-from distinguish.pmc import RULES
+from distinguish.pmc import RULES, _summands
+
+# the package exports the function pmc under the module's name
+pmc_module = importlib.import_module("distinguish.pmc")
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=30)
 
@@ -61,6 +65,61 @@ def test_component_relabelling_is_bit_identical(shape, rnd):
                 == pmc_from_sample(model, None, X, rule))
     assert np.array_equal(cluster_posterior_matrix(relabelled, None, X),
                           cluster_posterior_matrix(model, None, X)[:, perm])
+
+
+@PROPERTY
+@given(shapes, st.randoms(use_true_random=False), st.integers(1, 5))
+def test_relabelling_permutes_pair_deltas_bit_for_bit(shape, rnd, per_block):
+    model, rng = build(*shape)
+    perm = list(range(model.kappa))
+    rnd.shuffle(perm)
+    relabelled = MixtureModel(model.weights[perm],
+                              tuple(model.components[j] for j in perm))
+    X = rng.normal(0, 3, (2000, model.p))
+    s = PmcSettings(m_samples=X.shape[0])
+
+    def deltas(m):
+        sample = (X, cluster_posterior_matrix(m, None, X))
+        return delta_matrix(m, None, s, _sample=sample)
+
+    D = deltas(model)
+    # blocks of per_block pairs: a pair's sum does not depend on its block
+    with mock.patch.object(pmc_module, "BLOCK_ELEMENTS", X.shape[0] * per_block):
+        R = deltas(relabelled)
+    assert np.array_equal(R.values, D.values[perm][:, perm])
+    assert R.pmc == D.pmc and R.pmc_std_error == D.pmc_std_error
+
+
+@PROPERTY
+@given(shapes)
+def test_delta_total_is_the_ascending_triangle_sum(shape):
+    model, _ = build(*shape)
+    D = delta_matrix(model, None, PmcSettings(m_samples=2000, seed=shape[0]))
+    upper = D.values[np.triu_indices(model.kappa, 1)]
+    assert D.pmc == float(np.sort(upper).sum())
+
+
+@PROPERTY
+@given(shapes)
+def test_merge_steps_subtract_exactly(shape):
+    model, _ = build(*shape)
+    trace, config = phm_run(model, 0.0,
+                            PmcSettings(m_samples=2000, seed=shape[0]))
+    assert config.K == 1 and len(trace.steps) == model.kappa - 1
+    before = trace.initial_pmc.value
+    for step in trace.steps:
+        assert step.pmc_before == before
+        assert step.pmc_before - step.delta_pmc == step.pmc_after
+        before = step.pmc_after
+
+
+@PROPERTY
+@given(shapes)
+def test_randomized_summand_at_least_optimal_pointwise(shape):
+    model, rng = build(*shape)
+    pi = cluster_posterior_matrix(model, None,
+                                  rng.normal(0, 4, (500, model.p)))
+    assert np.all(_summands(pi, "randomized") >= _summands(pi, "optimal"))
 
 
 @PROPERTY
@@ -151,13 +210,8 @@ def test_stacked_fits_equal_one_by_one(seed, D, n, p, K, restarts,
         # repeated rows make empty clusters and their repair likely
         Xs = Xs[:, rng.integers(0, max(1, n // 3), n)]
     seeds = [int(s) for s in rng.integers(0, 2**32, D)]
-    try:
-        alone = [fit_kmeans(X, K, restarts=restarts, seed=s)
-                 for X, s in zip(Xs, seeds)]
-    except ValueError:
-        with pytest.raises(ValueError):
-            fit_kmeans_many(Xs, K, seeds, restarts)
-        return
+    alone = [fit_kmeans(X, K, restarts=restarts, seed=s)
+             for X, s in zip(Xs, seeds)]
     for got, expect in zip(fit_kmeans_many(Xs, K, seeds, restarts), alone):
         assert np.array_equal(got.partition.labels, expect.partition.labels)
         assert np.array_equal(got.centroids, expect.centroids)
@@ -206,7 +260,7 @@ def test_stacked_moments_equal_one_by_one(seed, D, n, p, K):
 def former_statistic(V):
     """pmc_statistic as it was computed one replicate at a time: Ward
     split, per-cluster masked means and d.T @ d scatter, a MixtureModel,
-    and the sorted-order risk of its posteriors on V."""
+    and the risk of its posteriors on V."""
     n, p = V.shape
     lab = cut_tree(fit_hclust(V), 2).labels
     reg = 1e-6 * float(V.var(axis=0, ddof=1).mean())
