@@ -99,7 +99,7 @@ def _cmd_pmc(args) -> int:
     if args.delta and args.rule != "randomized":
         raise CliError("validation", "delta requires randomized rule")
     model = _load_model(args.model)
-    config = None
+    config = ClusterConfiguration.singletons(model.kappa)
     if args.config:
         with open(args.config) as fh:
             raw = json.load(fh)
@@ -118,8 +118,9 @@ def _cmd_pmc(args) -> int:
                            f"data dimension {X.p} != model dimension {model.p}")
     settings = PmcSettings(m_samples=args.m, seed=args.seed, rule=args.rule,
                            quadrature=args.quadrature)
-    if args.delta and not args.quadrature:
-        # one sample pass gives the estimate and the delta matrix
+    if args.delta and not args.quadrature and config.K > 1:
+        # one sample pass gives the estimate and the delta matrix; one
+        # cluster needs no sample for either
         sample = _mc_sample(model, config, settings)
         est = pmc_mc(model, config, settings, _sample=sample)
     else:
@@ -321,8 +322,6 @@ def main(argv=None) -> int:
         return 0
     except CliError as exc:
         return _fail(exc.kind, str(exc))
-    except FileNotFoundError as exc:
-        return _fail("io", str(exc))
     except OSError as exc:
         return _fail("io", str(exc))
     except json.JSONDecodeError as exc:

@@ -487,6 +487,8 @@ def fit_gmm_em(X, kappa: int, tol: float = 1e-8, max_iter: int = 500,
         raise ValueError("kappa must be >= 1")
     if n <= kappa:
         raise ValueError(f"need n > kappa, got n={n}, kappa={kappa}")
+    if n_init < 1:
+        raise ValueError("n_init must be >= 1")
     if reg is None:
         reg = default_regularization(V)
     best = None
@@ -507,8 +509,7 @@ def fit_gmm_em(X, kappa: int, tol: float = 1e-8, max_iter: int = 500,
 
 
 def select_gmm_bic(X, kappa_range, tol: float = 1e-8, max_iter: int = 500,
-                   n_init: int = 5, seed: int | None = None,
-                   reg: float | None = None) -> EmFit:
+                   n_init: int = 5, seed: int | None = None) -> EmFit:
     """Fit over a range of component counts and keep the BIC maximizer.
 
     Ties break toward the smaller count; counts whose fits all collapse are
@@ -517,13 +518,14 @@ def select_gmm_bic(X, kappa_range, tol: float = 1e-8, max_iter: int = 500,
     kappas = sorted(set(int(k) for k in kappa_range))
     if not kappas:
         raise ValueError("kappa_range is empty")
+    if n_init < 1:  # checked here, since a per-kappa ValueError is a skip
+        raise ValueError("n_init must be >= 1")
     best: EmFit | None = None
     for kappa in kappas:
         try:
             fit = fit_gmm_em(X, kappa, tol=tol, max_iter=max_iter,
                              n_init=n_init,
-                             seed=derive_seed(seed, "bic-scan", kappa),
-                             reg=reg)
+                             seed=derive_seed(seed, "bic-scan", kappa))
         except (DegenerateFitError, ValueError) as exc:
             warnings.warn(f"skipping kappa={kappa}: {exc}", stacklevel=2)
             continue

@@ -10,7 +10,6 @@ size behind the model.
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,49 +38,33 @@ def phm_run(model: MixtureModel, tau: float,
     kappa = model.kappa
     D = precomputed if precomputed is not None else delta_matrix(
         model, None, settings)
-    raw = D.values.copy()
+    raw = D.values.tolist()
     initial = McEstimate(min(max(D.pmc, 0.0), 1.0), D.pmc_std_error,
                          D.m_samples, D.seed)
-    active = set(range(kappa))
+    # active clusters by smallest member, keys in ascending order, so max
+    # over the pairs below keeps the smallest (i, j) among equal reductions
     members = {i: (i,) for i in range(kappa)}
-    current: dict[tuple[int, int], float] = {}
-    heap: list[tuple[float, int, int]] = []
-    for i in range(kappa):
-        for j in range(i + 1, kappa):
-            current[(i, j)] = raw[i, j]
-            heap.append((-raw[i, j], i, j))
-    heapq.heapify(heap)
     P = D.pmc
     steps: list[MergeStep] = []
-    while P > tau and len(active) > 1:
-        while True:
-            negd, i, j = heapq.heappop(heap)
-            if i in active and j in active and current.get((i, j)) == -negd:
-                break
-        delta = -negd
+    while P > tau and len(members) > 1:
+        i, j = max(((a, b) for a in members for b in members if a < b),
+                   key=lambda ab: raw[ab[0]][ab[1]])
+        delta = raw[i][j]
         after = P - delta
-        members[i] = tuple(sorted(members[i] + members[j]))
-        del members[j]
-        active.remove(j)
+        members[i] = tuple(sorted(members[i] + members.pop(j)))
         steps.append(MergeStep((i, j), delta, P, after, members[i]))
         P = after
-        for k in active:
-            if k == i:
-                continue
-            a, b = (i, k) if i < k else (k, i)
-            ja, jb = (j, k) if j < k else (k, j)
-            val = raw[a, b] + raw[ja, jb]
-            raw[a, b] = raw[b, a] = val
-            current[(a, b)] = val
-            heapq.heappush(heap, (-val, a, b))
-    if tau == 0.0 and len(active) == 1 and abs(P) > 1e-10:
+        for k in members:
+            if k != i:
+                raw[i][k] = raw[k][i] = raw[i][k] + raw[j][k]
+    if tau == 0.0 and len(members) == 1 and abs(P) > 1e-10:
         raise RuntimeError(f"merge bookkeeping drifted from zero: {P!r}")
     assignment = [0] * kappa
-    for rank, root in enumerate(sorted(active)):
-        for comp in members[root]:
+    for rank, comps in enumerate(members.values()):
+        for comp in comps:
             assignment[comp] = rank
-    config = ClusterConfiguration(tuple(assignment), len(active))
-    return MergeTrace(initial, tuple(steps), len(active)), config
+    config = ClusterConfiguration(tuple(assignment), len(members))
+    return MergeTrace(initial, tuple(steps), len(members)), config
 
 
 @dataclass(frozen=True)

@@ -334,10 +334,12 @@ def delta_matrix(model: MixtureModel,
         raise ValueError("delta matrix requires the randomized rule")
     if config is None:
         config = ClusterConfiguration.singletons(model.kappa)
-    K = config.K
+    if config.K == 1:
+        return DeltaMatrix(np.zeros((1, 1)), settings.m_samples,
+                           settings.seed, 0.0, 0.0)
     _, pi = _mc_sample(model, config, settings) if _sample is None else _sample
     delta = _pair_deltas(pi)
-    total = float(_sorted_sum(delta[np.triu_indices(K, 1)])) if K > 1 else 0.0
+    total = float(_sorted_sum(delta[np.triu_indices(config.K, 1)]))
     _, se = _mean_and_se(_summands(pi, "randomized"))
     return DeltaMatrix(delta, settings.m_samples, settings.seed, total, se)
 

@@ -9,7 +9,7 @@ import numpy as np
 from .models import DataMatrix, as_matrix
 
 
-def load_csv(path, has_header: bool = False, delimiter: str = ",") -> DataMatrix:
+def load_csv(path, has_header: bool = False) -> DataMatrix:
     """Parse a rectangular numeric CSV file into a DataMatrix.
 
     Ragged rows and non-numeric cells are reported with their position.
@@ -17,7 +17,7 @@ def load_csv(path, has_header: bool = False, delimiter: str = ",") -> DataMatrix
     rows: list[list[float]] = []
     names: tuple[str, ...] | None = None
     with open(path, newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
+        reader = csv.reader(fh)
         width = None
         for lineno, rec in enumerate(reader, start=1):
             if not rec or (len(rec) == 1 and rec[0].strip() == ""):

@@ -14,28 +14,26 @@ import numpy as np
 
 from .estimators import (cut_tree, fit_hclust, fit_kmeans, fit_kmeans_many,
                          partition_to_gaussians, sq_dists)
-from .models import Partition, as_matrix
+from .models import BLOCK_ELEMENTS, Partition, as_matrix
 from .pmc import PmcSettings, pmc_mc
 from .rng import derive_seed, stream
 
 CLUSTERERS = ("kmeans", "hclust")
 
 
-def _cluster(X: np.ndarray, K: int, method: str, seed: int | None,
-             restarts: int = 10) -> Partition:
+def _cluster(X: np.ndarray, K: int, method: str,
+             seed: int | None) -> Partition:
     if method == "kmeans":
-        return fit_kmeans(X, K, restarts=restarts, seed=seed).partition
+        return fit_kmeans(X, K, seed=seed).partition
     if method == "hclust":
         return cut_tree(fit_hclust(X), K)
     raise ValueError(f"clusterer must be one of {CLUSTERERS}")
 
 
-def _cluster_many(Xs, K: int, method: str, seeds,
-                  restarts: int = 10) -> list[Partition]:
+def _cluster_many(Xs, K: int, method: str, seeds) -> list[Partition]:
     """_cluster on each dataset of a (D, n, p) stack, seeds[d] for the d-th."""
     if method == "kmeans":
-        return [fit.partition
-                for fit in fit_kmeans_many(Xs, K, seeds, restarts)]
+        return [fit.partition for fit in fit_kmeans_many(Xs, K, seeds)]
     return [_cluster(X, K, method, None) for X in Xs]
 
 
@@ -50,7 +48,7 @@ def _within_dispersion(X: np.ndarray, part: Partition) -> float:
 
 def gap_statistic(X, clusterer: str = "kmeans",
                   k_range=range(1, 9), B: int = 50,
-                  seed: int | None = None, restarts: int = 10
+                  seed: int | None = None
                   ) -> dict[int, tuple[float | None, float | None]]:
     """Gap and its standard error per K.
 
@@ -73,8 +71,7 @@ def gap_statistic(X, clusterer: str = "kmeans",
         refs[b] = lo + stream(seed, "gap-ref", b).random(V.shape) * (hi - lo)
     out: dict[int, tuple[float, float]] = {}
     for K in ks:
-        part = _cluster(V, K, clusterer, derive_seed(seed, "gap-obs", K),
-                        restarts)
+        part = _cluster(V, K, clusterer, derive_seed(seed, "gap-obs", K))
         within = _within_dispersion(V, part)
         if within == 0.0:
             out[K] = (None, None)
@@ -82,8 +79,7 @@ def gap_statistic(X, clusterer: str = "kmeans",
         log_w = np.log(within)
         ref_parts = _cluster_many(
             refs, K, clusterer,
-            [derive_seed(seed, "gap-fit", (b << 12) | K) for b in range(B)],
-            restarts)
+            [derive_seed(seed, "gap-fit", (b << 12) | K) for b in range(B)])
         ref_log = np.array([np.log(_within_dispersion(R, rp))
                             for R, rp in zip(refs, ref_parts)])
         gap = float(ref_log.mean() - log_w)
@@ -143,9 +139,9 @@ def silhouette(X, part: Partition) -> float:
     lab = part.labels
     sizes = np.bincount(lab, minlength=part.K)
     # distance sums to each cluster, in row blocks whose (rows, n, p)
-    # difference array holds at most 2**21 elements
+    # difference array holds at most BLOCK_ELEMENTS elements
     cluster_sums = np.empty((n, part.K))
-    step = max(1, (1 << 21) // V.size)
+    step = max(1, BLOCK_ELEMENTS // V.size)
     for lo in range(0, n, step):
         D = np.sqrt(sq_dists(V[lo:lo + step], V))
         for k in range(part.K):
@@ -199,7 +195,7 @@ def _nearest(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 
 def _split_fits(V: np.ndarray, K: int, clusterer: str, reps: int,
-                seed: int | None, split: str, fit: str, restarts: int):
+                seed: int | None, split: str, fit: str):
     """Per repetition, the two halves of a random split of the rows (from
     the `split` stream) and a partition of each half.
 
@@ -213,7 +209,7 @@ def _split_fits(V: np.ndarray, K: int, clusterer: str, reps: int,
     sides = [_cluster_many(V[np.array([h[side] for h in halves])], K,
                            clusterer,
                            [derive_seed(seed, fit, 2 * r + side)
-                            for r in range(reps)], restarts)
+                            for r in range(reps)])
              for side in (0, 1)]
     return list(zip(halves, zip(*sides)))
 
@@ -227,7 +223,7 @@ def _kept_together(labels: np.ndarray) -> float:
 
 
 def lange_stability(X, clusterer: str, K: int, reps: int = 20,
-                    seed: int | None = None, restarts: int = 10) -> float:
+                    seed: int | None = None) -> float:
     """Agreement between direct and transferred clusterings of half-splits.
 
     Each repetition splits the rows in two, clusters both halves, extends
@@ -241,8 +237,7 @@ def lange_stability(X, clusterer: str, K: int, reps: int = 20,
         raise ValueError("reps must be >= 2")
     scores = []
     for halves, parts in _split_fits(V, K, clusterer, reps, seed,
-                                     "stability-split", "stability-fit",
-                                     restarts):
+                                     "stability-split", "stability-fit"):
         cents = [_centroids(V[idx], part) for idx, part in zip(halves, parts)]
         for src in (0, 1):
             dst = 1 - src
@@ -252,7 +247,7 @@ def lange_stability(X, clusterer: str, K: int, reps: int = 20,
 
 
 def prediction_strength(X, clusterer: str, K: int, reps: int = 20,
-                        seed: int | None = None, restarts: int = 10) -> float:
+                        seed: int | None = None) -> float:
     """Worst-cluster co-membership agreement across half-splits.
 
     For each split, test points are clustered directly and also classified
@@ -267,7 +262,7 @@ def prediction_strength(X, clusterer: str, K: int, reps: int = 20,
         raise ValueError("reps must be >= 2")
     values = []
     for (train, test), (train_part, test_part) in _split_fits(
-            V, K, clusterer, reps, seed, "ps-split", "ps-fit", restarts):
+            V, K, clusterer, reps, seed, "ps-split", "ps-fit"):
         transfer = _nearest(V[test], _centroids(V[train], train_part))
         worst = 1.0
         scored = False
@@ -283,8 +278,7 @@ def prediction_strength(X, clusterer: str, K: int, reps: int = 20,
 
 def selection_table(X, method: str = "kmeans", k_range=range(1, 9),
                     tau: float = 0.05, B: int = 50, reps: int = 20,
-                    m_samples: int = 100000, seed: int | None = None,
-                    restarts: int = 10) -> dict:
+                    m_samples: int = 100000, seed: int | None = None) -> dict:
     """Per-K diagnostics table plus the risk-constrained selection.
 
     Rows carry gap, gap sd, risk of the fitted per-cluster Gaussians,
@@ -293,13 +287,12 @@ def selection_table(X, method: str = "kmeans", k_range=range(1, 9),
     """
     V = as_matrix(X)
     ks = sorted(set(int(k) for k in k_range))
-    gaps = gap_statistic(V, method, ks, B=B, seed=seed, restarts=restarts)
+    gaps = gap_statistic(V, method, ks, B=B, seed=seed)
     defined = _defined(gaps)
     rows = []
     pmc_by_k: dict[int, float] = {}
     for K in ks:
-        part = _cluster(V, K, method, derive_seed(seed, "table-fit", K),
-                        restarts)
+        part = _cluster(V, K, method, derive_seed(seed, "table-fit", K))
         model = partition_to_gaussians(V, part)
         est = pmc_mc(model, None,
                      PmcSettings(m_samples=m_samples,
@@ -312,13 +305,12 @@ def selection_table(X, method: str = "kmeans", k_range=range(1, 9),
             "pmc": est.value,
             "pmc_std_error": est.std_error,
             "silhouette": silhouette(V, part) if K >= 2 else None,
-            "stability": lange_stability(V, method, K, reps=reps,
-                                         seed=derive_seed(seed, "table-st", K),
-                                         restarts=restarts) if K >= 2 else None,
+            "stability": lange_stability(
+                V, method, K, reps=reps,
+                seed=derive_seed(seed, "table-st", K)) if K >= 2 else None,
             "prediction_strength": prediction_strength(
                 V, method, K, reps=reps,
-                seed=derive_seed(seed, "table-ps", K),
-                restarts=restarts) if K >= 2 else None,
+                seed=derive_seed(seed, "table-ps", K)) if K >= 2 else None,
         }
         rows.append(row)
     scores = {K: -gaps[K][0] for K in defined}

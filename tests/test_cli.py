@@ -1,3 +1,4 @@
+import importlib
 import json
 import warnings
 
@@ -6,6 +7,9 @@ import pytest
 
 from distinguish import mixture, to_json
 from distinguish.cli import main
+
+# the package exports the function pmc under the module's name
+pmc_module = importlib.import_module("distinguish.pmc")
 
 
 @pytest.fixture
@@ -160,6 +164,19 @@ class TestPmcCommand:
         assert report["delta"]["values"] == [[0.0]]
         assert report["delta"]["pmc"] == 0.0
 
+    def test_delta_with_one_cluster_draws_nothing(self, capsys, model_path,
+                                                  tmp_path, monkeypatch):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"assignment": [0, 0], "K": 1}))
+        calls = []
+        monkeypatch.setattr(pmc_module, "sample_mixture",
+                            lambda *a, **k: calls.append(a))
+        code, _ = run_quiet(capsys, "pmc", "--model", model_path,
+                            "--config", str(config), "--m", "20000",
+                            "--delta")
+        assert code == 0
+        assert calls == []
+
     def test_data_dimension_mismatch(self, capsys, model_path, tmp_path):
         path = tmp_path / "wide.csv"
         path.write_text("1,2\n3,4\n")
@@ -202,6 +219,21 @@ class TestPhmCommand:
         assert code == 0
         assert nwk.read_text().strip().endswith(";")
         assert json.loads(out)["final_K"] == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("--n-init", "0", "--kappa-range", "1:3"),
+        ("--n-init", "-2", "--kappa-range", "2"),
+    ], ids=["zero-in-scan", "negative-single-kappa"])
+    def test_n_init_below_one_rejected(self, capsys, data_path, argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "phm", "--data", data_path, *argv)
+        assert [str(w.message) for w in caught] == []
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["kind"] == "validation"
 
     def test_bad_range_rejected(self, capsys, data_path):
         code, _, err = run(capsys, "phm", "--data", data_path,

@@ -1,7 +1,8 @@
 """Property tests for the estimation chain: log-density, posteriors,
 per-point loss, the mean with its Monte Carlo standard error, the delta
-matrix and the merge bookkeeping; for the stacked k-means restarts; and for
-the stacked existence-test statistic."""
+matrix, the merge order and its bookkeeping; for the stacked k-means restarts;
+and for the stacked existence-test statistic."""
+import heapq
 import importlib
 import tracemalloc
 from unittest import mock
@@ -10,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from scipy.stats import multivariate_normal
 
-from distinguish import (MixtureModel, Partition, PmcSettings,
+from distinguish import (DeltaMatrix, MixtureModel, Partition, PmcSettings,
                          cluster_posterior_matrix, cut_tree,
                          default_regularization, delta_matrix, fit_hclust,
                          fit_kmeans, hyptest, mixture, partition_to_gaussians,
@@ -111,6 +112,87 @@ def test_merge_steps_subtract_exactly(shape):
         assert step.pmc_before == before
         assert step.pmc_before - step.delta_pmc == step.pmc_after
         before = step.pmc_after
+
+
+def former_merge(values, pmc, tau):
+    """The former merge loop, kept as the reference: each pair's reduction
+    in a dict and a lazily invalidated heap, the smallest (i, j) first
+    among equal reductions."""
+    raw = values.copy()
+    kappa = raw.shape[0]
+    active = set(range(kappa))
+    members = {i: (i,) for i in range(kappa)}
+    current = {}
+    heap = []
+    for i in range(kappa):
+        for j in range(i + 1, kappa):
+            current[(i, j)] = raw[i, j]
+            heap.append((-raw[i, j], i, j))
+    heapq.heapify(heap)
+    P = pmc
+    steps = []
+    while P > tau and len(active) > 1:
+        while True:
+            negd, i, j = heapq.heappop(heap)
+            if i in active and j in active and current.get((i, j)) == -negd:
+                break
+        delta = -negd
+        after = P - delta
+        members[i] = tuple(sorted(members[i] + members[j]))
+        del members[j]
+        active.remove(j)
+        steps.append(((i, j), delta, P, after, members[i]))
+        P = after
+        for k in active:
+            if k == i:
+                continue
+            a, b = (i, k) if i < k else (k, i)
+            ja, jb = (j, k) if j < k else (k, j)
+            val = raw[a, b] + raw[ja, jb]
+            raw[a, b] = raw[b, a] = val
+            current[(a, b)] = val
+            heapq.heappush(heap, (-val, a, b))
+    assignment = [0] * kappa
+    for rank, root in enumerate(sorted(active)):
+        for comp in members[root]:
+            assignment[comp] = rank
+    return steps, len(active), tuple(assignment)
+
+
+@st.composite
+def tied_deltas(draw):
+    """Symmetric delta matrices over {0, 1/8, 1/4, 3/8}: every sum is exact
+    and equal reductions are common."""
+    kappa = draw(st.integers(2, 12))
+    upper = draw(st.lists(st.sampled_from([0.0, 0.125, 0.25, 0.375]),
+                          min_size=kappa * (kappa - 1) // 2,
+                          max_size=kappa * (kappa - 1) // 2))
+    values = np.zeros((kappa, kappa))
+    values[np.triu_indices(kappa, 1)] = upper
+    return values + values.T
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(tied_deltas(), st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+def test_merge_order_matches_the_former_heap_loop(values, tau):
+    kappa = values.shape[0]
+    total = float(np.sort(values[np.triu_indices(kappa, 1)]).sum())
+    D = DeltaMatrix(values, 1000, 0, total, 0.0)
+    model = mixture(np.full(kappa, 1.0 / kappa), np.arange(kappa)[:, None],
+                    [np.eye(1)] * kappa)
+    trace, config = phm_run(model, tau, precomputed=D)
+    steps, final_K, assignment = former_merge(values, total, tau)
+
+    def bits(step):
+        pair, delta, before, after, members = step
+        return (tuple(pair), float(delta).hex(), float(before).hex(),
+                float(after).hex(), tuple(members))
+
+    assert ([bits((s.cluster_pair, s.delta_pmc, s.pmc_before, s.pmc_after,
+                   s.new_cluster_members)) for s in trace.steps]
+            == [bits(s) for s in steps])
+    assert trace.final_K == config.K == final_K
+    assert config.assignment == assignment
 
 
 @PROPERTY

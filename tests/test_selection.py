@@ -143,7 +143,7 @@ class TestGap:
             estimators.fit_kmeans_many, max_iter=1))
         tracemalloc.start()
         try:
-            gap_statistic(X, "kmeans", [3], B=50, seed=0, restarts=10)
+            gap_statistic(X, "kmeans", [3], B=50, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
