@@ -426,60 +426,216 @@ def _seed_responsibilities(X: np.ndarray, kappa: int,
     return resp / resp.sum(axis=1, keepdims=True)
 
 
-def _em_single(X: np.ndarray, resp: np.ndarray, reg: float,
-               tol: float, max_iter: int):
+# The moment form's terms are as large as ||x - mean||^2 times a precision
+# of at most 1 / reg, so it loses about eps * max ||x - mean||^2 / reg to
+# cancellation; above this bound EM uses the centred form.  On heavy-tailed
+# data near the bound the two forms' logliks agreed within 3e-11 relative.
+_MOMENT_FORM_BOUND = 1e-7
+
+
+def _moment_form_ok(X: np.ndarray, reg: float) -> bool:
+    """Whether EM on the centred rows X may use the moment form."""
+    r2 = np.einsum("ij,ij->i", X, X).max()
+    return reg > 0 and np.finfo(float).eps * r2 <= _MOMENT_FORM_BOUND * reg
+
+
+def _features(X: np.ndarray) -> np.ndarray:
+    """Rows [1, x, vec(x x^T)] of X."""
     n, p = X.shape
-    kappa = resp.shape[1]
-    rows = max(1, BLOCK_ELEMENTS // (kappa * p))
-    ll_prev = -np.inf
-    converged = False
-    it = 0
-    path = []
+    return np.hstack([np.ones((n, 1)), X,
+                      (X[:, :, None] * X[:, None]).reshape(n, p * p)])
+
+
+def _centred_scatter(X, R, mu, kappas, off):
+    """(C, p, p) responsibility-weighted scatter about each mean, from the
+    centred differences, start by start in row blocks of at most
+    BLOCK_ELEMENTS differences."""
+    n, p = X.shape
+    scatter = np.zeros((mu.shape[0], p, p))
+    for lo, kappa in zip(off.tolist(), kappas.tolist()):
+        c = slice(lo, lo + kappa)
+        rows = max(1, BLOCK_ELEMENTS // (kappa * p))
+        for a in range(0, n, rows):
+            d = X[a:a + rows] - mu[c, None]
+            scatter[c] += (R[c, a:a + rows, None] * d).transpose(0, 2, 1) @ d
+    return scatter
+
+
+def _segments(kappas: np.ndarray):
+    """First component of each start, and the start of each component, in
+    a stack of starts with the given component counts."""
+    return (np.concatenate([[0], np.cumsum(kappas)[:-1]]),
+            np.repeat(np.arange(kappas.size), kappas))
+
+
+def _drop(keep: np.ndarray, kappas: np.ndarray, per_start, per_component):
+    """The per-start and per-component arrays of the starts in keep."""
+    comp = np.repeat(keep, kappas)
+    return [a[keep] for a in per_start], [a[comp] for a in per_component]
+
+
+def _em_stack(V: np.ndarray, resps, reg: float, tol: float, max_iter: int):
+    """EM for a stack of starts on the rows of V (n, p): start s runs from
+    the responsibilities resps[s] (n, kappa_s).
+
+    The components of all starts lie along one axis, and every product is
+    batched per component, so a start's fit does not depend on the others
+    in its stack.  X is V centred once on its mean.  The moment form works
+    from the row features Z = [1, x, vec(x x^T)]: one product R^T Z per
+    component gives the weight, the mean and the scatter
+    R^T XX / n_k - mu mu^T, and one product Z b per component gives the log
+    density, whose Mahalanobis term is vec(x x^T).vec(P) - 2 x.P mu +
+    mu.P mu.  One eigh per iteration gives the condition check, the
+    log-determinant and P.  Where that form would cancel (_moment_form_ok),
+    the scatter and the log-density come from the centred differences
+    instead.  Row blocks bound Z at BLOCK_ELEMENTS elements.
+
+    A start leaves the stack when it converges, at max_iter, or when it
+    collapses: a weight under 1e-8, or a covariance whose smallest
+    eigenvalue is <= 0 or below 1e-12 of its largest.  Returns per start
+    (loglik, weights, means, covariances, iterations, converged, loglik
+    path), or None for a start that collapsed.
+    """
+    n, p = V.shape
+    xbar = V.mean(axis=0)
+    X = V - xbar
+    moments = _moment_form_ok(X, reg)
+    rows = max(1, BLOCK_ELEMENTS // (1 + p + p * p))
+    whole = _features(X) if n <= rows else None
+
+    def blocks():
+        if whole is not None:
+            yield 0, whole
+        else:
+            for lo in range(0, n, rows):
+                yield lo, _features(X[lo:lo + rows])
+
+    kap = np.array([r.shape[1] for r in resps])
+    act = np.arange(kap.size)
+    # C order: a row of R is one component, unit stride whatever the stack
+    R = np.concatenate(resps, axis=1).T.copy()
+    floor = reg * np.eye(p)
+    out = [None] * kap.size
+    paths = [[] for _ in resps]
+    ll_prev = np.full(kap.size, -np.inf)
+    off, seg = _segments(kap)
     for it in range(1, max_iter + 1):
-        nk = resp.sum(axis=0)
-        if nk.min() / n < 1e-8:
-            return None
+        T = sum(R[:, None, lo:lo + Zb.shape[0]] @ Zb
+                for lo, Zb in blocks())[:, 0]
+        low = T[:, 0] / n < 1e-8
+        if low.any():
+            keep = ~np.logical_or.reduceat(low, off)
+            (act, kap, ll_prev), (R, T) = _drop(keep, kap, (act, kap, ll_prev),
+                                                (R, T))
+            if not act.size:
+                break
+            off, seg = _segments(kap)
+        nk = T[:, 0]
         w = nk / n
-        mu = (resp.T @ X) / nk[:, None]
-        scatter = np.zeros((kappa, p, p))
-        for lo in range(0, n, rows):
-            d = X[lo:lo + rows] - mu[:, None]
-            scatter += (resp[lo:lo + rows].T[:, :, None] * d
-                        ).transpose(0, 2, 1) @ d
-        covs = scatter / nk[:, None, None] + reg * np.eye(p)
+        mu = T[:, 1:p + 1] / nk[:, None]
+        if moments:
+            covs = (T[:, p + 1:].reshape(-1, p, p) / nk[:, None, None]
+                    - mu[:, :, None] * mu[:, None])
+        else:
+            covs = _centred_scatter(X, R, mu, kap, off) / nk[:, None, None]
+        covs += floor
         covs = (covs + covs.transpose(0, 2, 1)) / 2.0
-        try:
+        ev, U = np.linalg.eigh(covs)
+        bad = (ev[:, 0] <= 0) | (ev[:, -1] > 1e12 * ev[:, 0])
+        if bad.any():
+            keep = ~np.logical_or.reduceat(bad, off)
+            (act, kap, ll_prev), (R, w, mu, covs, ev, U) = _drop(
+                keep, kap, (act, kap, ll_prev), (R, w, mu, covs, ev, U))
+            if not act.size:
+                break
+            off, seg = _segments(kap)
+        if moments:
+            # log w + log N(x; mu, P^-1) as b . [1, x, vec(x x^T)]
+            P = (U / ev[:, None]) @ U.transpose(0, 2, 1)
+            Pmu = (P @ mu[:, :, None])[:, :, 0]
+            const = np.log(w) - 0.5 * (np.log(ev).sum(axis=1)
+                                       + p * np.log(2.0 * np.pi)
+                                       + (mu * Pmu).sum(axis=1))
+            b = np.concatenate([const[:, None], Pmu,
+                                -0.5 * P.reshape(-1, p * p)], axis=1)
+            A = np.empty(R.shape)
+            for lo, Zb in blocks():
+                A[:, lo:lo + Zb.shape[0]] = (Zb @ b[:, :, None])[:, :, 0]
+        else:
             L = np.linalg.cholesky(covs)
-        except np.linalg.LinAlgError:
-            return None
-        ev = np.linalg.eigvalsh(covs)
-        if np.any(ev[:, -1] > 1e12 * ev[:, 0]):
-            return None
-        a = np.log(w) + gaussian_log_density(X, mu, L)
-        m = a.max(axis=1, keepdims=True)
-        e = np.exp(a - m)
-        total = e.sum(axis=1, keepdims=True)
-        ll = float((m + np.log(total)).sum())
-        path.append(ll)
-        resp = e / total
-        if it > 1 and ll - ll_prev < tol * abs(ll):
-            converged = True
-            break
+            A = np.empty(R.shape)
+            for c, k in zip(off.tolist(), kap.tolist()):
+                A[c:c + k] = gaussian_log_density(X, mu[c:c + k],
+                                                  L[c:c + k]).T
+            A += np.log(w)[:, None]
+        m = np.maximum.reduceat(A, off, axis=0)
+        A -= m[seg]
+        np.exp(A, out=A)
+        total = np.add.reduceat(A, off, axis=0)
+        ll = (m + np.log(total)).sum(axis=1)
+        A /= total[seg]
+        R = A
+        for s, v in zip(act.tolist(), ll.tolist()):
+            paths[s].append(v)
+        done = ll - ll_prev < tol * np.abs(ll)
+        stop = done | (it == max_iter)
+        if stop.any():
+            for i in np.flatnonzero(stop).tolist():
+                c = slice(off[i], off[i] + kap[i])
+                wi = w[c].copy()
+                _unit_sum(wi)
+                out[act[i]] = (float(ll[i]), wi, mu[c] + xbar, covs[c], it,
+                               bool(done[i]), tuple(paths[act[i]]))
+            if stop.all():
+                break
+            (act, kap, ll), (R,) = _drop(~stop, kap, (act, kap, ll), (R,))
+            off, seg = _segments(kap)
         ll_prev = ll
-    _unit_sum(w)
-    return ll, w, mu, covs, it, converged, tuple(path)
+    return out
+
+
+def _em_starts(V: np.ndarray, kappas, n_init: int, seeds, tol: float,
+               max_iter: int, reg: float) -> list[list]:
+    """Every start of every kappa: _em_stack results, one list of n_init
+    per kappa.
+
+    Start i of kappa j is seeded on stream(seeds[j], "em-init", i),
+    alternating soft and hard kmeans++ responsibilities.  The starts run
+    in stacks of at most BLOCK_ELEMENTS responsibilities each (a start
+    larger than that runs alone).
+    """
+    n = V.shape[0]
+    plan = [(kappa, seed, i) for kappa, seed in zip(kappas, seeds)
+            for i in range(n_init)]
+    results = []
+    lo = 0
+    while lo < len(plan):
+        hi, width = lo + 1, plan[lo][0]
+        while hi < len(plan) and (width + plan[hi][0]) * n <= BLOCK_ELEMENTS:
+            width += plan[hi][0]
+            hi += 1
+        resps = [_seed_responsibilities(V, kappa, stream(seed, "em-init", i),
+                                        soft=(i % 2 == 0))
+                 for kappa, seed, i in plan[lo:hi]]
+        results += _em_stack(V, resps, reg, tol, max_iter)
+        lo = hi
+    return [results[j * n_init:(j + 1) * n_init] for j in range(len(kappas))]
 
 
 def fit_gmm_em(X, kappa: int, tol: float = 1e-8, max_iter: int = 500,
                n_init: int = 5, seed: int | None = None,
-               reg: float | None = None) -> EmFit:
+               reg: float | None = None, *, _starts: list | None = None
+               ) -> EmFit:
     """Full-covariance mixture fit, best of n_init runs by final loglik.
 
     Responsibilities are seeded from kmeans++ centers, alternating a soft
-    (distance-kernel) and a hard assignment across initializations.  An
-    initialization that collapses (component weight under 1e-8 or covariance
-    condition number over 1e12) is discarded; if all collapse the fit is
-    reported as degenerate.
+    (distance-kernel) and a hard assignment across initializations, and the
+    starts run as one stack (_em_stack).  An initialization that collapses
+    (component weight under 1e-8 or covariance condition number over 1e12)
+    is discarded; if all collapse the fit is reported as degenerate.
+
+    _starts is this kappa's list from _em_starts, when the caller already
+    ran the starts.
     """
     V = as_matrix(X)
     n, p = V.shape
@@ -489,16 +645,14 @@ def fit_gmm_em(X, kappa: int, tol: float = 1e-8, max_iter: int = 500,
         raise ValueError(f"need n > kappa, got n={n}, kappa={kappa}")
     if n_init < 1:
         raise ValueError("n_init must be >= 1")
-    if reg is None:
-        reg = default_regularization(V)
+    if _starts is None:
+        if reg is None:
+            reg = default_regularization(V)
+        _starts = _em_starts(V, [kappa], n_init, [seed], tol, max_iter,
+                             reg)[0]
     best = None
-    for i in range(n_init):
-        rng = stream(seed, "em-init", i)
-        resp = _seed_responsibilities(V, kappa, rng, soft=(i % 2 == 0))
-        result = _em_single(V, resp, reg, tol, max_iter)
-        if result is None:
-            continue
-        if best is None or result[0] > best[0]:
+    for result in _starts:
+        if result is not None and (best is None or result[0] > best[0]):
             best = result
     if best is None:
         raise DegenerateFitError("degenerate fit")
@@ -512,20 +666,28 @@ def select_gmm_bic(X, kappa_range, tol: float = 1e-8, max_iter: int = 500,
                    n_init: int = 5, seed: int | None = None) -> EmFit:
     """Fit over a range of component counts and keep the BIC maximizer.
 
-    Ties break toward the smaller count; counts whose fits all collapse are
-    skipped with a warning.
+    Every start of every count runs in one EM stack (_em_starts), and each
+    count's fit is fit_gmm_em's with seed derive_seed(seed, "bic-scan",
+    kappa), to the bit.  Ties break toward the smaller count; counts whose
+    fits all collapse are skipped with a warning.
     """
     kappas = sorted(set(int(k) for k in kappa_range))
     if not kappas:
         raise ValueError("kappa_range is empty")
     if n_init < 1:  # checked here, since a per-kappa ValueError is a skip
         raise ValueError("n_init must be >= 1")
+    V = as_matrix(X)
+    seeds = {kappa: derive_seed(seed, "bic-scan", kappa) for kappa in kappas}
+    valid = [kappa for kappa in kappas if 1 <= kappa < V.shape[0]]
+    starts = dict(zip(valid, _em_starts(
+        V, valid, n_init, [seeds[kappa] for kappa in valid], tol, max_iter,
+        default_regularization(V))))
     best: EmFit | None = None
     for kappa in kappas:
         try:
-            fit = fit_gmm_em(X, kappa, tol=tol, max_iter=max_iter,
-                             n_init=n_init,
-                             seed=derive_seed(seed, "bic-scan", kappa))
+            fit = fit_gmm_em(V, kappa, tol=tol, max_iter=max_iter,
+                             n_init=n_init, seed=seeds[kappa],
+                             _starts=starts.get(kappa))
         except (DegenerateFitError, ValueError) as exc:
             warnings.warn(f"skipping kappa={kappa}: {exc}", stacklevel=2)
             continue

@@ -7,8 +7,9 @@ from distinguish import (DegenerateFitError, KmeansFit, Partition, cut_tree,
                          default_regularization, estimators, fit_gmm_em,
                          fit_hclust, fit_kmeans, free_parameters, models,
                          partition_to_gaussians, select_gmm_bic, stream)
-from distinguish.estimators import (_em_single, _lloyd,
+from distinguish.estimators import (_em_stack, _lloyd,
                                     _seed_responsibilities)
+from distinguish.rng import derive_seed
 
 
 @pytest.fixture(scope="module")
@@ -430,7 +431,70 @@ class TestEm:
         resp = _seed_responsibilities(X, 9, rng, soft=True)
         tracemalloc.start()
         try:
-            _em_single(X, resp, 1e-6, 1e-8, 1)
+            _em_stack(X, [resp], 1e-6, 1e-8, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
+
+    @pytest.mark.parametrize("reg", [0.0, 1e-3])
+    def test_collapsed_starts_leave_the_stack(self, reg):
+        # reg 0 runs the centred form, 1e-3 the moment form; a start whose
+        # component has no weight collapses in both, one whose component
+        # holds a single row (zero covariance) only without a floor
+        rng = np.random.default_rng(11)
+        X = np.vstack([rng.normal(0, 1, (60, 2)), rng.normal(5, 1, (60, 2))])
+        good = [_seed_responsibilities(X, k, stream(0, "test", k), k == 3)
+                for k in (2, 3)]
+        no_weight = np.zeros((120, 2))
+        no_weight[:, 0] = 1.0
+        one_row = no_weight.copy()
+        one_row[0] = [0.0, 1.0]
+        out = _em_stack(X, [no_weight, good[0], one_row, good[1]], reg,
+                        1e-8, 500)
+        assert out[0] is None
+        assert (out[2] is None) == (reg == 0.0)
+        for got, resp in zip((out[1], out[3]), good):
+            solo = _em_stack(X, [resp], reg, 1e-8, 500)[0]
+            ll, w, mu, covs, it, converged, path = got
+            assert ll.hex() == solo[0].hex()
+            for a, b in zip((w, mu, covs), solo[1:4]):
+                assert np.array_equal(a, b)
+            assert (it, converged) == solo[4:6]
+            assert [v.hex() for v in path] == [v.hex() for v in solo[6]]
+
+    def test_collapsed_kappas_are_skipped_with_a_warning(self, monkeypatch):
+        # without a covariance floor, components on single points collapse
+        monkeypatch.setattr(estimators, "default_regularization",
+                            lambda V: 0.0)
+        X = np.repeat([[0.0, 0.0], [1.0, 2.0], [3.0, 1.0]], 8, axis=0)
+        with pytest.warns(UserWarning) as caught:
+            fit = select_gmm_bic(X, [1, 2, 3], n_init=2, seed=0)
+        assert [str(w.message) for w in caught] == [
+            "skipping kappa=2: degenerate fit",
+            "skipping kappa=3: degenerate fit"]
+        solo = fit_gmm_em(X, 1, n_init=2, reg=0.0,
+                          seed=derive_seed(0, "bic-scan", 1))
+        assert fit.loglik == solo.loglik and fit.model.kappa == 1
+
+    def test_scan_with_every_kappa_collapsing_raises(self):
+        with pytest.warns(UserWarning) as caught:
+            with pytest.raises(DegenerateFitError, match="degenerate"):
+                select_gmm_bic(np.zeros((12, 2)), [1, 2, 30], n_init=2,
+                               seed=0)
+        assert [str(w.message) for w in caught] == [
+            "skipping kappa=1: degenerate fit",
+            "skipping kappa=2: degenerate fit",
+            "skipping kappa=30: need n > kappa, got n=12, kappa=30"]
+
+    def test_scan_memory_is_bounded(self):
+        # stacked whole, the 45 starts' responsibilities alone would take
+        # 36 MB; the stacks are chunked at BLOCK_ELEMENTS of them
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(20_000, 10))
+        tracemalloc.start()
+        try:
+            select_gmm_bic(X, range(1, 10), max_iter=1, n_init=5, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

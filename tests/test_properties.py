@@ -1,24 +1,28 @@
 """Property tests for the estimation chain: log-density, posteriors,
 per-point loss, the mean with its Monte Carlo standard error, the delta
 matrix, the merge order and its bookkeeping; for the stacked k-means restarts;
-and for the stacked existence-test statistic."""
+for the stacked EM starts of a BIC scan; and for the stacked existence-test
+statistic."""
+import contextlib
 import heapq
 import importlib
 import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import multivariate_normal
 
 from distinguish import (DeltaMatrix, MixtureModel, Partition, PmcSettings,
                          cluster_posterior_matrix, cut_tree,
-                         default_regularization, delta_matrix, fit_hclust,
-                         fit_kmeans, hyptest, mixture, partition_to_gaussians,
-                         phm_run, pmc_from_sample, pmc_mc, pmc_statistic,
-                         pmc_upper_bound, stream)
-from distinguish.estimators import (_gaussian_moments, fit_kmeans_many,
-                                    sq_dists)
+                         default_regularization, delta_matrix, derive_seed,
+                         estimators, fit_gmm_em, fit_hclust, fit_kmeans,
+                         hyptest, mixture, partition_to_gaussians, phm_run,
+                         pmc_from_sample, pmc_mc, pmc_statistic,
+                         pmc_upper_bound, select_gmm_bic, stream)
+from distinguish.estimators import (_gaussian_moments, _moment_form_ok,
+                                    fit_kmeans_many, sq_dists)
 from distinguish.models import BLOCK_ELEMENTS, gaussian_log_density
 from distinguish.pmc import RULES, _summands
 
@@ -251,6 +255,85 @@ def test_far_mean_keeps_precision():
     expect = (-0.5 * (r * r).sum(axis=1) - 2 * np.log(sd)
               - np.log(2 * np.pi))
     assert np.allclose(comp.log_density(X), expect, rtol=0, atol=1e-8)
+
+
+def draw(model, rng, n):
+    """n rows drawn from the mixture, in random component order."""
+    labels = rng.choice(model.kappa, size=n, p=model.weights)
+    z = rng.standard_normal((n, model.p))
+    return np.array([model.components[j].mean + model.components[j].chol @ v
+                     for j, v in zip(labels, z)])
+
+
+def same_fit(a, b):
+    """Two EmFits equal to the bit."""
+    assert a.loglik.hex() == b.loglik.hex() and a.bic.hex() == b.bic.hex()
+    assert (a.iterations, a.converged) == (b.iterations, b.converged)
+    assert [v.hex() for v in a.loglik_path] == [v.hex() for v in b.loglik_path]
+    assert np.array_equal(a.model.weights, b.model.weights)
+    for c, d in zip(a.model.components, b.model.components, strict=True):
+        assert np.array_equal(c.mean, d.mean)
+        assert np.array_equal(c.covariance, d.covariance)
+
+
+# 30 examples missed a start whose responsibilities had a stack-dependent
+# stride; 100 catch it
+@settings(PROPERTY, max_examples=100)
+@given(shapes, st.integers(40, 150),
+       st.sets(st.integers(1, 6), min_size=1, max_size=4),
+       st.integers(1, 3), st.booleans(), st.booleans())
+def test_scan_fits_equal_their_solo_fits(shape, n, kappas, n_init, small,
+                                         centred):
+    # small blocks split the rows of Z and the scan's starts into several
+    # stacks; neither may change a start's fit, in either form
+    model, rng = build(*shape)
+    X = draw(model, rng, n)
+    seed = shape[0]
+    scanned = {}
+    real = estimators.fit_gmm_em
+
+    def spy(X, kappa, **kw):
+        scanned[kappa] = real(X, kappa, **kw)
+        return scanned[kappa]
+
+    form = (mock.patch.object(estimators, "_moment_form_ok",
+                              return_value=False)
+            if centred else contextlib.nullcontext())
+    with form, mock.patch.object(estimators, "BLOCK_ELEMENTS",
+                                 600 if small else BLOCK_ELEMENTS):
+        with mock.patch.object(estimators, "fit_gmm_em", spy):
+            select_gmm_bic(X, kappas, n_init=n_init, seed=seed)
+        assert scanned.keys() == kappas
+        for kappa, fit in scanned.items():
+            same_fit(fit, fit_gmm_em(X, kappa, n_init=n_init,
+                                     seed=derive_seed(seed, "bic-scan",
+                                                      kappa)))
+
+
+@pytest.mark.parametrize("reg", [0.0, 1e-9])
+def test_far_clusters_fit_in_centred_form(reg):
+    # 1e6 apart with sd 1e-3: the moment form would cancel
+    rng = np.random.default_rng(0)
+    X = np.vstack([rng.normal(0, 1e-3, (100, 2)),
+                   rng.normal(0, 1e-3, (100, 2)) + [1e6, 0.0]])
+    fit = fit_gmm_em(X, 2, n_init=2, seed=0, reg=reg)
+    with mock.patch.object(estimators, "_moment_form_ok", return_value=False):
+        centred = fit_gmm_em(X, 2, n_init=2, seed=0, reg=reg)
+    assert fit.iterations == centred.iterations
+    assert abs(fit.loglik - centred.loglik) <= 1e-10 * abs(centred.loglik)
+    assert not _moment_form_ok(X - X.mean(axis=0), reg)
+
+
+@PROPERTY
+@given(shapes, st.integers(1, 6), st.integers(1, 5))
+def test_moment_and_centred_forms_agree(shape, kappa, p):
+    model, rng = build(shape[0], shape[1], p)
+    X = draw(model, rng, 150)
+    assert _moment_form_ok(X - X.mean(axis=0), default_regularization(X))
+    fit = fit_gmm_em(X, kappa, n_init=2, seed=shape[0])
+    with mock.patch.object(estimators, "_moment_form_ok", return_value=False):
+        centred = fit_gmm_em(X, kappa, n_init=2, seed=shape[0])
+    assert abs(fit.loglik - centred.loglik) <= 1e-10 * abs(centred.loglik)
 
 
 def test_log_component_densities_memory_is_bounded():
