@@ -7,8 +7,8 @@ provenance block; runs are single-process, and a seed fixes every number.
 Argument errors follow the same contract as every other failure: one JSON
 error object on stderr and a kind-specific exit code.
 
-Exit codes: 0 success, 2 input or validation error, 3 numerical failure,
-4 infeasible risk constraint in select-k.
+Exit codes: 0 success, 2 input or validation error, 3 numerical failure
+(running out of memory included), 4 infeasible risk constraint in select-k.
 """
 from __future__ import annotations
 
@@ -330,6 +330,8 @@ def main(argv=None) -> int:
         return _fail("validation", str(exc))
     except (DegenerateFitError, np.linalg.LinAlgError, RuntimeError) as exc:
         return _fail("numeric", str(exc))
+    except MemoryError as exc:
+        return _fail("numeric", str(exc) or "out of memory")
 
 
 if __name__ == "__main__":

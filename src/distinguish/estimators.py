@@ -44,22 +44,6 @@ def _unit_sum(w: np.ndarray) -> None:
         np.put_along_axis(w, top, np.take_along_axis(w, top, -1) + resid, -1)
 
 
-def newick(n_leaves: int, merges) -> str:
-    """Newick text of a binary merge tree, branch lengths from heights.
-
-    Leaves are 0..n_leaves-1 and the i-th (left, right, height) merge
-    creates node n_leaves + i.
-    """
-    height = [0.0] * n_leaves
-    text = [str(i) for i in range(n_leaves)]
-    for a, b, h in merges:
-        a, b = int(a), int(b)
-        text.append(f"({text[a]}:{h - height[a]:.10g},"
-                    f"{text[b]}:{h - height[b]:.10g})")
-        height.append(h)
-    return text[-1] + ";"
-
-
 def sq_dists(X: np.ndarray, C: np.ndarray) -> np.ndarray:
     """(n, k) squared Euclidean distances between the rows of X and C."""
     return np.ascontiguousarray(_stack_sq_dists(X[None], C[None])[0].T)
@@ -92,20 +76,6 @@ class KmeansFit:
     restarts_used: int
     # distortion after each Lloyd iteration of the winning restart
     distortion_path: tuple = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "partition": self.partition.to_dict(),
-            "centroids": self.centroids.tolist(),
-            "distortion": self.distortion,
-            "restarts_used": self.restarts_used,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "KmeansFit":
-        return cls(Partition.from_dict(d["partition"]),
-                   np.asarray(d["centroids"], dtype=float),
-                   float(d["distortion"]), int(d["restarts_used"]))
 
 
 def _kmeanspp_centers(X: np.ndarray, K: int, rngs) -> np.ndarray:
@@ -240,6 +210,8 @@ def fit_kmeans_many(Xs, K: int, seeds, restarts: int = 10,
         raise ValueError(f"need 1 <= K <= n={n}, got K={K}")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     S = D * restarts
     chunk = max(1, BLOCK_ELEMENTS // (n * K * p))
     fits = []
@@ -296,17 +268,6 @@ class HclustTree:
 
     n: int
     merges: np.ndarray  # (n-1, 3): left id, right id, height
-
-    def to_dict(self) -> dict:
-        return {"n": self.n, "merges": self.merges.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "HclustTree":
-        return cls(int(d["n"]), np.asarray(d["merges"], dtype=float))
-
-    def to_newick(self) -> str:
-        """Newick text with branch lengths from merge heights."""
-        return newick(self.n, self.merges)
 
 
 def fit_hclust(X) -> HclustTree:
@@ -392,16 +353,6 @@ class EmFit:
     converged: bool
     # observed-data loglik after each EM iteration of the winning start
     loglik_path: tuple = ()
-
-    def to_dict(self) -> dict:
-        return {"model": self.model.to_dict(), "loglik": self.loglik,
-                "bic": self.bic, "iterations": self.iterations,
-                "converged": self.converged}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EmFit":
-        return cls(MixtureModel.from_dict(d["model"]), float(d["loglik"]),
-                   float(d["bic"]), int(d["iterations"]), bool(d["converged"]))
 
 
 def free_parameters(kappa: int, p: int) -> int:
@@ -645,6 +596,8 @@ def fit_gmm_em(X, kappa: int, tol: float = 1e-8, max_iter: int = 500,
         raise ValueError(f"need n > kappa, got n={n}, kappa={kappa}")
     if n_init < 1:
         raise ValueError("n_init must be >= 1")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     if _starts is None:
         if reg is None:
             reg = default_regularization(V)
@@ -674,8 +627,11 @@ def select_gmm_bic(X, kappa_range, tol: float = 1e-8, max_iter: int = 500,
     kappas = sorted(set(int(k) for k in kappa_range))
     if not kappas:
         raise ValueError("kappa_range is empty")
-    if n_init < 1:  # checked here, since a per-kappa ValueError is a skip
+    # checked here, since a per-kappa ValueError is a skip
+    if n_init < 1:
         raise ValueError("n_init must be >= 1")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     V = as_matrix(X)
     seeds = {kappa: derive_seed(seed, "bic-scan", kappa) for kappa in kappas}
     valid = [kappa for kappa in kappas if 1 <= kappa < V.shape[0]]

@@ -4,13 +4,14 @@ Monte Carlo estimates, and merge traces.
 All types are immutable after construction.
 Component indices are stable for the lifetime of a mixture; clusters are
 identified by sets of component indices, never by reordering.
+The types the CLI writes as JSON have to_dict; the two it also reads,
+MixtureModel (through GaussianComponent) and ClusterConfiguration, have
+from_dict.
 """
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -53,20 +54,6 @@ class DataMatrix:
     @property
     def p(self) -> int:
         return self.values.shape[1]
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": self.n,
-            "cols": self.p,
-            "values": self.values.tolist(),
-            "feature_names": list(self.feature_names) if self.feature_names else None,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DataMatrix":
-        names = d.get("feature_names")
-        return cls(np.asarray(d["values"], dtype=float),
-                   tuple(names) if names else None)
 
 
 def as_matrix(X) -> np.ndarray:
@@ -335,13 +322,6 @@ class Partition:
     def n(self) -> int:
         return self.labels.size
 
-    def to_dict(self) -> dict:
-        return {"labels": self.labels.tolist(), "K": self.K}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Partition":
-        return cls(np.asarray(d["labels"], dtype=int), int(d["K"]))
-
 
 @dataclass(frozen=True)
 class McEstimate:
@@ -361,11 +341,6 @@ class McEstimate:
     def to_dict(self) -> dict:
         return {"value": self.value, "std_error": self.std_error,
                 "m_samples": self.m_samples, "seed": self.seed}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "McEstimate":
-        return cls(float(d["value"]), float(d["std_error"]),
-                   int(d["m_samples"]), d.get("seed"))
 
 
 @dataclass(frozen=True)
@@ -387,12 +362,6 @@ class MergeStep:
             "new_cluster_members": list(self.new_cluster_members),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "MergeStep":
-        return cls(tuple(d["cluster_pair"]), float(d["delta_pmc"]),
-                   float(d["pmc_before"]), float(d["pmc_after"]),
-                   tuple(d["new_cluster_members"]))
-
 
 @dataclass(frozen=True)
 class MergeTrace:
@@ -412,19 +381,3 @@ class MergeTrace:
             "steps": [s.to_dict() for s in self.steps],
             "final_K": self.final_K,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MergeTrace":
-        return cls(McEstimate.from_dict(d["initial_pmc"]),
-                   tuple(MergeStep.from_dict(s) for s in d["steps"]),
-                   int(d["final_K"]))
-
-
-def to_json(obj, **kwargs) -> str:
-    """Serialize any package type (or plain dict) to JSON text."""
-    d = obj.to_dict() if hasattr(obj, "to_dict") else obj
-    return json.dumps(d, **kwargs)
-
-
-def from_json(cls, text: str):
-    return cls.from_dict(json.loads(text))

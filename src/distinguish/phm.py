@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import newick
 from .models import (ClusterConfiguration, McEstimate, MergeStep, MergeTrace,
                      MixtureModel)
 from .pmc import DeltaMatrix, PmcSettings, delta_matrix
@@ -84,14 +83,16 @@ class PhmDendrogram:
         return {"kappa": self.kappa,
                 "nodes": [list(nd) for nd in self.nodes]}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "PhmDendrogram":
-        return cls(int(d["kappa"]),
-                   tuple((int(a), int(b), float(h), float(x))
-                         for a, b, h, x in d["nodes"]))
-
     def to_newick(self) -> str:
-        return newick(self.kappa, (nd[:3] for nd in self.nodes))
+        """Newick text; a branch is as long as its parent node's height
+        minus its child's (0 for a leaf)."""
+        height = [0.0] * self.kappa
+        text = [str(i) for i in range(self.kappa)]
+        for a, b, h, _ in self.nodes:
+            text.append(f"({text[a]}:{h - height[a]:.10g},"
+                        f"{text[b]}:{h - height[b]:.10g})")
+            height.append(h)
+        return text[-1] + ";"
 
 
 def build_dendrogram(trace: MergeTrace) -> PhmDendrogram:

@@ -54,16 +54,6 @@ class PmcSettings:
         if self.rule not in RULES:
             raise ValueError(f"rule must be one of {RULES}")
 
-    def to_dict(self) -> dict:
-        return {"m_samples": self.m_samples, "seed": self.seed,
-                "rule": self.rule, "quadrature": self.quadrature}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PmcSettings":
-        return cls(int(d.get("m_samples", 100000)), d.get("seed"),
-                   str(d.get("rule", "randomized")),
-                   bool(d.get("quadrature", False)))
-
 
 def _sorted_sum(a: np.ndarray) -> np.ndarray:
     """Sum over the last axis in ascending value order: canonical, hence
@@ -122,13 +112,6 @@ def cluster_posterior_matrix(model: MixtureModel,
     terms in ascending value order, so they do not depend on the labels.
     """
     return _posteriors_and_density(model, config, X)[0]
-
-
-def cluster_posteriors(model: MixtureModel,
-                       config: ClusterConfiguration | None,
-                       x) -> np.ndarray:
-    """Posterior cluster probabilities at a single point."""
-    return cluster_posterior_matrix(model, config, np.atleast_2d(x))[0]
 
 
 def _summands(pi: np.ndarray, rule: str) -> np.ndarray:
@@ -279,21 +262,6 @@ class DeltaMatrix:
         return {"values": self.values.tolist(), "m_samples": self.m_samples,
                 "seed": self.seed, "pmc": self.pmc,
                 "pmc_std_error": self.pmc_std_error}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DeltaMatrix":
-        v = np.asarray(d["values"], dtype=float)
-        return cls(v, int(d["m_samples"]), d.get("seed"), float(d["pmc"]),
-                   float(d.get("pmc_std_error", 0.0)))
-
-    def to_pairs_csv(self) -> str:
-        """Heatmap-ready rows: cluster_i,cluster_j,delta."""
-        K = self.values.shape[0]
-        lines = ["cluster_i,cluster_j,delta"]
-        for i in range(K):
-            for j in range(i + 1, K):
-                lines.append(f"{i},{j},{self.values[i, j]!r}")
-        return "\n".join(lines) + "\n"
 
 
 def _pair_deltas(pi: np.ndarray) -> np.ndarray:

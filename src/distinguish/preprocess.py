@@ -83,21 +83,6 @@ class PcaResult:
     stdev_per_component: np.ndarray
     loadings: np.ndarray
 
-    def to_dict(self) -> dict:
-        return {
-            "scores": self.scores.to_dict(),
-            "singular_values": self.singular_values.tolist(),
-            "stdev_per_component": self.stdev_per_component.tolist(),
-            "loadings": self.loadings.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PcaResult":
-        return cls(DataMatrix.from_dict(d["scores"]),
-                   np.asarray(d["singular_values"], dtype=float),
-                   np.asarray(d["stdev_per_component"], dtype=float),
-                   np.asarray(d["loadings"], dtype=float))
-
 
 def pca(X, q: int) -> PcaResult:
     """Project centered data onto its top q principal axes via SVD.

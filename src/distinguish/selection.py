@@ -108,9 +108,6 @@ class SelectionResult:
     K: int
     infeasible: bool
 
-    def to_dict(self) -> dict:
-        return {"K": self.K, "infeasible": self.infeasible}
-
 
 def select_k_constrained(scores: dict[int, float], pmc: dict[int, float],
                          tau: float) -> SelectionResult:

