@@ -233,14 +233,20 @@ def validate(model: MixtureModel) -> list[str]:
     """
     issues: list[str] = []
     w = model.weights
-    if w.size != model.kappa:
-        issues.append(f"weights length {w.size} != component count {model.kappa}")
-    for k, wk in enumerate(w):
-        if not wk > 0:
-            issues.append(f"weight {k} not strictly positive: {wk}")
-    s = float(np.sum(w))
-    if abs(s - 1.0) > WEIGHT_SUM_TOL:
-        issues.append(f"weights sum {s:.6g}")
+    if w.ndim != 1:
+        issues.append(f"weights must be a flat list of numbers, got shape "
+                      f"{list(w.shape)}")
+    else:
+        if w.size != model.kappa:
+            issues.append(f"weights length {w.size} != component count "
+                          f"{model.kappa}")
+        for k, wk in enumerate(w):
+            if not wk > 0:
+                issues.append(f"weight {k} not strictly positive: {wk}")
+        s = float(np.sum(w))
+        if abs(s - 1.0) > WEIGHT_SUM_TOL:
+            issues.append(f"weights sum {s:.17g}, more than "
+                          f"{WEIGHT_SUM_TOL:g} from 1")
     dims = {c.p for c in model.components}
     if len(dims) > 1:
         issues.append(f"components disagree on dimension: {sorted(dims)}")

@@ -18,10 +18,14 @@ one pass, `_mc_sample`, which `pmc --delta` hands to both.
 Summation order is fixed so that a relabeling of components that leaves
 the sample unchanged reproduces every estimate bit-identically.  Sums
 across components within a row (posterior totals, group sums, per-point
-loss) add in ascending value order.  Sums across rows (the risk mean, its
-standard error, each pair's delta) add pairwise in row order, which a
-relabeling does not change.  The delta matrix's upper-triangle total adds
-in ascending value order.
+loss) add in ascending value order.  Up to 7 terms, an optimal sorting
+network of elementwise min/max passes over whole columns puts each row in
+ascending order, and the columns are then added left to right, which is
+the order numpy's own sum uses below 8 terms; from 8 terms numpy sums with
+8 accumulators, so wider rows are sorted with np.sort and summed by numpy.
+Sums across rows (the risk mean, its standard error, each pair's delta)
+add pairwise in row order, which a relabeling does not change.  The delta
+matrix's upper-triangle total adds in ascending value order.
 """
 from __future__ import annotations
 
@@ -55,10 +59,48 @@ class PmcSettings:
             raise ValueError(f"rule must be one of {RULES}")
 
 
+# Optimal sorting networks for 1-7 inputs (Knuth, TAOCP vol. 3, 5.3.4):
+# 0, 1, 3, 5, 9, 12 and 16 comparators.  Comparator (i, j), i < j, leaves
+# the smaller value at i.
+_NETWORKS = {
+    1: (),
+    2: ((0, 1),),
+    3: ((0, 2), (0, 1), (1, 2)),
+    4: ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)),
+    5: ((0, 1), (3, 4), (2, 4), (2, 3), (0, 3), (0, 2), (1, 4), (1, 3),
+        (1, 2)),
+    6: ((1, 2), (4, 5), (0, 2), (3, 5), (0, 1), (3, 4), (2, 5), (0, 3),
+        (1, 4), (2, 4), (1, 3), (2, 3)),
+    7: ((1, 2), (3, 4), (5, 6), (0, 2), (3, 5), (4, 6), (0, 1), (4, 5),
+        (2, 6), (0, 4), (1, 5), (0, 3), (2, 5), (1, 3), (2, 4), (2, 3)),
+}
+
+
 def _sorted_sum(a: np.ndarray) -> np.ndarray:
     """Sum over the last axis in ascending value order: canonical, hence
-    order-independent."""
-    return np.sort(a, axis=-1).sum(axis=-1)
+    order-independent.
+
+    Rows of up to 7 terms (ndim >= 2) are sorted in place by the network
+    for their length, run on one contiguous copy of the columns with one
+    scratch column, and the sorted columns are added left to right from
+    +0.0.  That is numpy's own order below 8 terms, so the result equals
+    np.sort(a, axis=-1).sum(axis=-1) to the bit; a NaN reaches the sum
+    either way.  From 8 terms numpy sums with 8 accumulators, so wider
+    rows, and 1-D inputs, go through np.sort.
+    """
+    network = _NETWORKS.get(a.shape[-1]) if a.ndim >= 2 else None
+    if network is None:
+        return np.sort(a, axis=-1).sum(axis=-1)
+    cols = list(np.moveaxis(a, -1, 0).copy())
+    spare = np.empty_like(cols[0])
+    for i, j in network:
+        np.minimum(cols[i], cols[j], out=spare)
+        np.maximum(cols[i], cols[j], out=cols[j])
+        cols[i], spare = spare, cols[i]
+    total = np.zeros_like(cols[0])
+    for col in cols:
+        total += col
+    return total
 
 
 def cluster_weights(model: MixtureModel, config: ClusterConfiguration
@@ -77,18 +119,31 @@ def _normalise(a: np.ndarray, groups) -> tuple[np.ndarray, np.ndarray]:
     The posterior of group k (a list of component indices) is the sum of
     its members' shares of the per-row total; the density is that total.
     One log-space normalisation serves both, over the last axis.  Singleton
-    groups are divided directly: a one-term sorted sum is its term.
+    groups are divided directly: a one-term sorted sum is its term, and
+    when group k is component k alone for every k, one division serves
+    them all.  A max is exact in any order, so up to 7 columns the row max
+    is taken column by column.
     """
-    m = a.max(axis=-1, keepdims=True)
+    kappa = a.shape[-1]
+    if kappa in _NETWORKS:
+        m = a[..., :1].copy()
+        for k in range(1, kappa):
+            np.maximum(m[..., 0], a[..., k], out=m[..., 0])
+    else:
+        m = a.max(axis=-1, keepdims=True)
     e = np.exp(a - m)
     total = _sorted_sum(e)
+    density = np.exp(m[..., 0]) * total
+    if groups == [[k] for k in range(kappa)]:
+        e /= total[..., None]
+        return e, density
     pi = np.empty(a.shape[:-1] + (len(groups),))
     for k, members in enumerate(groups):
         if len(members) == 1:
             np.divide(e[..., members[0]], total, out=pi[..., k])
         else:
             pi[..., k] = _sorted_sum(e[..., members]) / total
-    return pi, np.exp(m[..., 0]) * total
+    return pi, density
 
 
 def _posteriors_and_density(model: MixtureModel,

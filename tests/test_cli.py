@@ -114,6 +114,36 @@ class TestPmcCommand:
         assert e["kind"] == "validation"
         assert "component 1 covariance not finite" in e["message"]
 
+    def test_weight_sum_message_carries_the_exact_sum(self, capsys, tmp_path):
+        path = tmp_path / "offsum.json"
+        path.write_text(
+            '{"kappa": 2, "p": 1, "weights": [0.5, 0.5000005], "components": ['
+            '{"mean": [0.0], "covariance": [[1.0]]},'
+            '{"mean": [3.0], "covariance": [[1.0]]}]}')
+        code, out, err = run(capsys, "pmc", "--model", str(path))
+        assert code == 2 and out == ""
+        e = parse_err(err)
+        assert e["kind"] == "validation"
+        assert e["message"] == ("invalid model: weights sum "
+                                "1.0000005000000001, more than 1e-12 from 1")
+
+    @pytest.mark.parametrize("weights", ["[[0.5, 0.5]]", "[[0.5], [0.5]]"])
+    def test_nested_weights_are_a_validation_error(self, capsys, tmp_path,
+                                                   weights):
+        path = tmp_path / "nested.json"
+        path.write_text(
+            '{"kappa": 2, "p": 1, "weights": ' + weights + ', "components": ['
+            '{"mean": [0.0], "covariance": [[1.0]]},'
+            '{"mean": [3.0], "covariance": [[1.0]]}]}')
+        code, out, err = run(capsys, "pmc", "--model", str(path))
+        assert code == 2 and out == ""
+        assert len(err.strip().splitlines()) == 1
+        e = parse_err(err)
+        assert e["kind"] == "validation"
+        assert e["message"].startswith(
+            "invalid model: weights must be a flat list of numbers")
+        assert "ambiguous" not in e["message"]
+
     def test_non_finite_quadrature_is_numeric(self, capsys, tmp_path):
         m = mixture([0.5, 0.5], [[-1e308], [1e308]], [np.eye(1), np.eye(1)])
         path = tmp_path / "huge.json"

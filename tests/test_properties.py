@@ -2,16 +2,18 @@
 per-point loss, the mean with its Monte Carlo standard error, the delta
 matrix, the merge order and its bookkeeping; for the stacked k-means restarts;
 for the stacked EM starts of a BIC scan; and for the stacked existence-test
-statistic."""
+statistic; and for the ascending row sums behind all of them."""
 import contextlib
 import heapq
 import importlib
+import random
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.stats import multivariate_normal
 
 from distinguish import (DeltaMatrix, MixtureModel, Partition, PmcSettings,
@@ -24,7 +26,7 @@ from distinguish import (DeltaMatrix, MixtureModel, Partition, PmcSettings,
 from distinguish.estimators import (_gaussian_moments, _moment_form_ok,
                                     fit_kmeans_many, sq_dists)
 from distinguish.models import BLOCK_ELEMENTS, gaussian_log_density
-from distinguish.pmc import RULES, _summands
+from distinguish.pmc import RULES, _NETWORKS, _sorted_sum, _summands
 
 # the package exports the function pmc under the module's name
 pmc_module = importlib.import_module("distinguish.pmc")
@@ -93,6 +95,68 @@ def test_relabelling_permutes_pair_deltas_bit_for_bit(shape, rnd, per_block):
         R = deltas(relabelled)
     assert np.array_equal(R.values, D.values[perm][:, perm])
     assert R.pmc == D.pmc and R.pmc_std_error == D.pmc_std_error
+
+
+@pytest.mark.parametrize("kappa", [7, 8])
+def test_relabelling_is_bit_identical_at_the_network_limit(kappa):
+    """shapes draws kappa 2-6: 7 components take the widest sorting
+    network in _sorted_sum, 8 the first width that goes through np.sort."""
+    relabel = test_component_relabelling_is_bit_identical.hypothesis
+    pair_deltas = test_relabelling_permutes_pair_deltas_bit_for_bit.hypothesis
+    for seed in range(3):
+        shape = (seed, kappa, 1 + seed % 3)
+        relabel.inner_test(shape, random.Random(seed))
+        pair_deltas.inner_test(shape, random.Random(seed), 1 + seed)
+
+
+def assert_same_bits(x, y):
+    """Equal to the bit, except that any NaN matches any NaN."""
+    nan = np.isnan(x)
+    assert np.array_equal(nan, np.isnan(y))
+    assert x[~nan].tobytes() == y[~nan].tobytes()
+
+
+# ties, signed zeros, subnormals and magnitudes near the float64 limit
+sum_terms = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, -5e-324,
+                     2.2250738585072014e-308, 1e308, -1e308,
+                     1.7976931348623157e308]),
+    st.floats(-1e308, 1e308))
+
+
+@settings(PROPERTY, max_examples=12)
+@pytest.mark.parametrize("lead", [(6,), (2, 3)])
+@pytest.mark.parametrize("K", range(1, 11))
+@given(data=st.data())
+def test_sorted_sum_is_the_np_sort_sum_bit_for_bit(K, lead, data):
+    a = data.draw(arrays(np.float64, lead + (K,), elements=sum_terms))
+    rows = a.reshape(-1, K)
+    rows[0, data.draw(st.integers(0, K - 1))] = np.inf
+    rows[1, data.draw(st.integers(0, K - 1))] = np.nan
+    # from 8 terms numpy's sum follows the memory layout, and a[..., perm]
+    # is laid out column by column, so compare like layouts
+    perm = data.draw(st.permutations(range(K)))
+    permuted = np.ascontiguousarray(a[..., perm])
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = np.sort(a, axis=-1).sum(axis=-1)
+        assert_same_bits(_sorted_sum(a), expected)
+        assert_same_bits(_sorted_sum(permuted), expected)
+
+
+@pytest.mark.parametrize("K, size", [(1, 0), (2, 1), (3, 3), (4, 5), (5, 9),
+                                     (6, 12), (7, 16)])
+def test_each_sorting_network_sorts_every_binary_input(K, size):
+    """The 0-1 principle: a comparator network that sorts all 2^K binary
+    inputs sorts every input.  Each network has the optimal size."""
+    assert sorted(_NETWORKS) == list(range(1, 8))
+    network = _NETWORKS[K]
+    assert len(network) == size
+    x = (np.arange(2 ** K)[:, None] >> np.arange(K)) & 1
+    for i, j in network:
+        assert 0 <= i < j < K
+        x[:, i], x[:, j] = (np.minimum(x[:, i], x[:, j]),
+                            np.maximum(x[:, i], x[:, j]))
+    assert np.all(np.diff(x, axis=1) >= 0)
 
 
 @PROPERTY
