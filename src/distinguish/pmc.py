@@ -103,6 +103,19 @@ def _sorted_sum(a: np.ndarray) -> np.ndarray:
     return total
 
 
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """Max over the last axis, one elementwise pass per column.
+
+    A max is exact in any order.  Against numpy's reduction along a short
+    last axis this is several times faster at 2-8 columns and about level
+    from 16.
+    """
+    m = a[..., 0].copy()
+    for k in range(1, a.shape[-1]):
+        np.maximum(m, a[..., k], out=m)
+    return m
+
+
 def cluster_weights(model: MixtureModel, config: ClusterConfiguration
                     ) -> np.ndarray:
     """Per-cluster weights: sums of member component weights."""
@@ -121,19 +134,13 @@ def _normalise(a: np.ndarray, groups) -> tuple[np.ndarray, np.ndarray]:
     One log-space normalisation serves both, over the last axis.  Singleton
     groups are divided directly: a one-term sorted sum is its term, and
     when group k is component k alone for every k, one division serves
-    them all.  A max is exact in any order, so up to 7 columns the row max
-    is taken column by column.
+    them all.
     """
     kappa = a.shape[-1]
-    if kappa in _NETWORKS:
-        m = a[..., :1].copy()
-        for k in range(1, kappa):
-            np.maximum(m[..., 0], a[..., k], out=m[..., 0])
-    else:
-        m = a.max(axis=-1, keepdims=True)
-    e = np.exp(a - m)
+    m = _row_max(a)
+    e = np.exp(a - m[..., None])
     total = _sorted_sum(e)
-    density = np.exp(m[..., 0]) * total
+    density = np.exp(m) * total
     if groups == [[k] for k in range(kappa)]:
         e /= total[..., None]
         return e, density
@@ -176,7 +183,7 @@ def _summands(pi: np.ndarray, rule: str) -> np.ndarray:
     if rule == "optimal":
         # argmax ties break toward the lowest cluster index (measure-zero
         # event for Gaussians); only the max value enters the risk
-        return 1.0 - pi.max(axis=-1)
+        return 1.0 - _row_max(pi)
     raise ValueError(f"rule must be one of {RULES}")
 
 

@@ -26,7 +26,8 @@ from distinguish import (DeltaMatrix, MixtureModel, Partition, PmcSettings,
 from distinguish.estimators import (_gaussian_moments, _moment_form_ok,
                                     fit_kmeans_many, sq_dists)
 from distinguish.models import BLOCK_ELEMENTS, gaussian_log_density
-from distinguish.pmc import RULES, _NETWORKS, _sorted_sum, _summands
+from distinguish.pmc import (RULES, _NETWORKS, _row_max, _sorted_sum,
+                             _summands)
 
 # the package exports the function pmc under the module's name
 pmc_module = importlib.import_module("distinguish.pmc")
@@ -141,6 +142,19 @@ def test_sorted_sum_is_the_np_sort_sum_bit_for_bit(K, lead, data):
         expected = np.sort(a, axis=-1).sum(axis=-1)
         assert_same_bits(_sorted_sum(a), expected)
         assert_same_bits(_sorted_sum(permuted), expected)
+
+
+@settings(PROPERTY, max_examples=12)
+@pytest.mark.parametrize("lead", [(6,), (2, 3)])
+@pytest.mark.parametrize("K", [1, 2, 7, 8, 20])
+@given(data=st.data())
+def test_row_max_is_the_numpy_max(K, lead, data):
+    """Equal values (a max of +0 and -0 may be either), NaN rows NaN."""
+    a = data.draw(arrays(np.float64, lead + (K,), elements=sum_terms))
+    rows = a.reshape(-1, K)
+    rows[0, data.draw(st.integers(0, K - 1))] = np.inf
+    rows[1, data.draw(st.integers(0, K - 1))] = np.nan
+    assert np.array_equal(_row_max(a), a.max(axis=-1), equal_nan=True)
 
 
 @pytest.mark.parametrize("K, size", [(1, 0), (2, 1), (3, 3), (4, 5), (5, 9),
