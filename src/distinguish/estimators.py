@@ -156,8 +156,12 @@ def _lloyd(X: np.ndarray, centers: np.ndarray, max_iter: int):
     squared-difference pass, in row blocks of at most BLOCK_ELEMENTS
     differences, and updates all centroids with one set of segment sums.
     Only a start with an empty cluster is repaired, on its own.  A start
-    leaves the batch once its labels repeat.  Returns the (S, n) labels and
-    each start's distortion after every iteration it ran.
+    leaves the batch once its labels equal those of the iteration before
+    or of the one before that: a repair can hand a point back and forth,
+    and centres follow from the labels, so such a start would cycle with
+    period 2 until max_iter.  It keeps its current labels and centres.
+    Returns the (S, n) labels and each start's distortion after every
+    iteration it ran.
     """
     S, n, p = X.shape
     K = centers.shape[1]
@@ -165,6 +169,7 @@ def _lloyd(X: np.ndarray, centers: np.ndarray, max_iter: int):
     paths = [[] for _ in range(S)]
     act = np.arange(S)
     Xa, Ca, La = X, centers, np.full((S, n), -1)
+    La2 = La
     for it in range(max_iter):
         a = act.size
         rows = max(1, BLOCK_ELEMENTS // (a * K * p))
@@ -183,13 +188,15 @@ def _lloyd(X: np.ndarray, centers: np.ndarray, max_iter: int):
                      ).sum(axis=(1, 2))
         for s, d in zip(act.tolist(), dist.tolist()):
             paths[s].append(d)
-        stop = (new == La).all(axis=1) | (it + 1 == max_iter)
+        stop = ((new == La).all(axis=1) | (new == La2).all(axis=1)
+                | (it + 1 == max_iter))
         labels[act[stop]] = new[stop]
         centers[act[stop]] = C[stop]
         keep = ~stop
         if not keep.any():
             break
-        act, Xa, Ca, La = act[keep], Xa[keep], C[keep], new[keep]
+        act, Xa, Ca = act[keep], Xa[keep], C[keep]
+        La, La2 = new[keep], La[keep]
     return labels, paths
 
 

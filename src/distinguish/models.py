@@ -69,6 +69,9 @@ def as_matrix(X) -> np.ndarray:
 # Most (rows x k x p) differences one row block holds, in the kernel and EM.
 BLOCK_ELEMENTS = 2 ** 18
 
+# Widest p that gaussian_log_density whitens one coordinate at a time.
+_COORDINATE_P = 3
+
 
 def gaussian_log_density(X: np.ndarray, means: np.ndarray, L: np.ndarray
                          ) -> np.ndarray:
@@ -78,21 +81,55 @@ def gaussian_log_density(X: np.ndarray, means: np.ndarray, L: np.ndarray
     factors (..., k, p, p), with the same leading batch shape: dataset b
     is scored against its own k components.  Without a batch axis this is
     one (n, p) dataset against k components.  Rows are centred on each
-    mean before one batched product with L^-T, so a mean far from the
+    mean before they are whitened with W = L^-T, so a mean far from the
     origin costs no precision; row blocks bound the temporaries at
     BLOCK_ELEMENTS differences over the whole batch.
+
+    Up to p = 3 the whitening runs one coordinate at a time on
+    component-major (..., k, rows) arrays: z_c = sum_{i<=c} d_i W[i, c],
+    with d_i = x_i - mean_i, added in ascending i, then q = sum_c z_c^2.
+    At such small p a batched (k, rows, p) @ (k, p, p) product and an
+    einsum over its tiny trailing axes cost more in per-call and per-row
+    overhead than in arithmetic.  Wider p takes that batched product.
+    Either path treats each row and each dataset alike, so a row's value
+    does not depend on its block or on the other datasets.
     """
     k, p = means.shape[-2:]
     inv_lt = np.linalg.inv(L).swapaxes(-1, -2)
     const = (-np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)
-             - 0.5 * p * np.log(2.0 * np.pi))[..., None, :]
+             - 0.5 * p * np.log(2.0 * np.pi))
     n = X.shape[-2]
     out = np.empty(X.shape[:-1] + (k,))
     rows = max(1, BLOCK_ELEMENTS // means.size)
     for lo in range(0, n, rows):
-        z = (X[..., None, lo:lo + rows, :] - means[..., None, :]) @ inv_lt
-        out[..., lo:lo + rows, :] = const - 0.5 * np.einsum(
-            "...kij,...kij->...ik", z, z)
+        if p > _COORDINATE_P:
+            x = X[..., None, lo:lo + rows, :]
+            m = x.shape[-2]
+            if m == 1:
+                # numpy takes a one-row product as a matrix-vector product,
+                # which adds in another order than a longer block's
+                x = np.concatenate([x, x], axis=-2)
+            z = (x - means[..., None, :]) @ inv_lt
+            out[..., lo:lo + rows, :] = const[..., None, :] - 0.5 * np.einsum(
+                "...kij,...kij->...ik", z, z)[..., :m, :]
+            continue
+        d = [X[..., None, lo:lo + rows, i] - means[..., i, None]
+             for i in range(p)]
+        q = None
+        for c in range(p):
+            # the last coordinate is the last use of each d_i: its products
+            # overwrite them
+            last = c == p - 1
+            z = np.multiply(d[0], inv_lt[..., 0, c, None],
+                            out=d[0] if last else None)
+            for i in range(1, c + 1):
+                z += np.multiply(d[i], inv_lt[..., i, c, None],
+                                 out=d[i] if last else None)
+            z *= z
+            q = z if q is None else np.add(q, z, out=q)
+        q *= -0.5
+        q += const[..., None]
+        out[..., lo:lo + rows, :] = q.swapaxes(-1, -2)
     return out
 
 

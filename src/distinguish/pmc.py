@@ -15,6 +15,12 @@ posteriors from one path, `_posteriors_and_density`, and per-point loss
 from `_summands`.  `pmc_mc` and `delta_matrix` score the seeded sample in
 one pass, `_mc_sample`, which `pmc --delta` hands to both.
 
+`_posteriors_and_density` runs log weight, log-density and normalisation
+over blocks of _CHAIN_ROWS rows, whose temporaries stay in cache, and
+writes each block into one preallocated posterior matrix and density.
+Every step is row-local, so the blocks change no bit; the per-point loss,
+the mean and the pair sums then run over the whole matrix.
+
 Summation order is fixed so that a relabeling of components that leaves
 the sample unchanged reproduces every estimate bit-identically.  Sums
 across components within a row (posterior totals, group sums, per-point
@@ -22,7 +28,8 @@ loss) add in ascending value order.  Up to 7 terms, an optimal sorting
 network of elementwise min/max passes over whole columns puts each row in
 ascending order, and the columns are then added left to right, which is
 the order numpy's own sum uses below 8 terms; from 8 terms numpy sums with
-8 accumulators, so wider rows are sorted with np.sort and summed by numpy.
+8 accumulators, in an order that follows the memory layout, so wider rows
+are sorted in a C-contiguous copy and summed by numpy.
 Sums across rows (the risk mean, its standard error, each pair's delta)
 add pairwise in row order, which a relabeling does not change.  The delta
 matrix's upper-triangle total adds in ascending value order.
@@ -39,6 +46,13 @@ from .models import (BLOCK_ELEMENTS, ClusterConfiguration, McEstimate,
 from .rng import stream
 
 CHUNK = 16384
+
+# Rows the posterior chain scores per block.  A block's fixed cost (one
+# kernel call, a pass per column) grows with kappa as its work does, so a
+# row count suits every kappa where a term count does not: timed at kappa
+# 2-20 against blocks of 2^13-2^18 terms and of 2048-16384 rows, 8192 rows
+# was the fastest or within noise of it at every kappa (CHANGES.md).
+_CHAIN_ROWS = 8192
 
 RULES = ("randomized", "optimal")
 
@@ -86,11 +100,15 @@ def _sorted_sum(a: np.ndarray) -> np.ndarray:
     +0.0.  That is numpy's own order below 8 terms, so the result equals
     np.sort(a, axis=-1).sum(axis=-1) to the bit; a NaN reaches the sum
     either way.  From 8 terms numpy sums with 8 accumulators, so wider
-    rows, and 1-D inputs, go through np.sort.
+    rows, and 1-D inputs, are sorted in a C-contiguous copy: numpy adds a
+    column-major array's rows in another order, so the sum would otherwise
+    follow the caller's memory layout.
     """
     network = _NETWORKS.get(a.shape[-1]) if a.ndim >= 2 else None
     if network is None:
-        return np.sort(a, axis=-1).sum(axis=-1)
+        rows = np.array(a, order="C")
+        rows.sort(axis=-1)
+        return rows.sum(axis=-1)
     cols = list(np.moveaxis(a, -1, 0).copy())
     spare = np.empty_like(cols[0])
     for i, j in network:
@@ -138,7 +156,8 @@ def _normalise(a: np.ndarray, groups) -> tuple[np.ndarray, np.ndarray]:
     """
     kappa = a.shape[-1]
     m = _row_max(a)
-    e = np.exp(a - m[..., None])
+    e = np.subtract(a, m[..., None])
+    np.exp(e, out=e)
     total = _sorted_sum(e)
     density = np.exp(m) * total
     if groups == [[k] for k in range(kappa)]:
@@ -156,12 +175,27 @@ def _normalise(a: np.ndarray, groups) -> tuple[np.ndarray, np.ndarray]:
 def _posteriors_and_density(model: MixtureModel,
                             config: ClusterConfiguration | None,
                             X) -> tuple[np.ndarray, np.ndarray]:
-    """Posteriors and the (n,) mixture density, one normalization for both."""
+    """Posteriors and the (n,) mixture density, one normalization for both.
+
+    log w + log-density + _normalise run over blocks of _CHAIN_ROWS rows,
+    so that a block's temporaries stay in cache, into one (n, K) posterior
+    matrix and one (n,) density.  Every step is row-local, so a row's
+    values do not depend on its block.
+    """
     X = np.atleast_2d(as_matrix(X))
     if config is None:
         config = ClusterConfiguration.singletons(model.kappa)
-    return _normalise(np.log(model.weights) + model.log_component_densities(X),
-                      [list(g) for g in config.member_sets()])
+    groups = [list(g) for g in config.member_sets()]
+    log_w = np.log(model.weights)
+    n = X.shape[0]
+    pi = np.empty((n, config.K))
+    density = np.empty(n)
+    for lo in range(0, n, _CHAIN_ROWS):
+        block = slice(lo, lo + _CHAIN_ROWS)
+        a = model.log_component_densities(X[block])
+        a += log_w
+        pi[block], density[block] = _normalise(a, groups)
+    return pi, density
 
 
 def cluster_posterior_matrix(model: MixtureModel,

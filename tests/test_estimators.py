@@ -71,9 +71,10 @@ def per_restart_kmeanspp(X, K, rng):
 def per_restart_lloyd(X, centers, max_iter):
     """Reference Lloyd loop: one restart, a per-cluster centroid update,
     and a repair that takes the farthest point of a cluster with at least
-    two rows and recomputes every centroid after each hand-over."""
+    two rows and recomputes every centroid after each hand-over.  It stops
+    once the labels equal those of one or two iterations back."""
     n, K = X.shape[0], centers.shape[0]
-    labels = None
+    labels = before = None
     path = []
     for _ in range(max_iter):
         d2 = ((X[:, None, :] - centers[None]) ** 2).sum(axis=-1)
@@ -94,10 +95,11 @@ def per_restart_lloyd(X, centers, max_iter):
                     if m2.any():
                         centers[jj] = X[m2].mean(axis=0)
         path.append(float(((X - centers[new_labels]) ** 2).sum()))
-        if labels is not None and np.array_equal(new_labels, labels):
+        if any(old is not None and np.array_equal(new_labels, old)
+               for old in (labels, before)):
             labels = new_labels
             break
-        labels = new_labels
+        labels, before = new_labels, labels
     for j in range(K):
         centers[j] = X[labels == j].mean(axis=0)
     distortion = float(((X - centers[labels]) ** 2).sum())

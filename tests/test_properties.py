@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.stats import multivariate_normal
 
@@ -25,8 +25,10 @@ from distinguish import (DeltaMatrix, MixtureModel, Partition, PmcSettings,
                          pmc_upper_bound, select_gmm_bic, stream)
 from distinguish.estimators import (_gaussian_moments, _moment_form_ok,
                                     fit_kmeans_many, sq_dists)
-from distinguish.models import BLOCK_ELEMENTS, gaussian_log_density
-from distinguish.pmc import (RULES, _NETWORKS, _row_max, _sorted_sum,
+from distinguish.models import (BLOCK_ELEMENTS, ClusterConfiguration,
+                                gaussian_log_density)
+from distinguish.pmc import (RULES, _CHAIN_ROWS, _NETWORKS, _normalise,
+                             _posteriors_and_density, _row_max, _sorted_sum,
                              _summands)
 
 # the package exports the function pmc under the module's name
@@ -134,14 +136,29 @@ def test_sorted_sum_is_the_np_sort_sum_bit_for_bit(K, lead, data):
     rows = a.reshape(-1, K)
     rows[0, data.draw(st.integers(0, K - 1))] = np.inf
     rows[1, data.draw(st.integers(0, K - 1))] = np.nan
-    # from 8 terms numpy's sum follows the memory layout, and a[..., perm]
-    # is laid out column by column, so compare like layouts
+    # from 8 terms numpy's sum follows the memory layout; the sorted sum
+    # of an F-ordered array, or of a[..., perm] (laid out column by
+    # column), has the bits of the sum over C-contiguous rows
     perm = data.draw(st.permutations(range(K)))
-    permuted = np.ascontiguousarray(a[..., perm])
     with np.errstate(over="ignore", invalid="ignore"):
         expected = np.sort(a, axis=-1).sum(axis=-1)
-        assert_same_bits(_sorted_sum(a), expected)
-        assert_same_bits(_sorted_sum(permuted), expected)
+        for b in (a, np.asfortranarray(a), a[..., perm],
+                  np.ascontiguousarray(a[..., perm])):
+            assert_same_bits(_sorted_sum(b), expected)
+
+
+def test_wide_group_posterior_ignores_memory_layout():
+    """_normalise sums an 8-member group in e[..., members], a column-major
+    copy; its posterior has the bits of the sum over a C-contiguous copy."""
+    rng = np.random.default_rng(5)
+    a = rng.normal(0, 4, (500, 10))
+    members = [int(j) for j in rng.permutation(10)[:8]]
+    rest = [[j] for j in range(10) if j not in members]
+    pi, _ = _normalise(a, [members] + rest)
+    e = np.exp(a - a.max(axis=-1, keepdims=True))
+    total = np.sort(e, axis=-1).sum(axis=-1)
+    group = np.sort(np.ascontiguousarray(e[:, members]), axis=-1).sum(axis=-1)
+    assert pi[:, 0].tobytes() == (group / total).tobytes()
 
 
 @settings(PROPERTY, max_examples=12)
@@ -324,6 +341,72 @@ def test_stacked_kernel_matches_scipy_across_row_blocks(seed, kappa, p,
         assert np.allclose(got[:, j], expect, rtol=0, atol=1e-10)
 
 
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 10])
+def test_kernel_rows_do_not_depend_on_their_block(p):
+    """Blocks of 1-40 rows score each row as the whole call does.  numpy
+    takes a one-row matrix product as a matrix-vector product, which adds
+    in another order, so the batched path scores a lone row twice over."""
+    rng = np.random.default_rng(p)
+    kappa = 5
+    X = rng.normal(0, 3, (300, p))
+    means = rng.normal(0, 2, (kappa, p))
+    A = rng.normal(size=(kappa, p, p))
+    L = np.linalg.cholesky(A @ A.swapaxes(-1, -2) + 0.5 * np.eye(p))
+    whole = gaussian_log_density(X, means, L)
+    for rows in range(1, 41):
+        for lo in (0, 7, 300 - rows):
+            got = gaussian_log_density(X[lo:lo + rows], means, L)
+            assert got.tobytes() == whole[lo:lo + rows].tobytes()
+
+
+def chain_configurations(kappa, rng):
+    """Singletons, and the first min(8, kappa) components of a shuffled
+    order as one group with the rest singletons."""
+    order = [int(j) for j in rng.permutation(kappa)]
+    assignment = [0] * kappa
+    for c, j in enumerate(order[min(8, kappa):], 1):
+        assignment[j] = c
+    return [None, ClusterConfiguration(tuple(assignment),
+                                       1 + max(0, kappa - 8))]
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("kappa", [2, 7, 8, 20])
+def test_posterior_blocks_equal_the_one_shot_chain(kappa, p):
+    """Row blocks of the posterior chain change no bit: 2 blocks and 1 row
+    against one log w + log-density + _normalise over all rows."""
+    model, rng = build(kappa, kappa, p)
+    n = 2 * _CHAIN_ROWS + 1
+    X = rng.normal(0, 3, (n, p))
+    for config in chain_configurations(kappa, rng):
+        groups = [list(g) for g in (config or ClusterConfiguration.singletons(
+            kappa)).member_sets()]
+        expect = _normalise(np.log(model.weights)
+                            + model.log_component_densities(X), groups)
+        got = _posteriors_and_density(model, config, X)
+        for g, e in zip(got, expect, strict=True):
+            assert g.shape == e.shape and g.tobytes() == e.tobytes()
+
+
+def test_posterior_matrix_memory_is_bounded():
+    """The chain's temporaries are block-sized: the peak is the (M, K)
+    posteriors and the (M,) density plus a few (_CHAIN_ROWS, K) blocks,
+    not several (M, K) arrays.  Measured: 6.9 MiB over the 15.3 MiB of
+    posteriors; unblocked, the chain peaked at 47 MiB."""
+    kappa = 20
+    model, rng = build(3, kappa, 2)
+    X = rng.normal(0, 3, (100_000, 2))
+    cluster_posterior_matrix(model, None, X[:10])
+    tracemalloc.start()
+    try:
+        pi = cluster_posterior_matrix(model, None, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    density, block = X.shape[0] * 8, _CHAIN_ROWS * kappa * 8
+    assert peak < pi.nbytes + density + 8 * block
+
+
 def test_far_mean_keeps_precision():
     mean, sd = np.array([1e6, -1e6]), 1e-3
     comp = mixture([1.0], [mean], [np.eye(2) * sd**2]).components[0]
@@ -465,6 +548,10 @@ def test_stacked_fits_equal_one_by_one(seed, D, n, p, K, restarts,
 @PROPERTY
 @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 40),
        st.integers(1, 5), st.integers(0, 300))
+# the per-coordinate path (p <= 3), with (R, n, p) stacks of 3
+@example(0, 3, 4, 1, 17)
+@example(1, 3, 4, 2, 17)
+@example(2, 3, 4, 3, 17)
 def test_batched_kernel_equals_unbatched(seed, D, kappa, p, extra):
     rng = np.random.default_rng(seed)
     # past one block of the whole batch, so the batched call splits the
