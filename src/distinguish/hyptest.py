@@ -25,7 +25,7 @@ from .estimators import (_gaussian_moments, cut_tree, default_regularization,
                          fit_hclust, partition_to_gaussians)
 from .models import (BLOCK_ELEMENTS, Partition, as_matrix,
                      gaussian_log_density, mixture)
-from .pmc import _normalise, _sorted_sum, _summands
+from .pmc import _normalise, _summands
 from .rng import stream
 
 QUANTILE_GRID = (0.01, 0.025, 0.05, 0.10, 0.25, 0.50,
@@ -49,8 +49,10 @@ def _statistics(Vs: np.ndarray) -> np.ndarray:
         mixture(w[bad[0]], means[bad[0]], covs[bad[0]])
     a = gaussian_log_density(Vs, means, np.linalg.cholesky(covs))
     a += np.log(w)[:, None]
-    pi, _ = _normalise(a, [[0], [1]])
-    return _sorted_sum(_summands(pi, "randomized")) / n
+    # two-term sums commute, so any order of the two sides gives these bits
+    pi, _ = _normalise(a, [[0], [1]], [0, 1])
+    # a replicate's points add in ascending order, whatever their row order
+    return np.sort(_summands(pi, "randomized", [0, 1]), axis=-1).sum(-1) / n
 
 
 def _replicate_statistics(draw, reps: int, n: int, p: int) -> np.ndarray:

@@ -24,12 +24,9 @@ the mean and the pair sums then run over the whole matrix.
 Summation order is fixed so that a relabeling of components that leaves
 the sample unchanged reproduces every estimate bit-identically.  Sums
 across components within a row (posterior totals, group sums, per-point
-loss) add in ascending value order.  Up to 7 terms, an optimal sorting
-network of elementwise min/max passes over whole columns puts each row in
-ascending order, and the columns are then added left to right, which is
-the order numpy's own sum uses below 8 terms; from 8 terms numpy sums with
-8 accumulators, in an order that follows the memory layout, so wider rows
-are sorted in a C-contiguous copy and summed by numpy.
+loss) add whole columns left to right from +0.0, in one canonical order
+per (model, configuration) that `_summation_order` derives from the
+component parameters alone.
 Sums across rows (the risk mean, its standard error, each pair's delta)
 add pairwise in row order, which a relabeling does not change.  The delta
 matrix's upper-triangle total adds in ascending value order.
@@ -73,54 +70,6 @@ class PmcSettings:
             raise ValueError(f"rule must be one of {RULES}")
 
 
-# Optimal sorting networks for 1-7 inputs (Knuth, TAOCP vol. 3, 5.3.4):
-# 0, 1, 3, 5, 9, 12 and 16 comparators.  Comparator (i, j), i < j, leaves
-# the smaller value at i.
-_NETWORKS = {
-    1: (),
-    2: ((0, 1),),
-    3: ((0, 2), (0, 1), (1, 2)),
-    4: ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)),
-    5: ((0, 1), (3, 4), (2, 4), (2, 3), (0, 3), (0, 2), (1, 4), (1, 3),
-        (1, 2)),
-    6: ((1, 2), (4, 5), (0, 2), (3, 5), (0, 1), (3, 4), (2, 5), (0, 3),
-        (1, 4), (2, 4), (1, 3), (2, 3)),
-    7: ((1, 2), (3, 4), (5, 6), (0, 2), (3, 5), (4, 6), (0, 1), (4, 5),
-        (2, 6), (0, 4), (1, 5), (0, 3), (2, 5), (1, 3), (2, 4), (2, 3)),
-}
-
-
-def _sorted_sum(a: np.ndarray) -> np.ndarray:
-    """Sum over the last axis in ascending value order: canonical, hence
-    order-independent.
-
-    Rows of up to 7 terms (ndim >= 2) are sorted in place by the network
-    for their length, run on one contiguous copy of the columns with one
-    scratch column, and the sorted columns are added left to right from
-    +0.0.  That is numpy's own order below 8 terms, so the result equals
-    np.sort(a, axis=-1).sum(axis=-1) to the bit; a NaN reaches the sum
-    either way.  From 8 terms numpy sums with 8 accumulators, so wider
-    rows, and 1-D inputs, are sorted in a C-contiguous copy: numpy adds a
-    column-major array's rows in another order, so the sum would otherwise
-    follow the caller's memory layout.
-    """
-    network = _NETWORKS.get(a.shape[-1]) if a.ndim >= 2 else None
-    if network is None:
-        rows = np.array(a, order="C")
-        rows.sort(axis=-1)
-        return rows.sum(axis=-1)
-    cols = list(np.moveaxis(a, -1, 0).copy())
-    spare = np.empty_like(cols[0])
-    for i, j in network:
-        np.minimum(cols[i], cols[j], out=spare)
-        np.maximum(cols[i], cols[j], out=cols[j])
-        cols[i], spare = spare, cols[i]
-    total = np.zeros_like(cols[0])
-    for col in cols:
-        total += col
-    return total
-
-
 def _row_max(a: np.ndarray) -> np.ndarray:
     """Max over the last axis, one elementwise pass per column.
 
@@ -134,41 +83,65 @@ def _row_max(a: np.ndarray) -> np.ndarray:
     return m
 
 
+def _column_sum(a: np.ndarray, cols) -> np.ndarray:
+    """Sum of the columns a[..., j] for j in cols, added left to right
+    from +0.0."""
+    total = np.zeros(a.shape[:-1])
+    for j in cols:
+        total += a[..., j]
+    return total
+
+
+def _summation_order(model: MixtureModel, config: ClusterConfiguration
+                     ) -> tuple[list[list[int]], list[int]]:
+    """(groups, clusters): the order in which sums over components and
+    clusters add, set by the component parameters alone.
+
+    Components rank by the bytes of (weight, mean, covariance); groups[k]
+    lists cluster k's members in that rank, and `clusters` lists the
+    clusters by their members' keys, first member first.  Only
+    bitwise-identical components, or clusters of them, tie, and their
+    columns are then equal, so a tie cannot change a sum.
+    """
+    key = [w.tobytes() + c.mean.tobytes() + c.covariance.tobytes()
+           for w, c in zip(model.weights, model.components)]
+    groups = [[] for _ in range(config.K)]
+    for j in sorted(range(model.kappa), key=key.__getitem__):
+        groups[config.assignment[j]].append(j)
+    clusters = sorted(range(config.K),
+                      key=lambda k: [key[j] for j in groups[k]])
+    return groups, clusters
+
+
 def cluster_weights(model: MixtureModel, config: ClusterConfiguration
                     ) -> np.ndarray:
     """Per-cluster weights: sums of member component weights."""
-    w = np.zeros(config.K)
-    for k in range(config.K):
-        members = config.members(k)
-        w[k] = _sorted_sum(model.weights[list(members)])
-    return w
+    groups, _ = _summation_order(model, config)
+    return np.array([_column_sum(model.weights, g) for g in groups])
 
 
-def _normalise(a: np.ndarray, groups) -> tuple[np.ndarray, np.ndarray]:
+def _normalise(a: np.ndarray, groups, clusters
+               ) -> tuple[np.ndarray, np.ndarray]:
     """Posteriors and density from log weighted densities a (..., kappa).
 
-    The posterior of group k (a list of component indices) is the sum of
-    its members' shares of the per-row total; the density is that total.
-    One log-space normalisation serves both, over the last axis.  Singleton
-    groups are divided directly: a one-term sorted sum is its term, and
-    when group k is component k alone for every k, one division serves
-    them all.
+    groups[k] lists cluster k's components and `clusters` the clusters,
+    each in summation order (_summation_order).  The posterior of cluster
+    k is the sum of its members' shares of the per-row total, which adds
+    every component, cluster by cluster; the density is that total.  One
+    log-space normalisation serves both, over the last axis.  When group
+    k is component k alone for every k, one division serves them all.
     """
-    kappa = a.shape[-1]
     m = _row_max(a)
     e = np.subtract(a, m[..., None])
     np.exp(e, out=e)
-    total = _sorted_sum(e)
+    total = _column_sum(e, [j for k in clusters for j in groups[k]])
     density = np.exp(m) * total
-    if groups == [[k] for k in range(kappa)]:
+    if groups == [[k] for k in range(a.shape[-1])]:
         e /= total[..., None]
         return e, density
     pi = np.empty(a.shape[:-1] + (len(groups),))
     for k, members in enumerate(groups):
-        if len(members) == 1:
-            np.divide(e[..., members[0]], total, out=pi[..., k])
-        else:
-            pi[..., k] = _sorted_sum(e[..., members]) / total
+        np.divide(_column_sum(e, members), total, out=pi[..., k])
     return pi, density
 
 
@@ -185,7 +158,7 @@ def _posteriors_and_density(model: MixtureModel,
     X = np.atleast_2d(as_matrix(X))
     if config is None:
         config = ClusterConfiguration.singletons(model.kappa)
-    groups = [list(g) for g in config.member_sets()]
+    order = _summation_order(model, config)
     log_w = np.log(model.weights)
     n = X.shape[0]
     pi = np.empty((n, config.K))
@@ -194,7 +167,7 @@ def _posteriors_and_density(model: MixtureModel,
         block = slice(lo, lo + _CHAIN_ROWS)
         a = model.log_component_densities(X[block])
         a += log_w
-        pi[block], density[block] = _normalise(a, groups)
+        pi[block], density[block] = _normalise(a, *order)
     return pi, density
 
 
@@ -205,15 +178,16 @@ def cluster_posterior_matrix(model: MixtureModel,
 
     A cluster's posterior is the sum of its member components' posteriors.
     Within each row, the total and each cluster's sum add their component
-    terms in ascending value order, so they do not depend on the labels.
+    terms in the canonical order, so they do not depend on the labels.
     """
     return _posteriors_and_density(model, config, X)[0]
 
 
-def _summands(pi: np.ndarray, rule: str) -> np.ndarray:
-    """Per-point loss from posteriors pi (..., K), over the last axis."""
+def _summands(pi: np.ndarray, rule: str, clusters) -> np.ndarray:
+    """Per-point loss from posteriors pi (..., K), over the last axis;
+    the randomized rule adds the squares in the order of `clusters`."""
     if rule == "randomized":
-        return 1.0 - _sorted_sum(pi * pi)
+        return 1.0 - _column_sum(pi * pi, clusters)
     if rule == "optimal":
         # argmax ties break toward the lowest cluster index (measure-zero
         # event for Gaussians); only the max value enters the risk
@@ -277,9 +251,12 @@ def pmc_from_sample(model: MixtureModel, config: ClusterConfiguration | None,
     _pi is cluster_posterior_matrix(model, config, X), when the caller
     already holds it.
     """
+    if config is None:
+        config = ClusterConfiguration.singletons(model.kappa)
     if _pi is None:
         _pi = cluster_posterior_matrix(model, config, X)
-    return _mean_and_se(_summands(_pi, rule))
+    _, clusters = _summation_order(model, config)
+    return _mean_and_se(_summands(_pi, rule, clusters))
 
 
 def pmc_mc(model: MixtureModel, config: ClusterConfiguration | None = None,
@@ -319,6 +296,7 @@ def pmc_quadrature(model: MixtureModel,
         config = ClusterConfiguration.singletons(model.kappa)
     if config.K == 1:
         return 0.0
+    _, clusters = _summation_order(model, config)
     means = np.array([c.mean for c in model.components])
     sds = np.array([np.sqrt(np.diag(c.covariance)) for c in model.components])
     lo = (means - 10.0 * sds).min(axis=0)
@@ -326,7 +304,7 @@ def pmc_quadrature(model: MixtureModel,
 
     def integrand(x: np.ndarray) -> np.ndarray:
         pi, dens = _posteriors_and_density(model, config, x)
-        return dens * _summands(pi, rule)
+        return dens * _summands(pi, rule, clusters)
 
     with np.errstate(over="ignore", invalid="ignore"):
         value = integrate.cubature(integrand, lo, hi, rule="gk21", atol=1e-8,
@@ -403,8 +381,9 @@ def delta_matrix(model: MixtureModel,
                            settings.seed, 0.0, 0.0)
     _, pi = _mc_sample(model, config, settings) if _sample is None else _sample
     delta = _pair_deltas(pi)
-    total = float(_sorted_sum(delta[np.triu_indices(config.K, 1)]))
-    _, se = _mean_and_se(_summands(pi, "randomized"))
+    total = float(np.sort(delta[np.triu_indices(config.K, 1)]).sum())
+    _, clusters = _summation_order(model, config)
+    _, se = _mean_and_se(_summands(pi, "randomized", clusters))
     return DeltaMatrix(delta, settings.m_samples, settings.seed, total, se)
 
 

@@ -282,6 +282,8 @@ def selection_table(X, method: str = "kmeans", k_range=range(1, 9),
     silhouette, split stability, and prediction strength (the last three
     only for K >= 2).  Only a K with a defined gap can be selected.
     """
+    if not 0.0 <= tau <= 1.0:
+        raise ValueError("tau must be in [0, 1]")
     V = as_matrix(X)
     ks = sorted(set(int(k) for k in k_range))
     gaps = gap_statistic(V, method, ks, B=B, seed=seed)

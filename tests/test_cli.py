@@ -319,6 +319,17 @@ class TestSelectKCommand:
         assert json.loads(out)["infeasible"] is True
         assert parse_err(err)["kind"] == "infeasible"
 
+    @pytest.mark.parametrize("tau", ["nan", "-0.5", "2"])
+    def test_out_of_range_tau_rejected(self, capsys, data_path, tau):
+        code, out, err = run(capsys, "select-k", "--data", data_path,
+                             "--k-range", "1:2", "--tau", tau)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == {
+            "kind": "validation", "message": "tau must be in [0, 1]"}
+
 
     def test_k_without_dispersion_has_null_gap(self, capsys, tmp_path):
         # 5 distinct points, 4 copies each: at K = 5 every cluster is one

@@ -2,7 +2,8 @@
 per-point loss, the mean with its Monte Carlo standard error, the delta
 matrix, the merge order and its bookkeeping; for the stacked k-means restarts;
 for the stacked EM starts of a BIC scan; and for the stacked existence-test
-statistic; and for the ascending row sums behind all of them."""
+statistic; and for the canonical component order that fixes every sum
+across components, so that relabelling the components keeps every bit."""
 import contextlib
 import heapq
 import importlib
@@ -26,10 +27,10 @@ from distinguish import (DeltaMatrix, MixtureModel, Partition, PmcSettings,
 from distinguish.estimators import (_gaussian_moments, _moment_form_ok,
                                     fit_kmeans_many, sq_dists)
 from distinguish.models import (BLOCK_ELEMENTS, ClusterConfiguration,
-                                gaussian_log_density)
-from distinguish.pmc import (RULES, _CHAIN_ROWS, _NETWORKS, _normalise,
-                             _posteriors_and_density, _row_max, _sorted_sum,
-                             _summands)
+                                GaussianComponent, gaussian_log_density)
+from distinguish.pmc import (RULES, _CHAIN_ROWS, _normalise,
+                             _posteriors_and_density, _row_max,
+                             _summation_order, _summands)
 
 # the package exports the function pmc under the module's name
 pmc_module = importlib.import_module("distinguish.pmc")
@@ -100,23 +101,109 @@ def test_relabelling_permutes_pair_deltas_bit_for_bit(shape, rnd, per_block):
     assert R.pmc == D.pmc and R.pmc_std_error == D.pmc_std_error
 
 
-@pytest.mark.parametrize("kappa", [7, 8])
-def test_relabelling_is_bit_identical_at_the_network_limit(kappa):
-    """shapes draws kappa 2-6: 7 components take the widest sorting
-    network in _sorted_sum, 8 the first width that goes through np.sort."""
+def grouped_config(kappa, rnd):
+    """kappa components on 1 to kappa - 1 clusters, each cluster used, so
+    that at least one group has 2 or more members."""
+    K = rnd.randint(1, kappa - 1)
+    assignment = list(range(K)) + [rnd.randrange(K) for _ in range(kappa - K)]
+    rnd.shuffle(assignment)
+    return ClusterConfiguration(tuple(assignment), K)
+
+
+def assert_relabelling_is_bit_identical(model, config, X, rnd):
+    """Permute the components, map the assignment through the same
+    permutation and renumber the clusters: both risks keep their bits, and
+    each posterior column moves with its cluster."""
+    perm = list(range(model.kappa))
+    rnd.shuffle(perm)
+    renumber = list(range(config.K))
+    rnd.shuffle(renumber)
+    relabelled = MixtureModel(model.weights[perm],
+                              tuple(model.components[j] for j in perm))
+    moved = ClusterConfiguration(
+        tuple(renumber[config.assignment[j]] for j in perm), config.K)
+    for rule in RULES:
+        assert (pmc_from_sample(relabelled, moved, X, rule)
+                == pmc_from_sample(model, config, X, rule))
+    pi = cluster_posterior_matrix(model, config, X)
+    got = cluster_posterior_matrix(relabelled, moved, X)
+    assert got[:, renumber].tobytes() == pi.tobytes()
+
+
+@PROPERTY
+@given(shapes, st.randoms(use_true_random=False))
+def test_grouped_relabelling_is_bit_identical(shape, rnd):
+    model, rng = build(*shape)
+    X = rng.normal(0, 3, (300, model.p))
+    assert_relabelling_is_bit_identical(
+        model, grouped_config(model.kappa, rnd), X, rnd)
+
+
+@pytest.mark.parametrize("kappa", [7, 8, 20])
+def test_relabelling_is_bit_identical_at_wide_kappa(kappa):
+    """shapes draws kappa 2-6; the three relabelling properties also hold
+    for wider mixtures."""
     relabel = test_component_relabelling_is_bit_identical.hypothesis
     pair_deltas = test_relabelling_permutes_pair_deltas_bit_for_bit.hypothesis
+    grouped = test_grouped_relabelling_is_bit_identical.hypothesis
     for seed in range(3):
         shape = (seed, kappa, 1 + seed % 3)
         relabel.inner_test(shape, random.Random(seed))
         pair_deltas.inner_test(shape, random.Random(seed), 1 + seed)
+        grouped.inner_test(shape, random.Random(seed))
 
 
-def assert_same_bits(x, y):
-    """Equal to the bit, except that any NaN matches any NaN."""
-    nan = np.isnan(x)
-    assert np.array_equal(nan, np.isnan(y))
-    assert x[~nan].tobytes() == y[~nan].tobytes()
+def tied_model(kind, seed):
+    """Six components in 2-D whose parameters tie: all share one weight
+    ("weight"), also one mean ("weight-mean"), or they are three pairs of
+    identical components ("identical")."""
+    model, _ = build(seed, 6, 2)
+    comps = model.components
+    if kind == "weight-mean":
+        comps = tuple(GaussianComponent(comps[0].mean, c.covariance)
+                      for c in comps)
+    elif kind == "identical":
+        comps = tuple(comps[j // 2] for j in range(6))
+    return MixtureModel(np.full(6, 1 / 6), comps)
+
+
+@pytest.mark.parametrize("kind", ["weight", "weight-mean", "identical"])
+def test_order_key_covers_every_parameter(kind):
+    """The order ranks components by weight, mean and covariance, so
+    components that tie on some of them still sum in one order whatever
+    their labels; identical ones may tie, having equal columns."""
+    for seed in range(4):
+        model = tied_model(kind, seed)
+        rnd = random.Random(seed)
+        X = np.random.default_rng(seed).normal(0, 3, (300, 2))
+        configs = [ClusterConfiguration.singletons(6)]
+        configs += [grouped_config(6, rnd) for _ in range(6)]
+        for config in configs:
+            assert_relabelling_is_bit_identical(model, config, X, rnd)
+
+
+def test_wide_group_posterior_ignores_memory_layout():
+    """An 8-member group adds its columns left to right in the order given,
+    for a C-ordered, an F-ordered and a fancy-indexed (column by column)
+    input alike."""
+    rng = np.random.default_rng(5)
+    a = rng.normal(0, 4, (500, 10))
+    members = [int(j) for j in rng.permutation(10)[:8]]
+    groups = [members] + [[j] for j in range(10) if j not in members]
+    clusters = list(range(len(groups)))[::-1]
+    e = np.exp(a - a.max(axis=-1, keepdims=True))
+    total, group = np.zeros(500), np.zeros(500)
+    for j in [j for k in clusters for j in groups[k]]:
+        total += e[:, j]
+    for j in members:
+        group += e[:, j]
+    expect = (group / total).tobytes()
+    perm = [int(j) for j in rng.permutation(10)]
+    moved = [[perm.index(j) for j in g] for g in groups]
+    for b, g in ((a, groups), (np.asfortranarray(a), groups),
+                 (a[:, perm], moved)):
+        pi, _ = _normalise(b, g, clusters)
+        assert pi[:, 0].tobytes() == expect
 
 
 # ties, signed zeros, subnormals and magnitudes near the float64 limit
@@ -125,40 +212,6 @@ sum_terms = st.one_of(
                      2.2250738585072014e-308, 1e308, -1e308,
                      1.7976931348623157e308]),
     st.floats(-1e308, 1e308))
-
-
-@settings(PROPERTY, max_examples=12)
-@pytest.mark.parametrize("lead", [(6,), (2, 3)])
-@pytest.mark.parametrize("K", range(1, 11))
-@given(data=st.data())
-def test_sorted_sum_is_the_np_sort_sum_bit_for_bit(K, lead, data):
-    a = data.draw(arrays(np.float64, lead + (K,), elements=sum_terms))
-    rows = a.reshape(-1, K)
-    rows[0, data.draw(st.integers(0, K - 1))] = np.inf
-    rows[1, data.draw(st.integers(0, K - 1))] = np.nan
-    # from 8 terms numpy's sum follows the memory layout; the sorted sum
-    # of an F-ordered array, or of a[..., perm] (laid out column by
-    # column), has the bits of the sum over C-contiguous rows
-    perm = data.draw(st.permutations(range(K)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        expected = np.sort(a, axis=-1).sum(axis=-1)
-        for b in (a, np.asfortranarray(a), a[..., perm],
-                  np.ascontiguousarray(a[..., perm])):
-            assert_same_bits(_sorted_sum(b), expected)
-
-
-def test_wide_group_posterior_ignores_memory_layout():
-    """_normalise sums an 8-member group in e[..., members], a column-major
-    copy; its posterior has the bits of the sum over a C-contiguous copy."""
-    rng = np.random.default_rng(5)
-    a = rng.normal(0, 4, (500, 10))
-    members = [int(j) for j in rng.permutation(10)[:8]]
-    rest = [[j] for j in range(10) if j not in members]
-    pi, _ = _normalise(a, [members] + rest)
-    e = np.exp(a - a.max(axis=-1, keepdims=True))
-    total = np.sort(e, axis=-1).sum(axis=-1)
-    group = np.sort(np.ascontiguousarray(e[:, members]), axis=-1).sum(axis=-1)
-    assert pi[:, 0].tobytes() == (group / total).tobytes()
 
 
 @settings(PROPERTY, max_examples=12)
@@ -172,22 +225,6 @@ def test_row_max_is_the_numpy_max(K, lead, data):
     rows[0, data.draw(st.integers(0, K - 1))] = np.inf
     rows[1, data.draw(st.integers(0, K - 1))] = np.nan
     assert np.array_equal(_row_max(a), a.max(axis=-1), equal_nan=True)
-
-
-@pytest.mark.parametrize("K, size", [(1, 0), (2, 1), (3, 3), (4, 5), (5, 9),
-                                     (6, 12), (7, 16)])
-def test_each_sorting_network_sorts_every_binary_input(K, size):
-    """The 0-1 principle: a comparator network that sorts all 2^K binary
-    inputs sorts every input.  Each network has the optimal size."""
-    assert sorted(_NETWORKS) == list(range(1, 8))
-    network = _NETWORKS[K]
-    assert len(network) == size
-    x = (np.arange(2 ** K)[:, None] >> np.arange(K)) & 1
-    for i, j in network:
-        assert 0 <= i < j < K
-        x[:, i], x[:, j] = (np.minimum(x[:, i], x[:, j]),
-                            np.maximum(x[:, i], x[:, j]))
-    assert np.all(np.diff(x, axis=1) >= 0)
 
 
 @PROPERTY
@@ -300,7 +337,9 @@ def test_randomized_summand_at_least_optimal_pointwise(shape):
     model, rng = build(*shape)
     pi = cluster_posterior_matrix(model, None,
                                   rng.normal(0, 4, (500, model.p)))
-    assert np.all(_summands(pi, "randomized") >= _summands(pi, "optimal"))
+    clusters = list(range(model.kappa))
+    assert np.all(_summands(pi, "randomized", clusters)
+                  >= _summands(pi, "optimal", clusters))
 
 
 @PROPERTY
@@ -379,10 +418,10 @@ def test_posterior_blocks_equal_the_one_shot_chain(kappa, p):
     n = 2 * _CHAIN_ROWS + 1
     X = rng.normal(0, 3, (n, p))
     for config in chain_configurations(kappa, rng):
-        groups = [list(g) for g in (config or ClusterConfiguration.singletons(
-            kappa)).member_sets()]
+        order = _summation_order(
+            model, config or ClusterConfiguration.singletons(kappa))
         expect = _normalise(np.log(model.weights)
-                            + model.log_component_densities(X), groups)
+                            + model.log_component_densities(X), *order)
         got = _posteriors_and_density(model, config, X)
         for g, e in zip(got, expect, strict=True):
             assert g.shape == e.shape and g.tobytes() == e.tobytes()
