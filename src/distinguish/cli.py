@@ -77,6 +77,22 @@ def _parse_range(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
+def _load_data(args):
+    """The --data CSV, refused when sums of squared distances over its rows
+    could overflow: every such distance between points of the data's
+    bounding box is at most 4 R^2, R the norm of the box's farthest corner,
+    and a sum over the n rows at most n times that."""
+    X = load_csv(args.data, has_header=args.header)
+    with np.errstate(over="ignore"):
+        bound = 4.0 * X.n * np.square(np.abs(X.values).max(axis=0)).sum()
+    if not np.isfinite(bound):
+        raise CliError("validation",
+                       "data values too large: sums of squared distances "
+                       "over the rows overflow; rescale the columns first "
+                       "(distinguish preprocess --scale)")
+    return X
+
+
 def _load_model(path: str) -> MixtureModel:
     with open(path) as fh:
         raw = json.load(fh)
@@ -142,7 +158,7 @@ def _cmd_pmc(args) -> int:
 def _cmd_phm(args) -> int:
     if args.dendrogram and args.tau != 0.0:
         raise CliError("validation", "dendrogram export requires tau = 0")
-    X = load_csv(args.data, has_header=args.header)
+    X = _load_data(args)
     kappas = _parse_range(args.kappa_range)
     if len(kappas) == 1:
         fit = fit_gmm_em(X, kappas[0], n_init=args.n_init, seed=args.seed)
@@ -179,7 +195,7 @@ def _cmd_phm(args) -> int:
 
 
 def _cmd_select_k(args) -> int:
-    X = load_csv(args.data, has_header=args.header)
+    X = _load_data(args)
     table = selection_table(X, method=args.method,
                             k_range=_parse_range(args.k_range),
                             tau=args.tau, B=args.b_refs, reps=args.reps,
@@ -205,7 +221,7 @@ def _cmd_select_k(args) -> int:
 
 
 def _cmd_hclust_test(args) -> int:
-    X = load_csv(args.data, has_header=args.header)
+    X = _load_data(args)
     report = test_report(X, reps=args.reps, bootstrap=args.bootstrap,
                          seed=args.seed)
     out = {"provenance": _provenance("hclust-test", args.seed, args.data)}

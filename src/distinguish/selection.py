@@ -4,7 +4,10 @@ adjusted Rand, split stability, prediction strength).
 
 The k-means fits of one K that share a shape run as one stack of restarts
 (estimators.fit_kmeans_many): all gap reference datasets, and each side of
-the half-splits across all repetitions.
+the half-splits across all repetitions.  Stability and prediction strength
+carry a half's clustering to the other half by nearest centroid with the
+Lloyd loop's own assignment (estimators._nearest_centres), so a row
+equidistant from two centroids goes to the first, as in k-means itself.
 """
 from __future__ import annotations
 
@@ -12,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import (cut_tree, fit_hclust, fit_kmeans, fit_kmeans_many,
-                         partition_to_gaussians, sq_dists)
+from .estimators import (_nearest_centres, cut_tree, fit_hclust, fit_kmeans,
+                         fit_kmeans_many, partition_to_gaussians, sq_dists)
 from .models import BLOCK_ELEMENTS, Partition, as_matrix
 from .pmc import PmcSettings, pmc_mc
 from .rng import derive_seed, stream
@@ -38,11 +41,16 @@ def _cluster_many(Xs, K: int, method: str, seeds) -> list[Partition]:
 
 
 def _within_dispersion(X: np.ndarray, part: Partition) -> float:
-    """Pooled within-cluster sum of squared distances to cluster means."""
+    """Pooled within-cluster sum of squared distances to cluster means.
+
+    A cluster of equal rows adds exactly 0, even where its mean rounds
+    away from the rows.
+    """
     total = 0.0
     for k in range(part.K):
         S = X[part.labels == k]
-        total += float(((S - S.mean(axis=0)) ** 2).sum())
+        if (S != S[0]).any():
+            total += float(((S - S.mean(axis=0)) ** 2).sum())
     return total
 
 
@@ -188,7 +196,7 @@ def _centroids(X: np.ndarray, part: Partition) -> np.ndarray:
 
 
 def _nearest(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    return sq_dists(X, centroids).argmin(axis=1)
+    return _nearest_centres(X[None], X.T[:, None], centroids[None])[0]
 
 
 def _split_fits(V: np.ndarray, K: int, clusterer: str, reps: int,
@@ -280,12 +288,22 @@ def selection_table(X, method: str = "kmeans", k_range=range(1, 9),
 
     Rows carry gap, gap sd, risk of the fitted per-cluster Gaussians,
     silhouette, split stability, and prediction strength (the last three
-    only for K >= 2).  Only a K with a defined gap can be selected.
+    only for K >= 2).  Only a K with a defined gap can be selected.  Every
+    K is checked before any fit: 1 <= K <= n, and K <= n // 2 from K = 2
+    on, since the split halves are clustered into K clusters too.
     """
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must be in [0, 1]")
     V = as_matrix(X)
     ks = sorted(set(int(k) for k in k_range))
+    n = V.shape[0]
+    for K in ks:
+        if not 1 <= K <= n:
+            raise ValueError(f"need 1 <= K <= n={n}, got K={K}")
+        if K >= 2 and K > n // 2:
+            raise ValueError(f"K={K} exceeds the {n // 2} rows of a "
+                             "half-split, which stability and prediction "
+                             "strength cluster")
     gaps = gap_statistic(V, method, ks, B=B, seed=seed)
     defined = _defined(gaps)
     rows = []

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from distinguish import MixtureModel, fit_gmm_em, load_csv, mixture
 from distinguish.cli import main
@@ -330,6 +331,25 @@ class TestSelectKCommand:
         assert json.loads(lines[0])["error"] == {
             "kind": "validation", "message": "tau must be in [0, 1]"}
 
+    @pytest.mark.parametrize("method", ["kmeans", "hclust"])
+    def test_k_beyond_the_split_halves_fails_before_any_fit(
+            self, capsys, tmp_path, monkeypatch, method):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fit ran before the K range was checked")
+        for name in ("fit_kmeans", "fit_kmeans_many", "fit_hclust"):
+            monkeypatch.setattr(f"distinguish.selection.{name}", no_fit)
+        path = tmp_path / "seven.csv"
+        write_rows(path, np.random.default_rng(3).normal(size=(7, 2)))
+        code, out, err = run(capsys, "select-k", "--data", str(path),
+                             "--method", method, "--k-range", "1:6")
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["kind"] == "validation"
+        # the first K too large for the 3-row halves
+        assert "K=4" in error["message"] and "3 rows" in error["message"]
 
     def test_k_without_dispersion_has_null_gap(self, capsys, tmp_path):
         # 5 distinct points, 4 copies each: at K = 5 every cluster is one
@@ -394,6 +414,135 @@ def test_same_seed_repeats_are_byte_identical(capsys, data_path, argv):
     assert code1 == code2 == 0
     assert out1 == out2
     strict_json(out1)
+
+
+def write_rows(path, X):
+    path.write_text("".join(",".join(repr(float(v)) for v in row) + "\n"
+                            for row in X))
+
+
+def overflowing():
+    """Data whose squared distances overflow: rows of +-1e308, 1e200 plus
+    unit noise (all rows equal 1e200), and 1e153 times unit noise."""
+    rng = np.random.default_rng(8)
+    return {"1e308": rng.choice([-1e308, 1e308], size=(40, 2)),
+            "1e200-offset": 1e200 + rng.normal(size=(40, 2)),
+            "1e153-spread": 1e153 * rng.normal(size=(100, 2))}
+
+
+@pytest.mark.parametrize("kind", ["1e308", "1e200-offset", "1e153-spread"])
+@pytest.mark.parametrize("argv", [
+    ("phm", "--kappa-range", "1:3", "--m", "2000"),
+    ("select-k", "--k-range", "1:3", "--b-refs", "10", "--reps", "2",
+     "--m", "2000"),
+    ("hclust-test", "--reps", "100"),
+], ids=["phm", "select-k", "hclust-test"])
+def test_overflowing_data_follows_contract(capsys, tmp_path, argv, kind):
+    path = tmp_path / "big.csv"
+    write_rows(path, overflowing()[kind])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *argv, "--data", str(path))
+    assert [str(w.message) for w in caught] == []
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["kind"] == "validation"
+    assert "preprocess --scale" in error["message"]
+
+
+def test_preprocess_accepts_overflowing_data(capsys, tmp_path):
+    # preprocess is the remedy, so it takes data the other commands refuse
+    src, dst = tmp_path / "big.csv", tmp_path / "scaled.csv"
+    write_rows(src, overflowing()["1e153-spread"])
+    code, _ = run_quiet(capsys, "preprocess", "--data", str(src), "--scale",
+                        "--out", str(dst))
+    assert code == 0
+    code, out = run_quiet(capsys, "hclust-test", "--data", str(dst),
+                          "--reps", "100")
+    assert code == 0
+
+
+def malformed_csv():
+    """CSV text that select-k and hclust-test must refuse: ragged rows,
+    non-numeric or non-finite cells, no rows, one row, constant data, or
+    data whose squared distances overflow."""
+    cell = st.floats(-1e3, 1e3, allow_nan=False).map(repr)
+    shape = st.tuples(st.integers(2, 12), st.integers(1, 3))
+
+    def table(draw_cell, n, p):
+        return st.lists(st.lists(draw_cell, min_size=p, max_size=p),
+                        min_size=n, max_size=n)
+
+    def text(rows):
+        return "".join(",".join(row) + "\n" for row in rows)
+
+    @st.composite
+    def ragged(draw):
+        n, p = draw(shape)
+        rows = draw(table(cell, n, p))
+        # a row after the first, which sets the width; a 1-field row that
+        # lost its field would be blank, and blank lines are skipped
+        row = rows[draw(st.integers(1, n - 1))]
+        if p > 1 and draw(st.booleans()):
+            row.pop()
+        else:
+            row.append("1.0")
+        return text(rows)
+
+    @st.composite
+    def bad_cell(draw):
+        n, p = draw(shape)
+        rows = draw(table(cell, n, p))
+        bad = draw(st.sampled_from(["abc", "nan", "NaN", "inf", "-inf",
+                                    "1e999", "0x10", "1;2"]))
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, p - 1))] = bad
+        return text(rows)
+
+    @st.composite
+    def constant(draw):
+        n, p = draw(shape)
+        row = draw(st.lists(cell, min_size=p, max_size=p))
+        return text([row] * n)
+
+    @st.composite
+    def overflow(draw):
+        n, p = draw(shape)
+        rows = draw(table(cell, n, p))
+        big = draw(st.sampled_from(["1e308", "-1.7e308", "1e200", "1e160"]))
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, p - 1))] = big
+        return text(rows)
+
+    empty = st.sampled_from(["", "\n", "\n\n  \n"])
+    single = st.lists(cell, min_size=1, max_size=3).map(
+        lambda row: ",".join(row) + "\n")
+    return st.one_of(ragged(), bad_cell(), empty, single, constant(),
+                     overflow())
+
+
+@pytest.mark.parametrize("argv", [
+    ("select-k", "--k-range", "1:3", "--b-refs", "10", "--reps", "2",
+     "--m", "2000"),
+    ("hclust-test", "--reps", "100"),
+], ids=["select-k", "hclust-test"])
+# each example overwrites the one file and reads the captured output
+@settings(derandomize=True, deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=malformed_csv())
+def test_malformed_csv_follows_contract(capsys, tmp_path, argv, text):
+    path = tmp_path / "fuzz.csv"
+    path.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *argv, "--data", str(path))
+    assert [str(w.message) for w in caught] == []
+    assert code in (2, 3, 4), (text, out)
+    assert "Traceback" not in err and "Warning" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert set(json.loads(lines[0])) == {"error"}
 
 
 class TestPreprocessCommand:

@@ -3,7 +3,9 @@ per-point loss, the mean with its Monte Carlo standard error, the delta
 matrix, the merge order and its bookkeeping; for the stacked k-means restarts;
 for the stacked EM starts of a BIC scan; and for the stacked existence-test
 statistic; and for the canonical component order that fixes every sum
-across components, so that relabelling the components keeps every bit."""
+across components, so that relabelling the components keeps every bit;
+and for the k-means kernels: the running-minimum assignment against the
+argmin, and the unmasked segment means against the masked ones."""
 import contextlib
 import heapq
 import importlib
@@ -25,7 +27,9 @@ from distinguish import (DeltaMatrix, MixtureModel, Partition, PmcSettings,
                          pmc_from_sample, pmc_mc, pmc_statistic,
                          pmc_upper_bound, select_gmm_bic, stream)
 from distinguish.estimators import (_gaussian_moments, _moment_form_ok,
-                                    fit_kmeans_many, sq_dists)
+                                    _nearest_centres, _segment_means,
+                                    _stack_sq_dists, fit_kmeans_many,
+                                    sq_dists)
 from distinguish.models import (BLOCK_ELEMENTS, ClusterConfiguration,
                                 GaussianComponent, gaussian_log_density)
 from distinguish.pmc import (RULES, _CHAIN_ROWS, _normalise,
@@ -560,6 +564,60 @@ def test_sq_dists_adds_coordinates_as_numpy_sum(seed, n, p, K):
     # bit for bit: the former sq_dists, which every caller relied on
     assert np.array_equal(sq_dists(X, C),
                           ((X[:, None, :] - C[None]) ** 2).sum(axis=-1))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 7, 8, 10])
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 30),
+       st.integers(1, 6), st.booleans())
+@example(0, 2, 5, 1, True)
+@example(1, 2, 5, 2, True)
+@example(2, 1, 9, 4, True)
+def test_running_minimum_assignment_is_the_argmin(p, seed, S, rows, K,
+                                                  ties):
+    rng = np.random.default_rng(seed)
+    if ties:
+        # small integer coordinates: exact distances, many of them equal;
+        # a duplicate centre, and a row halfway between two centres
+        X = rng.integers(-2, 3, (S, rows, p)).astype(float)
+        C = rng.integers(-2, 3, (S, K, p)).astype(float)
+        if K >= 2:
+            C[:, -1] = C[:, 0]
+            X[:, 0] = (C[:, 0] + C[:, 1]) / 2
+    else:
+        X, C = rng.normal(0, 3, (S, rows, p)), rng.normal(0, 3, (S, K, p))
+    expect = _stack_sq_dists(X, C).argmin(axis=1)
+    # coordinate-major as a copy, as the Lloyd loop holds it, and as a view
+    for XT in (np.ascontiguousarray(np.moveaxis(X, -1, 0)),
+               np.moveaxis(X, -1, 0)):
+        assert np.array_equal(_nearest_centres(X, XT, C), expect)
+    out = np.full((S, rows + 3), -1)
+    _nearest_centres(X, np.moveaxis(X, -1, 0), C, out[:, 2:-1])
+    assert np.array_equal(out[:, 2:-1], expect)
+    assert (out[:, :2] == -1).all() and (out[:, -1] == -1).all()
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(2, 30),
+       st.integers(1, 4), st.integers(2, 5))
+def test_segment_means_without_empty_clusters_equal_the_masked_path(
+        seed, S, n, p, K):
+    rng = np.random.default_rng(seed)
+    K = min(K, n)
+    X = rng.normal(0, 3, (S, n, p))
+    labels = np.array([rng.permutation(np.arange(n) % K) for _ in range(S)])
+    full = np.empty((S, K, p))
+    counts = _segment_means(np.moveaxis(X, -1, 0), labels, K, full)
+    assert (counts > 0).all()
+    # one more start, all of its rows in cluster 0, sends the whole stack
+    # through the masked path; its empty clusters keep what out held
+    Xm = np.concatenate([X, X[:1]])
+    Lm = np.concatenate([labels, np.zeros((1, n), dtype=labels.dtype)])
+    masked = np.full((S + 1, K, p), np.nan)
+    _segment_means(np.ascontiguousarray(np.moveaxis(Xm, -1, 0)), Lm, K,
+                   masked)
+    assert np.array_equal(masked[:S], full)
+    assert np.isnan(masked[S, 1:]).all()
 
 
 @PROPERTY

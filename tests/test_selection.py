@@ -163,6 +163,14 @@ class TestGap:
         with pytest.raises(ValueError, match="undefined for every K"):
             argmax_gap({3: (None, None)})
 
+    def test_equal_rows_have_no_gap_when_their_mean_rounds(self):
+        # the mean of seven copies of this value is not the value, so the
+        # former dispersion read a rounding residual as a gap
+        X = np.full((7, 1), 293.068144873969)
+        assert X.mean() != X[0, 0]
+        table = gap_statistic(X, k_range=range(1, 3), B=10, seed=0)
+        assert table == {1: (None, None), 2: (None, None)}
+
 
 class TestConstrainedSelection:
     def test_feasible_takes_best_score(self):
