@@ -17,8 +17,8 @@ from .models import (ClusterConfiguration, DataMatrix, GaussianComponent,
                      Partition, as_matrix, mixture, validate)
 from .phm import PhmDendrogram, build_dendrogram, phm_run
 from .pmc import (DeltaMatrix, PmcSettings, cluster_posterior_matrix,
-                  cluster_weights, delta_matrix, pmc, pmc_from_sample, pmc_mc,
-                  pmc_quadrature, pmc_upper_bound, sample_mixture)
+                  delta_matrix, pmc, pmc_from_sample, pmc_mc, pmc_quadrature,
+                  pmc_upper_bound, sample_mixture)
 from .preprocess import PcaResult, load_csv, pca, save_csv, standardize
 from .rng import DEFAULT_SEED, derive_seed, stream
 from .selection import (adjusted_rand_index, argmax_gap, gap_statistic,
@@ -33,7 +33,7 @@ __all__ = [
     "McEstimate", "MergeStep", "MergeTrace", "MixtureModel", "Partition",
     "PcaResult", "PhmDendrogram", "PmcSettings", "adjusted_rand_index",
     "argmax_gap", "as_matrix", "build_dendrogram", "cluster_posterior_matrix",
-    "cluster_weights", "cut_tree", "default_regularization", "delta_matrix",
+    "cut_tree", "default_regularization", "delta_matrix",
     "derive_seed", "fit_gmm_em", "fit_hclust", "fit_kmeans", "free_parameters",
     "gap_statistic", "lange_stability", "load_csv", "mixture",
     "null_distribution", "partition_to_gaussians", "pca", "phm_run", "pmc",

@@ -127,11 +127,6 @@ def _cmd_pmc(args) -> int:
         if config.kappa != model.kappa:
             raise CliError("validation",
                            "config component count != model components")
-    if args.data:
-        X = load_csv(args.data, has_header=args.header)
-        if X.p != model.p:
-            raise CliError("validation",
-                           f"data dimension {X.p} != model dimension {model.p}")
     settings = PmcSettings(m_samples=args.m, seed=args.seed, rule=args.rule,
                            quadrature=args.quadrature)
     if args.delta and not args.quadrature and config.K > 1:
@@ -143,8 +138,7 @@ def _cmd_pmc(args) -> int:
         sample = None
         est = pmc(model, config, settings)
     report = {
-        "provenance": _provenance("pmc", args.seed, args.data, args.model,
-                                  args.config),
+        "provenance": _provenance("pmc", args.seed, args.model, args.config),
         "estimate": est.to_dict(),
         "rule": args.rule,
     }
@@ -271,16 +265,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "component merging, K selection, existence testing.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, data_required=True):
+    def common(p):
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--header", action="store_true",
                        help="first CSV row is a header")
-        if data_required:
-            p.add_argument("--data", required=True)
+        p.add_argument("--data", required=True)
 
     p = sub.add_parser("pmc", help="risk of a mixture model")
-    common(p, data_required=False)
-    p.add_argument("--data")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--model", required=True)
     p.add_argument("--config")
     p.add_argument("--rule", choices=["randomized", "optimal"],

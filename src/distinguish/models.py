@@ -6,7 +6,9 @@ Component indices are stable for the lifetime of a mixture; clusters are
 identified by sets of component indices, never by reordering.
 The types the CLI writes as JSON have to_dict; the two it also reads,
 MixtureModel (through GaussianComponent) and ClusterConfiguration, have
-from_dict.
+from_dict.  A valid mixture is what validate() reports no issue for: the
+CLI checks the models it reads with it, and mixture(), which builds the
+models fitted in code, raises its report.
 """
 from __future__ import annotations
 
@@ -137,8 +139,8 @@ def gaussian_log_density(X: np.ndarray, means: np.ndarray, L: np.ndarray
 class GaussianComponent:
     """One Gaussian: mean vector and full covariance matrix.
 
-    The Cholesky factor is computed lazily on first log-density call and
-    cached; log densities are evaluated through the factor.
+    The Cholesky factor is computed lazily on first use (validate() or a
+    log-density call) and cached; log densities are evaluated through it.
     """
 
     mean: np.ndarray
@@ -163,11 +165,6 @@ class GaussianComponent:
             L = np.linalg.cholesky(self.covariance)
             object.__setattr__(self, "_chol", _readonly(L))
         return self._chol
-
-    def log_density(self, X) -> np.ndarray:
-        """Log density at each row of X; returns shape (n,)."""
-        return gaussian_log_density(np.atleast_2d(as_matrix(X)),
-                                    self.mean[None], self.chol[None])[:, 0]
 
     def to_dict(self) -> dict:
         return {"mean": self.mean.tolist(), "covariance": self.covariance.tolist()}
@@ -220,53 +217,42 @@ class MixtureModel:
                    tuple(GaussianComponent.from_dict(c) for c in d["components"]))
 
 
-def _nonfinite(k: int, mean: np.ndarray, cov: np.ndarray) -> list[str]:
-    return [f"component {k} {name} not finite"
-            for name, a in (("mean", mean), ("covariance", cov))
-            if not np.all(np.isfinite(a))]
-
-
 def mixture(weights, means, covariances) -> MixtureModel:
-    """Build a validated MixtureModel from raw arrays.
+    """Build a MixtureModel from raw arrays and raise what validate() reports.
 
-    Weight sums within 1e-12 of 1 are accepted as-is; within 1e-6 they are
-    renormalized with a warning; anything further off is rejected.  Means
-    and covariances must be finite.  Slightly asymmetric covariances
-    (relative error <= 1e-9) are symmetrized.
+    mixture() accepts what `pmc --model` accepts, after two fix-ups: a
+    weight sum within WEIGHT_RENORM_TOL (1e-6) of 1, but further than
+    WEIGHT_SUM_TOL, is renormalized with a warning, and a finite covariance
+    whose asymmetry is at most 1e-9 of its largest entry is symmetrized.
+    Any issue validate() then finds is a ValueError carrying its report.
     """
     w = np.atleast_1d(np.asarray(weights, dtype=float))
-    if not np.all(w > 0):
-        raise ValueError("mixture weights must be strictly positive")
     s = float(np.sum(w))
-    if abs(s - 1.0) > WEIGHT_RENORM_TOL:
-        raise ValueError(f"mixture weights sum {s:.6g}, expected 1")
-    if abs(s - 1.0) > WEIGHT_SUM_TOL:
+    if WEIGHT_SUM_TOL < abs(s - 1.0) <= WEIGHT_RENORM_TOL:
         warnings.warn(f"renormalizing mixture weights (sum {s:.17g})",
                       stacklevel=2)
         w = w / s
     comps = []
-    for k, (mean, cov) in enumerate(zip(means, covariances, strict=True)):
-        mean = np.asarray(mean, dtype=float)
-        c = np.atleast_2d(np.asarray(cov, dtype=float))
-        bad = _nonfinite(k, mean, c)
-        if bad:
-            raise ValueError("; ".join(bad))
-        if not np.array_equal(c, c.T):
-            scale = np.abs(c).max()
-            if scale > 0 and np.abs(c - c.T).max() <= 1e-9 * scale:
-                c = (c + c.T) / 2.0
-            else:
-                raise ValueError("covariance is not symmetric")
-        comps.append(GaussianComponent(mean, c))
-    if len(comps) != w.size:
-        raise ValueError("weights and components count mismatch")
-    return MixtureModel(w, tuple(comps))
+    for mean, cov in zip(means, covariances, strict=True):
+        comp = GaussianComponent(mean, cov)
+        c = comp.covariance
+        if (not np.array_equal(c, c.T) and np.isfinite(c).all()
+                and np.abs(c - c.T).max() <= 1e-9 * np.abs(c).max()):
+            comp = GaussianComponent(comp.mean, (c + c.T) / 2.0)
+        comps.append(comp)
+    model = MixtureModel(w, tuple(comps))
+    issues = validate(model)
+    if issues:
+        raise ValueError("; ".join(issues))
+    return model
 
 
 def validate(model: MixtureModel) -> list[str]:
     """Collect every invariant violation; empty list means the model is ok.
 
-    Never raises: a report is produced even for badly broken models.
+    Never raises: a report is produced even for badly broken models.  Each
+    component is factored through comp.chol, so a valid model's Cholesky
+    factors are cached for scoring.
     """
     issues: list[str] = []
     w = model.weights
@@ -289,7 +275,9 @@ def validate(model: MixtureModel) -> list[str]:
         issues.append(f"components disagree on dimension: {sorted(dims)}")
     for k, comp in enumerate(model.components):
         cov = comp.covariance
-        bad = _nonfinite(k, comp.mean, cov)
+        bad = [f"component {k} {name} not finite"
+               for name, a in (("mean", comp.mean), ("covariance", cov))
+               if not np.isfinite(a).all()]
         if bad:
             issues.extend(bad)
             continue
@@ -297,7 +285,7 @@ def validate(model: MixtureModel) -> list[str]:
             issues.append(f"component {k} covariance not symmetric")
             continue
         try:
-            np.linalg.cholesky(cov)
+            comp.chol
         except np.linalg.LinAlgError:
             issues.append(f"component {k} covariance not positive definite")
     return issues
@@ -322,12 +310,6 @@ class ClusterConfiguration:
     @property
     def kappa(self) -> int:
         return len(self.assignment)
-
-    def members(self, k: int) -> tuple[int, ...]:
-        return tuple(j for j, c in enumerate(self.assignment) if c == k)
-
-    def member_sets(self) -> list[tuple[int, ...]]:
-        return [self.members(k) for k in range(self.K)]
 
     @classmethod
     def singletons(cls, kappa: int) -> "ClusterConfiguration":

@@ -113,13 +113,6 @@ def _summation_order(model: MixtureModel, config: ClusterConfiguration
     return groups, clusters
 
 
-def cluster_weights(model: MixtureModel, config: ClusterConfiguration
-                    ) -> np.ndarray:
-    """Per-cluster weights: sums of member component weights."""
-    groups, _ = _summation_order(model, config)
-    return np.array([_column_sum(model.weights, g) for g in groups])
-
-
 def _normalise(a: np.ndarray, groups, clusters
                ) -> tuple[np.ndarray, np.ndarray]:
     """Posteriors and density from log weighted densities a (..., kappa).

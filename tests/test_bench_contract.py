@@ -1,0 +1,40 @@
+"""The benchmark's traced run names package functions by string
+(bench/spans.py) and expects some of them to be called in each workload
+(bench/workloads.py).  These tests fail when a span is deleted or renamed,
+instead of a traced benchmark run failing its self-check."""
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}",
+                                                  BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+spans = load("spans")
+workloads = load("workloads")
+
+
+@pytest.mark.parametrize("span", spans.SPANS)
+def test_span_resolves_to_a_package_attribute(span):
+    modname, *path = span.split(".")
+    owner = importlib.import_module(f"{spans.PACKAGE}.{modname}")
+    for attr in path:
+        owner = getattr(owner, attr)
+    assert callable(owner)
+
+
+@pytest.mark.parametrize("name", sorted(workloads.MAKE_WORKLOAD))
+def test_expected_spans_are_spans(name, tmp_path):
+    workload = workloads.MAKE_WORKLOAD[name](701, tmp_path)
+    assert set(workload.expected_spans) <= set(spans.SPANS)

@@ -208,13 +208,20 @@ class TestPmcCommand:
         assert code == 0
         assert calls == []
 
-    def test_data_dimension_mismatch(self, capsys, model_path, tmp_path):
-        path = tmp_path / "wide.csv"
-        path.write_text("1,2\n3,4\n")
-        code, _, err = run(capsys, "pmc", "--model", model_path,
-                           "--data", str(path))
+    def test_data_option_is_unrecognised(self, capsys, model_path, tmp_path):
+        # pmc scores the model alone: it takes no data
+        path = tmp_path / "data.csv"
+        path.write_text("1\n3\n")
+        code, out, err = run(capsys, "pmc", "--model", model_path,
+                             "--data", str(path))
         assert code == 2
-        assert parse_err(err)["kind"] == "validation"
+        assert out == ""
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["kind"] == "validation"
+        assert "unrecognized arguments: --data" in error["message"]
 
 
 class TestPhmCommand:

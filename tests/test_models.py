@@ -7,6 +7,7 @@ import distinguish
 from distinguish import (ClusterConfiguration, DataMatrix, GaussianComponent,
                          McEstimate, MergeStep, MergeTrace, MixtureModel,
                          Partition, as_matrix, mixture, validate)
+from distinguish.models import gaussian_log_density
 
 
 def unit_mixture(means, weights=None):
@@ -24,7 +25,7 @@ class TestMixtureFactory:
         assert validate(m) == []
 
     def test_weight_sum_violation_rejected(self):
-        with pytest.raises(ValueError, match="0.9"):
+        with pytest.raises(ValueError, match="weights sum 0.8999"):
             unit_mixture([[0.0], [3.0]], [0.7, 0.2])
 
     def test_weight_sum_within_renorm_band_warns(self):
@@ -62,6 +63,29 @@ class TestMixtureFactory:
                            match=f"^component 1 {name} not finite$"):
             mixture([0.5, 0.5], [[0.0], mean], [[[1.0]], cov])
 
+    @pytest.mark.parametrize("weights, means, covs", [
+        ([0.7, 0.2], [[0.0], [3.0]], [[[1.0]]] * 2),
+        ([1.0, 0.0], [[0.0], [3.0]], [[[1.0]]] * 2),
+        ([1.0, np.nan], [[0.0], [3.0]], [[[1.0]]] * 2),
+        ([0.5, 0.5], [[0.0], [np.inf]], [[[1.0]]] * 2),
+        ([0.5, 0.5], [[0.0], [0.0]], [[[1.0]], [[np.nan]]]),
+        ([1.0], [[0.0, 0.0]], [[[1.0, 0.5], [0.1, 1.0]]]),
+        ([0.25, 0.25, 0.5], [[0.0], [3.0]], [[[1.0]]] * 2),
+        ([1.0], [[0.0, 0.0]], [[[1.0, 2.0], [2.0, 1.0]]]),  # eigenvalues 3, -1
+        ([0.5, 0.5], [[0.0], [0.0, 0.0]], [np.eye(1), np.eye(2)]),
+    ], ids=["bad-sum", "zero-weight", "nan-weight", "inf-mean", "nan-cov",
+            "asymmetric", "count-mismatch", "indefinite", "mixed-dims"])
+    def test_raises_the_validate_report(self, weights, means, covs):
+        report = validate(MixtureModel(
+            np.array(weights, dtype=float),
+            tuple(GaussianComponent(np.array(m, dtype=float),
+                                    np.array(c, dtype=float))
+                  for m, c in zip(means, covs))))
+        assert report
+        with pytest.raises(ValueError) as exc:
+            mixture(weights, means, covs)
+        assert str(exc.value) == "; ".join(report)
+
 
 class TestValidate:
     def test_reports_bad_weight_sum(self):
@@ -98,13 +122,24 @@ class TestValidate:
                           GaussianComponent(np.zeros(2), np.eye(2))))
         assert validate(m)
 
+    def test_caches_each_cholesky_factor(self):
+        m = MixtureModel(np.array([0.5, 0.5]),
+                         (GaussianComponent(np.zeros(2), np.eye(2)),
+                          GaussianComponent(np.ones(2), 2.0 * np.eye(2))))
+        assert validate(m) == []
+        for comp in m.components:
+            assert comp._chol is not None
+            assert np.array_equal(comp._chol,
+                                  np.linalg.cholesky(comp.covariance))
+
 
 class TestGaussianComponent:
     def test_log_density_matches_closed_form(self):
         comp = GaussianComponent(np.array([1.0]), np.array([[4.0]]))
         x = np.array([[3.0]])
         expect = -0.5 * np.log(2 * np.pi * 4.0) - 0.5 * (2.0 ** 2) / 4.0
-        assert np.isclose(comp.log_density(x)[0], expect, rtol=0, atol=1e-12)
+        got = gaussian_log_density(x, comp.mean[None], comp.chol[None])[:, 0]
+        assert np.isclose(got[0], expect, rtol=0, atol=1e-12)
 
     def test_cholesky_cached(self):
         comp = GaussianComponent(np.zeros(2), np.eye(2))
@@ -126,9 +161,7 @@ class TestClusterConfiguration:
         with pytest.raises(ValueError):
             ClusterConfiguration((0, 0, 2), 3)
 
-    def test_members_and_singletons(self):
-        cfg = ClusterConfiguration((0, 1, 0), 2)
-        assert cfg.members(0) == (0, 2)
+    def test_singletons(self):
         assert ClusterConfiguration.singletons(3).K == 3
 
     def test_round_trip(self):
@@ -192,8 +225,8 @@ def test_public_surface():
         "HclustTree", "KmeansFit", "McEstimate", "MergeStep", "MergeTrace",
         "MixtureModel", "Partition", "PcaResult", "PhmDendrogram",
         "PmcSettings", "adjusted_rand_index", "argmax_gap", "as_matrix",
-        "build_dendrogram", "cluster_posterior_matrix", "cluster_weights",
-        "cut_tree", "default_regularization", "delta_matrix", "derive_seed",
+        "build_dendrogram", "cluster_posterior_matrix", "cut_tree",
+        "default_regularization", "delta_matrix", "derive_seed",
         "fit_gmm_em", "fit_hclust", "fit_kmeans", "free_parameters",
         "gap_statistic", "lange_stability", "load_csv", "mixture",
         "null_distribution", "partition_to_gaussians", "pca", "phm_run",

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from distinguish import (ClusterConfiguration, PmcSettings, cluster_posterior_matrix,
-                         cluster_weights, delta_matrix, mixture, pmc, pmc_mc,
-                         pmc_quadrature, pmc_upper_bound, sample_mixture,
-                         stream)
+                         delta_matrix, mixture, pmc, pmc_mc, pmc_quadrature,
+                         pmc_upper_bound, sample_mixture, stream)
 from distinguish.pmc import CHUNK, pmc_from_sample
 
 # frozen trapezoid values for equal-weight N(0,1) vs N(3,1)
@@ -70,12 +69,6 @@ class TestPosteriors:
     def test_far_point_is_certain(self):
         pi = cluster_posterior_matrix(two_gauss(), None, [[-40.0]])[0]
         assert pi[0] > 1 - 1e-12
-
-    def test_cluster_weights(self):
-        m = mixture([0.2, 0.3, 0.5], np.zeros((3, 1)), [np.eye(1)] * 3)
-        cfg = ClusterConfiguration((0, 1, 0), 2)
-        w = cluster_weights(m, cfg)
-        assert np.isclose(w[0], 0.7) and np.isclose(w[1], 0.3)
 
 
 class TestSampling:
