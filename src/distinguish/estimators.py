@@ -360,6 +360,81 @@ def cut_tree(tree: HclustTree, K: int) -> Partition:
                                for r in root[:n]]), K)
 
 
+def _scipy_splits(Vs: np.ndarray) -> np.ndarray:
+    """Two-way Ward labels (R, n) of each dataset of an (R, n, p) stack, one
+    scipy tree each."""
+    return np.array([cut_tree(fit_hclust(V), 2).labels for V in Vs])
+
+
+def _ward_splits_1d(Vs: np.ndarray) -> np.ndarray:
+    """Two-way Ward labels (R, n) of each dataset of an (R, n, 1) stack,
+    equal to cut_tree(fit_hclust(V), 2).labels for each.
+
+    On the line every Ward cluster is an interval of the sorted values, and
+    the cheapest pair is always adjacent.  Take intervals A < B < C with
+    sizes a, b, c and mean gaps x = m_B - m_A >= 0, y = m_C - m_B >= 0:
+
+        min(ab/(a+b) x^2, bc/(b+c) y^2) <= min(a x^2, c y^2)
+            <= ac/(a+c) (x^2 + y^2) <= ac/(a+c) (x + y)^2 = cost(A, C),
+
+    the middle step because ac (x^2 + y^2) = c (a x^2) + a (c y^2) >=
+    (a + c) min(a x^2, c y^2).  The inequality is strict unless all three
+    means are equal, so by induction on the merges the clusters stay
+    intervals and merging the cheapest adjacent pair is Ward's greedy step.
+    Without ties that gives the tree of scipy's nearest-neighbour chain
+    (Muellner 2011).
+
+    All datasets merge in lockstep, n - 2 steps on (R, n + 2) arrays: each
+    cluster sits at the sorted position of its first value, with its size,
+    sum, neighbour links and the cost of merging it with its right
+    neighbour, which is infinite once the cluster is merged away; columns n
+    and n + 1 are end sentinels whose sums, +inf and -inf, make every cost
+    against them infinite.  Values are taken relative to their median, so a
+    common offset does not cost precision.  A dataset in which a step finds
+    a second cost within 1e-9 of the cheapest is a tie that scipy may break
+    otherwise, and is split by scipy instead.
+    """
+    R, n, _ = Vs.shape
+    order = np.argsort(Vs[:, :, 0], axis=1, kind="stable")
+    xs = np.take_along_axis(Vs[:, :, 0], order, 1)
+    total = np.empty((R, n + 2))
+    total[:, :n] = xs - xs[:, n // 2, None]
+    total[:, n], total[:, n + 1] = np.inf, -np.inf
+    cost = np.full((R, n + 2), np.inf)
+    gap = np.diff(total[:, :n], axis=1)
+    cost[:, :n - 1] = 0.5 * gap * gap
+    size = np.ones(R * (n + 2))
+    total, flat = total.ravel(), cost.ravel()
+    base = np.arange(R) * (n + 2)
+    nxt = np.arange(1, R * (n + 2) + 1)
+    prv = np.arange(-1, R * (n + 2) - 1)
+    prv[base] = base + n + 1
+    tied = np.zeros(R, bool)
+    for _ in range(n - 2):
+        f = base + cost.argmin(axis=1)
+        low = flat[f]
+        flat[f] = np.inf
+        tied |= flat[base + cost.argmin(axis=1)] <= low * (1 + 1e-9)
+        q = nxt[f]
+        nq, p = nxt[q], prv[f]
+        a = size[f] + size[q]
+        t = total[f] + total[q]
+        size[f], total[f], nxt[f], prv[nq], flat[q] = a, t, nq, f, np.inf
+        mean = t / a
+        b = size[nq]
+        g = total[nq] / b - mean
+        flat[f] = a * b / (a + b) * g * g
+        b = size[p]
+        g = mean - total[p] / b
+        flat[p] = b * a / (b + a) * g * g
+    left = np.empty((R, n), bool)
+    np.put_along_axis(left, order, np.arange(n) < size[base, None], 1)
+    labels = (left != left[:, :1]).astype(int)
+    if tied.any():
+        labels[tied] = _scipy_splits(Vs[tied])
+    return labels
+
+
 # ------------------------------------------------ partitions to mixtures
 
 def _gaussian_moments(X: np.ndarray, labels: np.ndarray, K: int,
@@ -554,7 +629,7 @@ def _em_stack(V: np.ndarray, resps, reg: float, tol: float, max_iter: int):
         covs += floor
         covs = (covs + covs.transpose(0, 2, 1)) / 2.0
         ev, U = np.linalg.eigh(covs)
-        bad = (ev[:, 0] <= 0) | (ev[:, -1] > 1e12 * ev[:, 0])
+        bad = (ev[:, 0] <= 0) | (1e-12 * ev[:, -1] > ev[:, 0])
         if bad.any():
             keep = ~np.logical_or.reduceat(bad, off)
             (act, kap, ll_prev), (R, w, mu, covs, ev, U) = _drop(

@@ -9,20 +9,23 @@ draws from the null or by a parametric bootstrap around the fitted
 Gaussian; p-values use the add-one estimator so they are never zero.
 
 Replicate r of the null (bootstrap replicate b) is drawn from its own
-stream(seed, "null-rep", r) (stream(seed, "boot-rep", b)) and gets its own
-Ward tree and two-way cut.  The rest is scored in stacked chunks of
-replicates: one moment fit, one batched Cholesky and one log-density call
-per chunk.  A chunk holds at most BLOCK_ELEMENTS replicates x n x 2 x p
-elements, so memory does not grow with the replicate count, and a
-replicate's statistic does not depend on the chunk it falls in:
-pmc_statistic is the one-replicate case.
+stream(seed, "null-rep", r) (stream(seed, "boot-rep", b)).  Replicates are
+split and scored in stacked chunks: one moment fit, one batched Cholesky
+and one log-density call per chunk.  Univariate chunks are split by one
+lockstep Ward pass over all their replicates (_ward_splits_1d), which hands
+a replicate with a near-tied merge to scipy; multivariate chunks and the
+observed data get one scipy Ward tree and two-way cut each.  Either way
+every split equals cut_tree(fit_hclust(V), 2).  A chunk holds at most
+BLOCK_ELEMENTS replicates x n x 2 x p elements, so memory does not grow
+with the replicate count, and a replicate's statistic does not depend on
+the chunk it falls in: pmc_statistic is the one-replicate case.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .estimators import (_gaussian_moments, cut_tree, default_regularization,
-                         fit_hclust, partition_to_gaussians)
+from .estimators import (_gaussian_moments, _scipy_splits, _ward_splits_1d,
+                         default_regularization, partition_to_gaussians)
 from .models import (BLOCK_ELEMENTS, Partition, as_matrix,
                      gaussian_log_density, mixture)
 from .pmc import _normalise, _summands
@@ -32,14 +35,15 @@ QUANTILE_GRID = (0.01, 0.025, 0.05, 0.10, 0.25, 0.50,
                  0.75, 0.90, 0.95, 0.975, 0.99)
 
 
-def _statistics(Vs: np.ndarray) -> np.ndarray:
-    """pmc_statistic of each dataset of a (R, n, p) stack."""
+def _statistics(Vs: np.ndarray, split=_scipy_splits) -> np.ndarray:
+    """pmc_statistic of each dataset of a (R, n, p) stack, whose two-way
+    Ward labels split(Vs) gives."""
     n = Vs.shape[1]
     if n < 4:
         raise ValueError("statistic needs n >= 4")
     if np.all(Vs == Vs[:, :1], axis=(1, 2)).any():
         raise ValueError("degenerate data: all points identical")
-    labels = np.array([cut_tree(fit_hclust(V), 2).labels for V in Vs])
+    labels = split(Vs)
     w, means, covs = _gaussian_moments(Vs, labels, 2,
                                        default_regularization(Vs))
     bad = np.flatnonzero(~(np.isfinite(means).all(axis=(1, 2))
@@ -60,10 +64,12 @@ def _replicate_statistics(draw, reps: int, n: int, p: int) -> np.ndarray:
     drawn and scored one chunk of at most BLOCK_ELEMENTS // (n * 2 * p)
     replicates at a time."""
     chunk = max(1, BLOCK_ELEMENTS // (n * 2 * p))
+    split = _ward_splits_1d if p == 1 else _scipy_splits
     values = np.empty(reps)
     for lo in range(0, reps, chunk):
         hi = min(reps, lo + chunk)
-        values[lo:hi] = _statistics(np.array([draw(r) for r in range(lo, hi)]))
+        values[lo:hi] = _statistics(
+            np.array([draw(r) for r in range(lo, hi)]), split)
     return values
 
 

@@ -59,9 +59,19 @@ def save_csv(path, X, feature_names=None) -> None:
 
 
 def standardize(X, center: bool = True, scale: bool = True) -> DataMatrix:
-    """Shift columns to mean 0 and/or rescale to unit sample variance."""
+    """Shift columns to mean 0 and/or rescale to unit sample variance.
+
+    Each column is first divided by 2^(e - 1), e the frexp exponent of its
+    largest magnitude, so that no mean or standard deviation overflows,
+    even at 1e308; 2^e itself would overflow there.  Scaling by a power of
+    two is exact, so the output bits do not change unless a value falls
+    below the normal range; a column that is not scaled to unit variance
+    is multiplied back.
+    """
     names = X.feature_names if isinstance(X, DataMatrix) else None
     V = as_matrix(X).copy()
+    unit = np.ldexp(1.0, np.frexp(np.abs(V).max(axis=0))[1] - 1)
+    V /= unit
     if center:
         V -= V.mean(axis=0)
     if scale:
@@ -71,6 +81,8 @@ def standardize(X, center: bool = True, scale: bool = True) -> DataMatrix:
             label = names[bad[0]] if names else str(bad[0])
             raise ValueError(f"cannot scale constant column {label}")
         V /= sd
+    else:
+        V *= unit
     return DataMatrix(V, names)
 
 

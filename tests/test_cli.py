@@ -472,6 +472,34 @@ def test_preprocess_accepts_overflowing_data(capsys, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("center", [False, True], ids=["scale", "center"])
+def test_preprocess_scales_data_at_1e308(capsys, tmp_path, center):
+    # the columns are brought near 1 by a power of two before the standard
+    # deviation, which would overflow at this magnitude
+    src, dst = tmp_path / "big.csv", tmp_path / "scaled.csv"
+    write_rows(src, overflowing()["1e308"])
+    code, _ = run_quiet(capsys, "preprocess", "--data", str(src), "--scale",
+                        *(["--center"] if center else []), "--out", str(dst))
+    assert code == 0
+    Z = load_csv(dst).values
+    assert np.isfinite(Z).all()
+    assert np.allclose(Z.std(axis=0, ddof=1), 1.0, rtol=0, atol=1e-12)
+    code, _ = run_quiet(capsys, "select-k", "--data", str(dst), "--k-range",
+                        "1:3", "--b-refs", "10", "--reps", "2", "--m", "2000")
+    assert code == 0
+
+
+@pytest.mark.parametrize("kappas", ["1:4", "1:9"])
+@pytest.mark.parametrize("scale, rows", [(1e150, 100), (1e151, 20)])
+def test_phm_is_quiet_at_a_huge_spread(capsys, tmp_path, scale, rows, kappas):
+    # the eigenvalue-ratio collapse test must not overflow near 1e300
+    path = tmp_path / "spread.csv"
+    write_rows(path, scale * np.random.default_rng(3).normal(size=(rows, 2)))
+    code, _ = run_quiet(capsys, "phm", "--data", str(path), "--kappa-range",
+                        kappas, "--m", "2000")
+    assert code == 0
+
+
 def malformed_csv():
     """CSV text that select-k and hclust-test must refuse: ragged rows,
     non-numeric or non-finite cells, no rows, one row, constant data, or

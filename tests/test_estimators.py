@@ -322,6 +322,25 @@ class TestHclust:
                 assert got.dtype == expect.dtype
                 assert np.array_equal(got, expect)
 
+    @pytest.mark.parametrize("kind", ["normal", "cubed", "two-blobs"])
+    def test_1d_merges_join_adjacent_intervals(self, kind):
+        # on tie-free 1-D data every scipy Ward merge joins two clusters
+        # that are neighbouring intervals of the sorted values, which the
+        # stacked split (_ward_splits_1d) relies on
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(4, 200))
+            x = {"normal": rng.normal(size=n),
+                 "cubed": rng.normal(size=n) ** 3,
+                 "two-blobs": rng.normal(size=n) + 6 * (rng.random(n) < .5),
+                 }[kind]
+            rank = np.argsort(np.argsort(x))
+            span = {i: (int(r), int(r)) for i, r in enumerate(rank)}
+            for i, (a, b, _) in enumerate(fit_hclust(x[:, None]).merges):
+                (lo_a, hi_a), (lo_b, hi_b) = span.pop(a), span.pop(b)
+                assert hi_a + 1 == lo_b or hi_b + 1 == lo_a
+                span[n + i] = (min(lo_a, lo_b), max(hi_a, hi_b))
+
     def test_ward_pair_height_is_squared_distance(self):
         # two singletons at distance d merge at height d^2
         X = np.array([[0.0], [3.0], [100.0], [200.0]])

@@ -4,7 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from distinguish import (fit_hclust, hyptest, null_distribution,
+from distinguish import (estimators, fit_hclust, hyptest, null_distribution,
                          pmc_statistic, pvalue_bootstrap, pvalue_mc)
 from distinguish import test_report as run_test
 
@@ -136,11 +136,15 @@ class TestReport:
         assert r["p_value"] == pvalue_bootstrap(bimodal, B=120, seed=6)
 
     def test_bootstrap_report_scores_the_data_once(self, bimodal):
-        # one Ward tree for the observed data, one per replicate
-        with mock.patch.object(hyptest, "fit_hclust",
-                               wraps=fit_hclust) as spy:
+        # one scipy Ward tree for the observed data; the stacked 1-D pass
+        # splits all 120 replicates, none of which falls back to scipy
+        with mock.patch.object(estimators, "fit_hclust",
+                               wraps=fit_hclust) as spy, \
+                mock.patch.object(hyptest, "_ward_splits_1d",
+                                  wraps=estimators._ward_splits_1d) as stacked:
             run_test(bimodal, bootstrap=120, seed=6)
-        assert spy.call_count == 121
+        assert spy.call_count == 1
+        assert sum(c.args[0].shape[0] for c in stacked.call_args_list) == 120
 
     def test_rejects_structure_accepts_noise(self, bimodal):
         r_clustered = run_test(bimodal, reps=200, seed=7)

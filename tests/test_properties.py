@@ -1,11 +1,12 @@
 """Property tests for the estimation chain: log-density, posteriors,
 per-point loss, the mean with its Monte Carlo standard error, the delta
 matrix, the merge order and its bookkeeping; for the stacked k-means restarts;
-for the stacked EM starts of a BIC scan; and for the stacked existence-test
-statistic; and for the canonical component order that fixes every sum
-across components, so that relabelling the components keeps every bit;
-and for the k-means kernels: the running-minimum assignment against the
-argmin, and the unmasked segment means against the masked ones."""
+for the stacked EM starts of a BIC scan; for the stacked existence-test
+statistic and its lockstep 1-D Ward split; and for the canonical component
+order that fixes every sum across components, so that relabelling the
+components keeps every bit; and for the k-means kernels: the
+running-minimum assignment against the argmin, and the unmasked segment
+means against the masked ones."""
 import contextlib
 import heapq
 import importlib
@@ -733,6 +734,31 @@ def test_stacked_statistics_equal_one_by_one(seed, n, p, reps, per_chunk,
     with mock.patch.object(hyptest, "BLOCK_ELEMENTS", n * 2 * p * per_chunk):
         assert np.array_equal(
             hyptest._replicate_statistics(draw, reps, n, p), alone)
+
+
+# 1-D data for the stacked Ward split: continuous draws, and CSV-like
+# rounding and small integers, whose equal values tie the merge costs
+WARD_KINDS = {
+    "normal": lambda rng, shape: rng.normal(size=shape),
+    "cubed": lambda rng, shape: rng.normal(size=shape) ** 3,
+    "rounded-0.1": lambda rng, shape: np.round(rng.normal(size=shape), 1),
+    "rounded-0.01": lambda rng, shape: np.round(rng.normal(size=shape), 2),
+    "integers": lambda rng, shape: rng.integers(0, 20, shape) * 1.0,
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(st.sampled_from(sorted(WARD_KINDS)), st.integers(4, 400),
+       st.sampled_from([1, 200]), st.integers(0, 2**32 - 1))
+@example("integers", 400, 200, 0)
+@example("integers", 4, 200, 1)
+@example("rounded-0.1", 150, 200, 2)
+@example("rounded-0.01", 150, 200, 3)
+@example("rounded-0.1", 5, 1, 4)
+def test_stacked_ward_splits_equal_scipy(kind, n, reps, seed):
+    Vs = WARD_KINDS[kind](np.random.default_rng(seed), (reps, n, 1))
+    expect = np.array([cut_tree(fit_hclust(V), 2).labels for V in Vs])
+    assert np.array_equal(estimators._ward_splits_1d(Vs), expect)
 
 
 @PROPERTY
