@@ -87,52 +87,68 @@ def gaussian_log_density(X: np.ndarray, means: np.ndarray, L: np.ndarray
     origin costs no precision; row blocks bound the temporaries at
     BLOCK_ELEMENTS differences over the whole batch.
 
-    Up to p = 3 the whitening runs one coordinate at a time on
-    component-major (..., k, rows) arrays: z_c = sum_{i<=c} d_i W[i, c],
-    with d_i = x_i - mean_i, added in ascending i, then q = sum_c z_c^2.
-    At such small p a batched (k, rows, p) @ (k, p, p) product and an
-    einsum over its tiny trailing axes cost more in per-call and per-row
-    overhead than in arithmetic.  Wider p takes that batched product.
-    Either path treats each row and each dataset alike, so a row's value
-    does not depend on its block or on the other datasets.
+    The output is the transposed view of a C-ordered (..., k, n) array,
+    so each component's column is one contiguous row: the posterior chain
+    walks it one component at a time.  Each row block is first copied
+    coordinate-major, (..., p, rows), so that every centring runs along
+    the rows.  Up to p = 3 the whitening then runs one coordinate at a
+    time on (..., k, rows) arrays: z_c = sum_{i<=c} d_i W[i, c], with d_i
+    = x_i - mean_i, added in ascending i, then q = sum_c z_c^2.  At such
+    small p a batched matrix product and an einsum over its tiny trailing
+    axes cost more in per-call and per-row overhead than in arithmetic.
+    Wider p centres the block as (..., k, p, rows) and multiplies its
+    (..., k, rows, p) transpose by W.  OpenBLAS packs a transposed operand
+    as it packs a row-major one, so the product has the bits of a
+    row-major centring; a property test pins them.  Either path treats
+    each row and each dataset alike, so a row's value does not depend on
+    its block or on the other datasets.
+
+    A row whose Mahalanobis term overflows (a difference, a product or
+    the sum of squares passes the largest double) scores -inf, silently:
+    such overflow is the only way finite inputs make a NaN, through an
+    infinite difference times a zero entry of W or inf - inf.
     """
     k, p = means.shape[-2:]
     inv_lt = np.linalg.inv(L).swapaxes(-1, -2)
     const = (-np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)
              - 0.5 * p * np.log(2.0 * np.pi))
     n = X.shape[-2]
-    out = np.empty(X.shape[:-1] + (k,))
+    out = np.empty(X.shape[:-2] + (k, n))
     rows = max(1, BLOCK_ELEMENTS // means.size)
-    for lo in range(0, n, rows):
-        if p > _COORDINATE_P:
-            x = X[..., None, lo:lo + rows, :]
-            m = x.shape[-2]
-            if m == 1:
-                # numpy takes a one-row product as a matrix-vector product,
-                # which adds in another order than a longer block's
-                x = np.concatenate([x, x], axis=-2)
-            z = (x - means[..., None, :]) @ inv_lt
-            out[..., lo:lo + rows, :] = const[..., None, :] - 0.5 * np.einsum(
-                "...kij,...kij->...ik", z, z)[..., :m, :]
-            continue
-        d = [X[..., None, lo:lo + rows, i] - means[..., i, None]
-             for i in range(p)]
-        q = None
-        for c in range(p):
-            # the last coordinate is the last use of each d_i: its products
-            # overwrite them
-            last = c == p - 1
-            z = np.multiply(d[0], inv_lt[..., 0, c, None],
-                            out=d[0] if last else None)
-            for i in range(1, c + 1):
-                z += np.multiply(d[i], inv_lt[..., i, c, None],
-                                 out=d[i] if last else None)
-            z *= z
-            q = z if q is None else np.add(q, z, out=q)
-        q *= -0.5
-        q += const[..., None]
-        out[..., lo:lo + rows, :] = q.swapaxes(-1, -2)
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n, rows):
+            xt = np.ascontiguousarray(
+                X[..., None, lo:lo + rows, :].swapaxes(-1, -2))
+            m = xt.shape[-1]
+            if p > _COORDINATE_P:
+                if m == 1:
+                    # numpy takes a one-row product as a matrix-vector
+                    # product, which adds in another order than a longer
+                    # block's
+                    xt = np.concatenate([xt, xt], axis=-1)
+                z = (xt - means[..., None]).swapaxes(-1, -2) @ inv_lt
+                q = np.einsum("...kij,...kij->...ki", z, z)[..., :m]
+                # freed before the next block's product is allocated
+                del z
+            else:
+                d = [xt[..., i, :] - means[..., i, None] for i in range(p)]
+                q = None
+                for c in range(p):
+                    # the last coordinate is the last use of each d_i: its
+                    # products overwrite them
+                    last = c == p - 1
+                    z = np.multiply(d[0], inv_lt[..., 0, c, None],
+                                    out=d[0] if last else None)
+                    for i in range(1, c + 1):
+                        z += np.multiply(d[i], inv_lt[..., i, c, None],
+                                         out=d[i] if last else None)
+                    z *= z
+                    q = z if q is None else np.add(q, z, out=q)
+            q *= -0.5
+            np.add(q, const[..., None], out=out[..., lo:lo + rows])
+    if np.isnan(out.min()):
+        out[np.isnan(out)] = -np.inf
+    return out.swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,14 @@ writes each block into one preallocated posterior matrix and density.
 Every step is row-local, so the blocks change no bit; the per-point loss,
 the mean and the pair sums then run over the whole matrix.
 
+Every (rows, components) array of the chain, from the log-density to the
+posterior matrix, keeps its (n, K) shape but is stored component-major:
+it is the transpose of a C-ordered (K, n) array.  Each step walks the
+components one at a time (row maxima, column sums, squares, pair
+products), so each column it reads is one contiguous row of memory.
+Every step is elementwise or adds columns in a fixed order, so the
+memory order changes no bit.
+
 Summation order is fixed so that a relabeling of components that leaves
 the sample unchanged reproduces every estimate bit-identically.  Sums
 across components within a row (posterior totals, group sums, per-point
@@ -122,7 +130,9 @@ def _normalise(a: np.ndarray, groups, clusters
     k is the sum of its members' shares of the per-row total, which adds
     every component, cluster by cluster; the density is that total.  One
     log-space normalisation serves both, over the last axis.  When group
-    k is component k alone for every k, one division serves them all.
+    k is component k alone for every k, one division serves them all, and
+    the posteriors keep the memory order of a; otherwise they are stored
+    component-major, each cluster's column one contiguous row.
     """
     m = _row_max(a)
     e = np.subtract(a, m[..., None])
@@ -132,7 +142,7 @@ def _normalise(a: np.ndarray, groups, clusters
     if groups == [[k] for k in range(a.shape[-1])]:
         e /= total[..., None]
         return e, density
-    pi = np.empty(a.shape[:-1] + (len(groups),))
+    pi = np.moveaxis(np.empty((len(groups),) + a.shape[:-1]), 0, -1)
     for k, members in enumerate(groups):
         np.divide(_column_sum(e, members), total, out=pi[..., k])
     return pi, density
@@ -145,8 +155,8 @@ def _posteriors_and_density(model: MixtureModel,
 
     log w + log-density + _normalise run over blocks of _CHAIN_ROWS rows,
     so that a block's temporaries stay in cache, into one (n, K) posterior
-    matrix and one (n,) density.  Every step is row-local, so a row's
-    values do not depend on its block.
+    matrix, stored component-major, and one (n,) density.  Every step is
+    row-local, so a row's values do not depend on its block.
     """
     X = np.atleast_2d(as_matrix(X))
     if config is None:
@@ -154,7 +164,7 @@ def _posteriors_and_density(model: MixtureModel,
     order = _summation_order(model, config)
     log_w = np.log(model.weights)
     n = X.shape[0]
-    pi = np.empty((n, config.K))
+    pi = np.empty((config.K, n)).T
     density = np.empty(n)
     for lo in range(0, n, _CHAIN_ROWS):
         block = slice(lo, lo + _CHAIN_ROWS)
@@ -178,9 +188,14 @@ def cluster_posterior_matrix(model: MixtureModel,
 
 def _summands(pi: np.ndarray, rule: str, clusters) -> np.ndarray:
     """Per-point loss from posteriors pi (..., K), over the last axis;
-    the randomized rule adds the squares in the order of `clusters`."""
+    the randomized rule squares one column at a time into one reused
+    buffer and adds the squares in the order of `clusters` from +0.0."""
     if rule == "randomized":
-        return 1.0 - _column_sum(pi * pi, clusters)
+        total = np.zeros(pi.shape[:-1])
+        square = np.empty(pi.shape[:-1])
+        for k in clusters:
+            total += np.multiply(pi[..., k], pi[..., k], out=square)
+        return np.subtract(1.0, total, out=total)
     if rule == "optimal":
         # argmax ties break toward the lowest cluster index (measure-zero
         # event for Gaussians); only the max value enters the risk
@@ -337,8 +352,10 @@ def _pair_deltas(pi: np.ndarray) -> np.ndarray:
 
     The pairs (i, j > i) go in blocks of at most BLOCK_ELEMENTS products
     (one pair when M is larger): row i of a contiguous pi^T times the rows
-    of j, each product row summed pairwise in row order.  A pair's sum does
-    not depend on its block, so a relabeling permutes the entries exactly.
+    of j, each product row summed pairwise in row order.  The chain's
+    component-major pi is that pi^T in its own memory, so no copy is made.
+    A pair's sum does not depend on its block, so a relabeling permutes
+    the entries exactly.
     """
     M, K = pi.shape
     cols = np.ascontiguousarray(pi.T)

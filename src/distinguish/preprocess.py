@@ -66,11 +66,13 @@ def standardize(X, center: bool = True, scale: bool = True) -> DataMatrix:
     even at 1e308; 2^e itself would overflow there.  Scaling by a power of
     two is exact, so the output bits do not change unless a value falls
     below the normal range; a column that is not scaled to unit variance
-    is multiplied back.
+    is multiplied back, and a centred value too large to be multiplied
+    back is a ValueError, raised before any value overflows.
     """
     names = X.feature_names if isinstance(X, DataMatrix) else None
     V = as_matrix(X).copy()
-    unit = np.ldexp(1.0, np.frexp(np.abs(V).max(axis=0))[1] - 1)
+    shift = np.frexp(np.abs(V).max(axis=0))[1] - 1
+    unit = np.ldexp(1.0, shift)
     V /= unit
     if center:
         V -= V.mean(axis=0)
@@ -82,6 +84,13 @@ def standardize(X, center: bool = True, scale: bool = True) -> DataMatrix:
             raise ValueError(f"cannot scale constant column {label}")
         V /= sd
     else:
+        # V * unit is exact unless its frexp exponent passes 1024, that of
+        # the largest double
+        bad = np.nonzero(np.frexp(np.abs(V).max(axis=0))[1] + shift > 1024)[0]
+        if bad.size:
+            label = names[bad[0]] if names else str(bad[0])
+            raise ValueError(f"centred column {label} exceeds the largest "
+                             f"double; rescale it too (--scale)")
         V *= unit
     return DataMatrix(V, names)
 

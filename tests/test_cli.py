@@ -580,6 +580,150 @@ def test_malformed_csv_follows_contract(capsys, tmp_path, argv, text):
     assert set(json.loads(lines[0])) == {"error"}
 
 
+MODEL_KINDS = ("valid", "ragged-mean", "ragged-cov", "nested-weights",
+               "nested-mean", "non-square", "asymmetric", "extra-weight",
+               "missing-weight", "literal", "junk", "huge")
+
+
+def pmc_inputs(kind):
+    """(argv, model text, config text or None) for pmc --m 2000, with
+    --delta or the optimal rule.  The model is valid ("valid"), or has a
+    ragged or nested list, a non-square or asymmetric covariance, a weight
+    too many or too few, a NaN or Infinity literal, a string, boolean or
+    null where a number goes, or means and covariances at 1e150-1e308
+    ("huge").  The config is absent, or its K and assignment disagree, or
+    it assigns a component too few."""
+
+    @st.composite
+    def inputs(draw):
+        kappa, p = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        w = rng.dirichlet(np.ones(kappa))
+        w[-1] = 1.0 - w[:-1].sum()
+        A = rng.normal(size=(kappa, p, p))
+        covs = A @ A.swapaxes(-1, -2) + 0.5 * np.eye(p)
+        model = {"weights": w.tolist(), "components": [
+            {"mean": m.tolist(), "covariance": c.tolist()}
+            for m, c in zip(rng.normal(0, 3, (kappa, p)), covs)]}
+        comp = model["components"][draw(st.integers(0, kappa - 1))]
+        cov = comp["covariance"]
+        if kind == "ragged-mean":
+            comp["mean"].append(1.0)
+        elif kind == "ragged-cov":
+            cov[0].append(1.0)
+        elif kind == "nested-weights":
+            model["weights"] = [[v] for v in model["weights"]]
+        elif kind == "nested-mean":
+            comp["mean"] = [comp["mean"]]
+        elif kind == "non-square":
+            cov.append(list(cov[0]))
+        elif kind == "asymmetric":
+            if p == 1:
+                cov[0].append(0.0)
+            else:
+                cov[0][1] += 1.0
+        elif kind == "extra-weight":
+            model["weights"].append(0.0)
+        elif kind == "missing-weight":
+            model["weights"].pop()
+        elif kind in ("literal", "junk"):
+            bad = draw(st.sampled_from(
+                [float("nan"), float("inf"), -float("inf")]
+                if kind == "literal" else ["abc", True, False, None]))
+            spot = draw(st.sampled_from(["weight", "mean", "cov"]))
+            if spot == "weight":
+                model["weights"][0] = bad
+            elif spot == "mean":
+                comp["mean"][-1] = bad
+            else:
+                cov[0][0] = bad
+        elif kind == "huge":
+            scale = draw(st.sampled_from([1e150, 1e200, 1e300, 1e308]))
+            for c in model["components"]:
+                c["mean"] = [v * scale for v in c["mean"]]
+            if draw(st.booleans()):
+                # the first row and column of one covariance times f, its
+                # corner times f^2 = min(scale, 1e300): still positive
+                # definite
+                f = np.sqrt(min(scale, 1e300))
+                cov[:] = (np.array(cov) * np.outer(
+                    [f] + [1.0] * (p - 1), [f] + [1.0] * (p - 1))).tolist()
+        argv = draw(st.sampled_from([("--delta",), ("--rule", "optimal")]))
+        config = draw(st.sampled_from(["none", "disagree", "short"]))
+        if config == "none":
+            return argv, json.dumps(model), None
+        cfg = ({"assignment": list(range(kappa)), "K": kappa + 1}
+               if config == "disagree" else
+               {"assignment": list(range(kappa - 1)) or [0, 0], "K": kappa})
+        return argv, json.dumps(model), json.dumps(cfg)
+
+    return inputs()
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+# each example overwrites the two files and reads the captured output
+@settings(derandomize=True, deadline=None, max_examples=12,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_malformed_model_follows_contract(capsys, tmp_path, kind, data):
+    argv, model, config = data.draw(pmc_inputs(kind))
+    (tmp_path / "model.json").write_text(model)
+    files = ("--model", str(tmp_path / "model.json"))
+    if config is not None:
+        (tmp_path / "config.json").write_text(config)
+        files += ("--config", str(tmp_path / "config.json"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "pmc", "--m", "2000", *argv, *files)
+    assert [str(w.message) for w in caught] == []
+    assert code in (0, 2, 3, 4), (model, config, err)
+    if code == 0:
+        assert err == ""
+        strict_json(out)
+        return
+    assert out == ""
+    assert "Traceback" not in err and "Warning" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert set(json.loads(lines[0])) == {"error"}
+
+
+@pytest.mark.parametrize("mean, cov", [(1e200, 1.0), (1e308, 1e308)],
+                         ids=["1e200", "1e308"])
+def test_far_apart_components_score_quietly(capsys, tmp_path, mean, cov):
+    # the distances between the two components overflow: each sample point
+    # scores -inf against the far component, with no warning and no NaN
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"weights": [0.5, 0.5], "components": [
+        {"mean": [mean, 0], "covariance": [[cov, 0], [0, 1]]},
+        {"mean": [-mean, 1], "covariance": [[1, 0], [0, 1]]}]}))
+    code, out = run_quiet(capsys, "pmc", "--model", str(path), "--m", "2000",
+                          "--delta", "--seed", "1")
+    assert code == 0
+    report = strict_json(out)
+    assert report["estimate"]["value"] == 0.0
+    assert report["delta"]["values"] == [[0.0, 0.0], [0.0, 0.0]]
+
+
+def test_preprocess_refuses_a_centred_overflow(capsys, tmp_path):
+    # 39 rows of -1e308 and one of +1e308 centre to +1.95e308 in column 0
+    src = tmp_path / "big.csv"
+    src.write_text("-1e308,1.0\n" * 39 + "1e308,1.0\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "preprocess", "--data", str(src),
+                             "--center", "--out", str(tmp_path / "o.csv"))
+    assert [str(w.message) for w in caught] == []
+    assert code == 2
+    assert out == ""
+    assert "Warning" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["kind"] == "validation"
+    assert "centred column 0" in error["message"]
+
+
 class TestPreprocessCommand:
     def test_standardize_and_pca(self, capsys, tmp_path):
         rng = np.random.default_rng(4)

@@ -403,6 +403,100 @@ def test_kernel_rows_do_not_depend_on_their_block(p):
             assert got.tobytes() == whole[lo:lo + rows].tobytes()
 
 
+def row_major_log_density(X, means, L):
+    """gaussian_log_density as it was computed row-major: (..., n, k)
+    output memory, each block centred as (..., k, rows, p) and, for
+    p >= 4, whitened by its @ W product and summed by an einsum over the
+    trailing axes; up to p = 3, one coordinate at a time."""
+    k, p = means.shape[-2:]
+    inv_lt = np.linalg.inv(L).swapaxes(-1, -2)
+    const = (-np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)
+             - 0.5 * p * np.log(2.0 * np.pi))
+    n = X.shape[-2]
+    out = np.empty(X.shape[:-1] + (k,))
+    rows = max(1, BLOCK_ELEMENTS // means.size)
+    for lo in range(0, n, rows):
+        if p > 3:
+            x = X[..., None, lo:lo + rows, :]
+            m = x.shape[-2]
+            if m == 1:
+                x = np.concatenate([x, x], axis=-2)
+            z = (x - means[..., None, :]) @ inv_lt
+            out[..., lo:lo + rows, :] = const[..., None, :] - 0.5 * np.einsum(
+                "...kij,...kij->...ik", z, z)[..., :m, :]
+            continue
+        d = [X[..., None, lo:lo + rows, i] - means[..., i, None]
+             for i in range(p)]
+        q = None
+        for c in range(p):
+            z = d[0] * inv_lt[..., 0, c, None]
+            for i in range(1, c + 1):
+                z += d[i] * inv_lt[..., i, c, None]
+            z *= z
+            q = z if q is None else q + z
+        out[..., lo:lo + rows, :] = (const[..., None]
+                                     - 0.5 * q).swapaxes(-1, -2)
+    return out
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 20), st.integers(1, 10),
+       st.sampled_from([(), (2,), (3,)]),
+       st.sampled_from(["1", "2", "edge-1", "edge", "edge+1"]))
+@example(0, 20, 10, (), "edge+1")
+@example(1, 1, 1, (3,), "edge+1")
+@example(2, 8, 4, (2,), "1")
+@example(3, 20, 3, (), "edge-1")
+def test_kernel_keeps_the_row_major_bits(seed, kappa, p, lead, rows):
+    """The component-major kernel gives the bits of the row-major one, for
+    every p, on 1 and 2 rows and either side of a block edge."""
+    rng = np.random.default_rng(seed)
+    edge = BLOCK_ELEMENTS // (int(np.prod(lead, dtype=int)) * kappa * p)
+    n = {"1": 1, "2": 2, "edge-1": edge - 1, "edge": edge,
+         "edge+1": edge + 1}[rows]
+    X = rng.normal(0, 3, lead + (n, p)) * rng.uniform(0.1, 10, p)
+    means = rng.normal(0, 2, lead + (kappa, p))
+    A = rng.normal(size=lead + (kappa, p, p))
+    L = np.linalg.cholesky(A @ A.swapaxes(-1, -2) + 0.3 * np.eye(p))
+    got = gaussian_log_density(X, means, L)
+    expect = row_major_log_density(X, means, L)
+    assert got.shape == expect.shape == lead + (n, kappa)
+    assert got.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_chain_arrays_are_component_major(p, monkeypatch):
+    """Each component's column of the log-density and the posterior matrix
+    is one contiguous row, and the delta matrix reads pi in place."""
+    model, rng = build(p, 6, p)
+    X = rng.normal(0, 3, (3000, p))
+    means = np.array([c.mean for c in model.components])
+    L = np.array([c.chol for c in model.components])
+    a = gaussian_log_density(X, means, L)
+    assert a.swapaxes(-1, -2).flags.c_contiguous
+    batched = gaussian_log_density(np.stack([X, X]), np.stack([means, means]),
+                                   np.stack([L, L]))
+    assert batched.swapaxes(-1, -2).flags.c_contiguous
+    a = a + np.log(model.weights)
+    for config in (ClusterConfiguration.singletons(6),
+                   ClusterConfiguration((0, 0, 1, 2, 1, 3), 4)):
+        pi, _ = _normalise(a, *_summation_order(model, config))
+        assert pi.T.flags.c_contiguous
+        pi = cluster_posterior_matrix(model, config, X)
+        assert pi.T.flags.c_contiguous
+    reads = []
+
+    def spy(a, *args, **kwargs):
+        out = contiguous(a, *args, **kwargs)
+        reads.append(np.shares_memory(out, pi))
+        return out
+
+    contiguous = np.ascontiguousarray
+    monkeypatch.setattr(np, "ascontiguousarray", spy)
+    pmc_module._pair_deltas(pi)
+    assert reads and all(reads)
+
+
 def chain_configurations(kappa, rng):
     """Singletons, and the first min(8, kappa) components of a shuffled
     order as one group with the rest singletons."""
