@@ -22,13 +22,17 @@ class DegenerateFitError(RuntimeError):
 def default_regularization(X):
     """Scale-aware covariance floor: 1e-6 times the mean feature variance.
 
-    For a (D, n, p) stack of datasets, an array of D floors, one each.
+    For a (D, n, p) stack of datasets, an array of D floors, one each.  A
+    column of equal values has variance 0, even where its mean rounds away
+    from the values.
     """
     V = as_matrix(X)
     if V.shape[-2] < 2:
         floor = np.full(V.shape[:-2], 1e-6)
     else:
-        floor = 1e-6 * V.var(axis=-2, ddof=1).mean(axis=-1)
+        var = V.var(axis=-2, ddof=1)
+        var[(V == V[..., :1, :]).all(axis=-2)] = 0.0
+        floor = 1e-6 * var.mean(axis=-1)
     return float(floor) if V.ndim == 2 else floor
 
 

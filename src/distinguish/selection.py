@@ -2,12 +2,16 @@
 selection, and the validity indices used for comparison (silhouette,
 adjusted Rand, split stability, prediction strength).
 
-The k-means fits of one K that share a shape run as one stack of restarts
-(estimators.fit_kmeans_many): all gap reference datasets, and each side of
-the half-splits across all repetitions.  Stability and prediction strength
-carry a half's clustering to the other half by nearest centroid with the
-Lloyd loop's own assignment (estimators._nearest_centres), so a row
-equidistant from two centroids goes to the first, as in k-means itself.
+The k-means fits of one K that share a row count run as one stack of
+restarts (estimators.fit_kmeans_many): the observed gap fit with all gap
+reference datasets, and each side of the half-splits across all
+repetitions, the stability and prediction-strength splits of selection_table
+together.  Starts do not interact, so every fit equals its lone fit to the
+bit.  At K = 1 nothing is fitted: every row is in cluster 0.  Stability and
+prediction strength carry a half's clustering to the other half by nearest
+centroid with the Lloyd loop's own assignment (estimators._nearest_centres),
+so a row equidistant from two centroids goes to the first, as in k-means
+itself.
 """
 from __future__ import annotations
 
@@ -26,16 +30,20 @@ CLUSTERERS = ("kmeans", "hclust")
 
 def _cluster(X: np.ndarray, K: int, method: str,
              seed: int | None) -> Partition:
+    """The rows of X in K clusters; K = 1 puts every row in cluster 0,
+    which is what any fit ends in, without fitting."""
+    if method not in CLUSTERERS:
+        raise ValueError(f"clusterer must be one of {CLUSTERERS}")
+    if K == 1:
+        return Partition(np.zeros(X.shape[0], dtype=int), 1)
     if method == "kmeans":
         return fit_kmeans(X, K, seed=seed).partition
-    if method == "hclust":
-        return cut_tree(fit_hclust(X), K)
-    raise ValueError(f"clusterer must be one of {CLUSTERERS}")
+    return cut_tree(fit_hclust(X), K)
 
 
 def _cluster_many(Xs, K: int, method: str, seeds) -> list[Partition]:
     """_cluster on each dataset of a (D, n, p) stack, seeds[d] for the d-th."""
-    if method == "kmeans":
+    if method == "kmeans" and K > 1:
         return [fit.partition for fit in fit_kmeans_many(Xs, K, seeds)]
     return [_cluster(X, K, method, None) for X in Xs]
 
@@ -65,7 +73,13 @@ def gap_statistic(X, clusterer: str = "kmeans",
     bounding box; the standard error carries the sqrt(1 + 1/B) factor.
     A K whose clusters have no within-cluster dispersion (K reaches the
     number of distinct rows) has no log dispersion: its gap and standard
-    error are None, and its reference datasets are not fitted.
+    error are None.
+
+    Per K the data and the B references are clustered as one (B + 1, n, p)
+    stack, the data first, seeded with derive_seed(seed, "gap-obs", K) and
+    the b-th reference with derive_seed(seed, "gap-fit", (b << 12) | K).
+    The references of a K are so fitted even where the data turn out to
+    have no dispersion; those fits are discarded.
     """
     V = as_matrix(X)
     ks = sorted(set(int(k) for k in k_range))
@@ -74,20 +88,22 @@ def gap_statistic(X, clusterer: str = "kmeans",
     if B < 10:
         raise ValueError("B must be >= 10")
     lo, hi = V.min(axis=0), V.max(axis=0)
-    refs = np.empty((B,) + V.shape)
+    stack = np.empty((B + 1,) + V.shape)
+    stack[0] = V
+    refs = stack[1:]
     for b in range(B):
         refs[b] = lo + stream(seed, "gap-ref", b).random(V.shape) * (hi - lo)
     out: dict[int, tuple[float, float]] = {}
     for K in ks:
-        part = _cluster(V, K, clusterer, derive_seed(seed, "gap-obs", K))
+        part, *ref_parts = _cluster_many(
+            stack, K, clusterer,
+            [derive_seed(seed, "gap-obs", K)]
+            + [derive_seed(seed, "gap-fit", (b << 12) | K) for b in range(B)])
         within = _within_dispersion(V, part)
         if within == 0.0:
             out[K] = (None, None)
             continue
         log_w = np.log(within)
-        ref_parts = _cluster_many(
-            refs, K, clusterer,
-            [derive_seed(seed, "gap-fit", (b << 12) | K) for b in range(B)])
         ref_log = np.array([np.log(_within_dispersion(R, rp))
                             for R, rp in zip(refs, ref_parts)])
         gap = float(ref_log.mean() - log_w)
@@ -199,24 +215,27 @@ def _nearest(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return _nearest_centres(X[None], X.T[:, None], centroids[None])[0]
 
 
-def _split_fits(V: np.ndarray, K: int, clusterer: str, reps: int,
-                seed: int | None, split: str, fit: str):
-    """Per repetition, the two halves of a random split of the rows (from
-    the `split` stream) and a partition of each half.
+def _split_fits(V: np.ndarray, K: int, clusterer: str, reps: int, draws):
+    """For each draw (seed, split, fit) of the list draws, per repetition r,
+    the two halves of a random split of the rows (from
+    stream(seed, split, r)) and a partition of each half.
 
-    Each side is clustered as one stack across all repetitions, since every
-    first half has n // 2 rows; side s of repetition r is seeded with
-    derive_seed(seed, fit, 2 * r + s).
+    Side 0 of every draw and repetition is clustered as one stack, since
+    every first half has n // 2 rows, and side 1 as another; side s of
+    repetition r is seeded with derive_seed(seed, fit, 2 * r + s).
     """
+    if reps < 2:
+        raise ValueError("reps must be >= 2")
     n = V.shape[0]
     halves = [np.split(stream(seed, split, r).permutation(n), [n // 2])
-              for r in range(reps)]
+              for seed, split, _ in draws for r in range(reps)]
     sides = [_cluster_many(V[np.array([h[side] for h in halves])], K,
                            clusterer,
                            [derive_seed(seed, fit, 2 * r + side)
-                            for r in range(reps)])
+                            for seed, _, fit in draws for r in range(reps)])
              for side in (0, 1)]
-    return list(zip(halves, zip(*sides)))
+    fits = list(zip(halves, zip(*sides)))
+    return [fits[i:i + reps] for i in range(0, len(fits), reps)]
 
 
 def _kept_together(labels: np.ndarray) -> float:
@@ -228,21 +247,22 @@ def _kept_together(labels: np.ndarray) -> float:
 
 
 def lange_stability(X, clusterer: str, K: int, reps: int = 20,
-                    seed: int | None = None) -> float:
+                    seed: int | None = None, *, _splits=None) -> float:
     """Agreement between direct and transferred clusterings of half-splits.
 
     Each repetition splits the rows in two, clusters both halves, extends
     each half's clustering to the other by nearest centroid, and scores the
     adjusted Rand agreement with the direct clustering of that half.
+    _splits is the draw's _split_fits, when the caller already holds it.
     """
     V = as_matrix(X)
     if K < 2:
         raise ValueError("stability requires K >= 2")
-    if reps < 2:
-        raise ValueError("reps must be >= 2")
+    if _splits is None:
+        _splits = _split_fits(V, K, clusterer, reps, [
+            (seed, "stability-split", "stability-fit")])[0]
     scores = []
-    for halves, parts in _split_fits(V, K, clusterer, reps, seed,
-                                     "stability-split", "stability-fit"):
+    for halves, parts in _splits:
         cents = [_centroids(V[idx], part) for idx, part in zip(halves, parts)]
         for src in (0, 1):
             dst = 1 - src
@@ -252,22 +272,23 @@ def lange_stability(X, clusterer: str, K: int, reps: int = 20,
 
 
 def prediction_strength(X, clusterer: str, K: int, reps: int = 20,
-                        seed: int | None = None) -> float:
+                        seed: int | None = None, *, _splits=None) -> float:
     """Worst-cluster co-membership agreement across half-splits.
 
     For each split, test points are clustered directly and also classified
     by nearest training centroid; each test cluster is scored by the
     fraction of its point pairs kept together by the classifier, and the
-    minimum over clusters is averaged over repetitions.
+    minimum over clusters is averaged over repetitions.  _splits is the
+    draw's _split_fits, when the caller already holds it.
     """
     V = as_matrix(X)
     if K < 2:
         raise ValueError("prediction strength requires K >= 2")
-    if reps < 2:
-        raise ValueError("reps must be >= 2")
+    if _splits is None:
+        _splits = _split_fits(V, K, clusterer, reps,
+                              [(seed, "ps-split", "ps-fit")])[0]
     values = []
-    for (train, test), (train_part, test_part) in _split_fits(
-            V, K, clusterer, reps, seed, "ps-split", "ps-fit"):
+    for (train, test), (train_part, test_part) in _splits:
         transfer = _nearest(V[test], _centroids(V[train], train_part))
         worst = 1.0
         scored = False
@@ -315,20 +336,22 @@ def selection_table(X, method: str = "kmeans", k_range=range(1, 9),
                      PmcSettings(m_samples=m_samples,
                                  seed=derive_seed(seed, "table-pmc", K)))
         pmc_by_k[K] = est.value
-        row = {
-            "K": K,
-            "gap": gaps[K][0],
-            "gap_sd": gaps[K][1],
-            "pmc": est.value,
-            "pmc_std_error": est.std_error,
-            "silhouette": silhouette(V, part) if K >= 2 else None,
-            "stability": lange_stability(
-                V, method, K, reps=reps,
-                seed=derive_seed(seed, "table-st", K)) if K >= 2 else None,
-            "prediction_strength": prediction_strength(
-                V, method, K, reps=reps,
-                seed=derive_seed(seed, "table-ps", K)) if K >= 2 else None,
-        }
+        row = {"K": K, "gap": gaps[K][0], "gap_sd": gaps[K][1],
+               "pmc": est.value, "pmc_std_error": est.std_error,
+               "silhouette": None, "stability": None,
+               "prediction_strength": None}
+        if K >= 2:
+            st_seed = derive_seed(seed, "table-st", K)
+            ps_seed = derive_seed(seed, "table-ps", K)
+            st, ps = _split_fits(V, K, method, reps, [
+                (st_seed, "stability-split", "stability-fit"),
+                (ps_seed, "ps-split", "ps-fit")])
+            row.update(
+                silhouette=silhouette(V, part),
+                stability=lange_stability(V, method, K, reps, st_seed,
+                                          _splits=st),
+                prediction_strength=prediction_strength(
+                    V, method, K, reps, ps_seed, _splits=ps))
         rows.append(row)
     scores = {K: -gaps[K][0] for K in defined}
     chosen = select_k_constrained(scores, {K: pmc_by_k[K] for K in scores},

@@ -580,6 +580,44 @@ def test_malformed_csv_follows_contract(capsys, tmp_path, argv, text):
     assert set(json.loads(lines[0])) == {"error"}
 
 
+# each example overwrites the one file and reads the captured output
+@settings(derandomize=True, deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=malformed_csv())
+def test_phm_malformed_csv_follows_contract(capsys, tmp_path, text):
+    path = tmp_path / "fuzz.csv"
+    path.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "phm", "--data", str(path),
+                             "--kappa-range", "1:3", "--m", "2000")
+    # the BIC scan still warns for each kappa it skips (constant or one-row
+    # data); once the scan reports its skips instead, no warning is allowed
+    assert all(str(w.message).startswith("skipping kappa") for w in caught)
+    assert code in (2, 3, 4), (text, out)
+    assert out == ""
+    assert "Traceback" not in err and "Warning" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert set(json.loads(lines[0])) == {"error"}
+
+
+@pytest.mark.parametrize("value", [205.75, 205.7457718257548])
+def test_phm_refuses_equal_rows(capsys, tmp_path, value):
+    # the mean of five copies of the second value is not the value; its
+    # rounding residual once gave a covariance floor and a fit (exit 0)
+    X = np.full((5, 1), value)
+    assert (X.mean() == value) == (value == 205.75)
+    path = tmp_path / "equal.csv"
+    write_rows(path, X)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code, out, err = run(capsys, "phm", "--data", str(path),
+                             "--kappa-range", "1:3", "--m", "2000")
+    assert code == 3 and out == ""
+    assert parse_err(err) == {"kind": "numeric", "message": "degenerate fit"}
+
+
 MODEL_KINDS = ("valid", "ragged-mean", "ragged-cov", "nested-weights",
                "nested-mean", "non-square", "asymmetric", "extra-weight",
                "missing-weight", "literal", "junk", "huge")

@@ -8,7 +8,9 @@ from distinguish import (Partition, adjusted_rand_index, argmax_gap,
                          estimators, gap_statistic, lange_stability,
                          prediction_strength, select_k_constrained,
                          selection, selection_table, silhouette)
-from distinguish.selection import _kept_together
+from distinguish.rng import derive_seed, stream
+from distinguish.selection import (_cluster, _kept_together,
+                                  _within_dispersion)
 
 def loop_silhouette(X, part):
     """Reference: full distance matrix and a per-point loop."""
@@ -254,3 +256,120 @@ class TestSelectionTable:
         out = selection_table(blobs3, k_range=range(2, 4), tau=0.0, B=10,
                               reps=4, m_samples=20000, seed=5)
         assert out["infeasible"] is True
+
+
+def lone_gap(X, method, ks, B, seed):
+    """Reference gap table: every clustering a lone fit, K = 1 included, as
+    gap_statistic computed it with one fit_kmeans or Ward tree per dataset."""
+    def cluster(R, K, s):
+        if method == "kmeans":
+            return estimators.fit_kmeans(R, K, seed=s).partition
+        return estimators.cut_tree(estimators.fit_hclust(R), K)
+
+    lo, hi = X.min(axis=0), X.max(axis=0)
+    refs = [lo + stream(seed, "gap-ref", b).random(X.shape) * (hi - lo)
+            for b in range(B)]
+    out = {}
+    for K in ks:
+        within = _within_dispersion(
+            X, cluster(X, K, derive_seed(seed, "gap-obs", K)))
+        if within == 0.0:
+            out[K] = (None, None)
+            continue
+        ref_log = np.array([np.log(_within_dispersion(R, cluster(
+            R, K, derive_seed(seed, "gap-fit", (b << 12) | K))))
+            for b, R in enumerate(refs)])
+        out[K] = (float(ref_log.mean() - np.log(within)),
+                  float(ref_log.std(ddof=0) * np.sqrt(1.0 + 1.0 / B)))
+    return out
+
+
+def two_blobs(n):
+    rng = np.random.default_rng(n)
+    return np.vstack([rng.normal(0, 0.5, (n // 2, 2)),
+                      rng.normal((3, 1), 0.5, (n - n // 2, 2))])
+
+
+SHARED_INPUTS = {
+    # an odd n splits into halves of unequal size, an even n into equal ones
+    "odd": (two_blobs(41), range(1, 5)),
+    "even": (two_blobs(42), range(1, 5)),
+    # three distinct rows: the K = 3 gap is None
+    "repeated": (np.repeat([[0.0], [2.0], [7.0]], 4, axis=0), range(1, 4)),
+}
+
+
+@pytest.mark.parametrize("method", ["kmeans", "hclust"])
+@pytest.mark.parametrize("name", SHARED_INPUTS)
+def test_shared_stacks_equal_lone_fits(method, name):
+    X, ks = SHARED_INPUTS[name]
+    seed, B, reps = 11, 10, 3
+    out = selection_table(X, method, ks, B=B, reps=reps, m_samples=2000,
+                          seed=seed)
+    gaps = gap_statistic(X, method, ks, B=B, seed=seed)
+    assert gaps == lone_gap(X, method, ks, B, seed)
+    if name == "repeated":
+        assert gaps[3] == (None, None)
+    for row in out["rows"]:
+        K = row["K"]
+        assert (row["gap"], row["gap_sd"]) == gaps[K]
+        if K == 1:
+            continue
+        assert row["stability"] == lange_stability(
+            X, method, K, reps=reps, seed=derive_seed(seed, "table-st", K))
+        assert row["prediction_strength"] == prediction_strength(
+            X, method, K, reps=reps, seed=derive_seed(seed, "table-ps", K))
+
+
+def test_k1_fits_nothing(monkeypatch, blobs3):
+    def refuse_k1(fn):
+        @functools.wraps(fn)
+        def wrapped(X, K, *args, **kwargs):
+            assert K != 1, f"{fn.__name__} called with K = 1"
+            return fn(X, K, *args, **kwargs)
+        return wrapped
+
+    for module in (selection, estimators):
+        monkeypatch.setattr(module, "fit_kmeans_many",
+                            refuse_k1(estimators.fit_kmeans_many))
+    monkeypatch.setattr(selection, "fit_kmeans",
+                        refuse_k1(estimators.fit_kmeans))
+    monkeypatch.setattr(selection, "cut_tree", refuse_k1(estimators.cut_tree))
+    for method in ("kmeans", "hclust"):
+        out = selection_table(blobs3, method, range(1, 4), B=10, reps=2,
+                              m_samples=2000, seed=6)
+        assert [row["K"] for row in out["rows"]] == [1, 2, 3]
+
+    def no_tree(X):
+        raise AssertionError("fit_hclust called at K = 1")
+
+    monkeypatch.setattr(selection, "fit_hclust", no_tree)
+    out = selection_table(blobs3, "hclust", [1], B=10, reps=2,
+                          m_samples=2000, seed=6)
+    assert out["selected_K"] == 1
+
+
+def test_k1_dispersion_equals_the_fitted_one(blobs3):
+    fitted = estimators.fit_kmeans(blobs3, 1, seed=8).partition
+    for method in ("kmeans", "hclust"):
+        part = _cluster(blobs3, 1, method, 8)
+        assert np.array_equal(part.labels, fitted.labels)
+        assert (_within_dispersion(blobs3, part)
+                == _within_dispersion(blobs3, fitted))
+
+
+def test_table_runs_four_lloyd_stacks_per_k(monkeypatch, blobs3):
+    # per K >= 2: the observed gap fit with its references, the table fit,
+    # and one stack for each side of the stability and prediction-strength
+    # half-splits; K = 1 runs none
+    shapes = []
+    lloyd = estimators._lloyd
+
+    def counting(X, centers, max_iter):
+        shapes.append(X.shape)
+        return lloyd(X, centers, max_iter)
+
+    monkeypatch.setattr(estimators, "_lloyd", counting)
+    selection_table(blobs3, "kmeans", range(1, 5), B=10, reps=4,
+                    m_samples=2000, seed=4)
+    assert len(shapes) == 12
