@@ -82,21 +82,35 @@ class KmeansFit:
     distortion_path: tuple = ()
 
 
-def _kmeanspp_centers(X: np.ndarray, K: int, rngs) -> np.ndarray:
-    """(S, K, p) kmeans++ centres for a stack of starts: start s draws from
-    the rows of X[s] (n, p) with rngs[s].
+def _kmeanspp_centers(X: np.ndarray, K, rngs) -> np.ndarray:
+    """(S, max K, p) kmeans++ centres for a stack of starts: start s draws
+    K[s] centres (an int K: K each) from the rows of X[s] (n, p) with
+    rngs[s]; its rows past K[s] are left unset.
 
     Each next centre is a row drawn with probability proportional to its
     squared distance to the nearest centre so far, or uniformly once every
     distance is 0.  The draw is rng.choice(n, p=d2 / total) written out: the
-    first index whose normalised cumulative sum exceeds rng.random().
+    first index whose normalised cumulative sum exceeds rng.random().  The
+    whole stack is seeded in one pass of max K steps, its starts ordered by
+    decreasing K, so that the starts still drawing are a leading slice;
+    every step is row by row, and each generator draws what it would draw
+    alone, in the same order.
     """
     S, n, _ = X.shape
+    K = np.asarray(K)
+    # live[j]: how many starts draw a j-th centre
+    if K.ndim:
+        order = np.argsort(-K, kind="stable")
+        X, rngs = X[order], [rngs[i] for i in order]
+        live = (K[order, None] > np.arange(K.max())).sum(axis=0).tolist()
+    else:
+        order, live = None, [S] * int(K)
     own = np.arange(S)
-    centers = np.empty((S, K, X.shape[2]))
+    centers = np.empty((S, len(live), X.shape[2]))
     centers[:, 0] = X[own, [rng.integers(n) for rng in rngs]]
     d2 = _stack_sq_dists(X, centers[:, :1])[:, 0]
-    for j in range(1, K):
+    for j, a in enumerate(live[1:], 1):
+        X, d2, own = X[:a], d2[:a], own[:a]
         total = d2.sum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             cdf = (d2 / total[:, None]).cumsum(axis=1)
@@ -106,8 +120,10 @@ def _kmeanspp_centers(X: np.ndarray, K: int, rngs) -> np.ndarray:
         pick = (cdf <= u[:, None]).sum(axis=1)
         for i in np.flatnonzero(total <= 0):
             pick[i] = rngs[i].integers(n)
-        centers[:, j] = X[own, pick]
-        d2 = np.minimum(d2, _stack_sq_dists(X, centers[:, j:j + 1])[:, 0])
+        centers[:a, j] = X[own, pick]
+        d2 = np.minimum(d2, _stack_sq_dists(X, centers[:a, j:j + 1])[:, 0])
+    if order is not None:
+        centers[order] = centers.copy()
     return centers
 
 
@@ -503,8 +519,17 @@ def free_parameters(kappa: int, p: int) -> int:
 
 def _seed_responsibilities(X: np.ndarray, kappa: int,
                            rng: np.random.Generator, soft: bool) -> np.ndarray:
+    """One start's responsibilities, from kmeans++ centres drawn with rng."""
+    return _responsibilities(X, _kmeanspp_centers(X[None], kappa, [rng])[0],
+                             soft)
+
+
+def _responsibilities(X: np.ndarray, centers: np.ndarray,
+                      soft: bool) -> np.ndarray:
+    """(n, kappa) responsibilities of the rows of X for the kappa centres:
+    a distance kernel (soft) or the nearest centre (hard)."""
     n, p = X.shape
-    centers = _kmeanspp_centers(X[None], kappa, [rng])[0]
+    kappa = centers.shape[0]
     d2 = sq_dists(X, centers)
     if soft:
         nearest = np.take_along_axis(d2, d2.argmin(axis=1)[:, None], axis=1)
@@ -553,11 +578,20 @@ def _centred_scatter(X, R, mu, kappas, off):
     return scatter
 
 
-def _segments(kappas: np.ndarray):
-    """First component of each start, and the start of each component, in
-    a stack of starts with the given component counts."""
-    return (np.concatenate([[0], np.cumsum(kappas)[:-1]]),
-            np.repeat(np.arange(kappas.size), kappas))
+def _segments(kappas: np.ndarray, n: int):
+    """For a stack of starts with the given component counts: the first
+    component of each start, the start of each component, and a
+    (starts, max kappa, n) array of -inf with each component's row in it,
+    for each start's maximum over its components; the last two are None
+    where every start has max kappa components."""
+    off = np.concatenate([[0], np.cumsum(kappas)[:-1]])
+    seg = np.repeat(np.arange(kappas.size), kappas)
+    kmax = kappas.max()
+    if (kappas == kmax).all():
+        return off, seg, None, None
+    slot = np.arange(kappas.sum()) + np.repeat(
+        np.arange(kappas.size) * kmax - off, kappas)
+    return off, seg, slot, np.full((kappas.size, kmax, n), -np.inf)
 
 
 def _drop(keep: np.ndarray, kappas: np.ndarray, per_start, per_component):
@@ -580,7 +614,20 @@ def _em_stack(V: np.ndarray, resps, reg: float, tol: float, max_iter: int):
     mu.P mu.  One eigh per iteration gives the condition check, the
     log-determinant and P.  Where that form would cancel (_moment_form_ok),
     the scatter and the log-density come from the centred differences
-    instead.  Row blocks bound Z at BLOCK_ELEMENTS elements.
+    instead.  Row blocks bound Z at BLOCK_ELEMENTS elements; when the rows
+    fit one block, Z is built once and each product is taken whole.
+
+    The covariances are symmetrised, (S + S^T) / 2, even in the moment
+    form, where the scatter looks symmetric by construction: at p = 5, 6, 9
+    and 10 its (i, j) and (j, i) entries came out of the batched product
+    differing in their last bits.  Each start's log-sum-exp over its
+    components takes the maximum, which is exact in any order, over a
+    (starts, max kappa, n) view of the log-densities, or over their copy
+    into the -inf array of _segments when the starts' kappas differ.  The
+    sum stays np.add.reduceat's, whose order every fit keeps: a segment's
+    first row plus the sum of the others, added left to right below 8
+    terms and pairwise from 8 on, where a sum along axis 0 would add
+    ((a0 + a1) + a2) + ....
 
     A start leaves the stack when it converges, at max_iter, or when it
     collapses: a weight under 1e-8, or a covariance whose smallest
@@ -596,40 +643,42 @@ def _em_stack(V: np.ndarray, resps, reg: float, tol: float, max_iter: int):
     whole = _features(X) if n <= rows else None
 
     def blocks():
-        if whole is not None:
-            yield 0, whole
-        else:
-            for lo in range(0, n, rows):
-                yield lo, _features(X[lo:lo + rows])
+        for lo in range(0, n, rows):
+            yield lo, _features(X[lo:lo + rows])
 
     kap = np.array([r.shape[1] for r in resps])
     act = np.arange(kap.size)
     # C order: a row of R is one component, unit stride whatever the stack
     R = np.concatenate(resps, axis=1).T.copy()
     floor = reg * np.eye(p)
+    log_2pi = p * np.log(2.0 * np.pi)
     out = [None] * kap.size
     paths = [[] for _ in resps]
     ll_prev = np.full(kap.size, -np.inf)
-    off, seg = _segments(kap)
+    off, seg, slot, pad = _segments(kap, n)
     for it in range(1, max_iter + 1):
-        T = sum(R[:, None, lo:lo + Zb.shape[0]] @ Zb
-                for lo, Zb in blocks())[:, 0]
-        low = T[:, 0] / n < 1e-8
-        if low.any():
-            keep = ~np.logical_or.reduceat(low, off)
-            (act, kap, ll_prev), (R, T) = _drop(keep, kap, (act, kap, ll_prev),
-                                                (R, T))
+        if whole is not None:
+            T = (R[:, None] @ whole)[:, 0]
+        else:
+            T = sum(R[:, None, lo:lo + Zb.shape[0]] @ Zb
+                    for lo, Zb in blocks())[:, 0]
+        w = T[:, 0] / n
+        # fmin passes over a NaN weight, which w < 1e-8 does not flag
+        if np.fmin.reduce(w) < 1e-8:
+            keep = ~np.logical_or.reduceat(w < 1e-8, off)
+            (act, kap, ll_prev), (R, T, w) = _drop(
+                keep, kap, (act, kap, ll_prev), (R, T, w))
             if not act.size:
                 break
-            off, seg = _segments(kap)
-        nk = T[:, 0]
-        w = nk / n
-        mu = T[:, 1:p + 1] / nk[:, None]
+            off, seg, slot, pad = _segments(kap, n)
+        nk = T[:, :1]
+        # the means, and the moment form's second moments, in one division
+        Tn = T[:, 1:] / nk
+        mu = Tn[:, :p]
         if moments:
-            covs = (T[:, p + 1:].reshape(-1, p, p) / nk[:, None, None]
-                    - mu[:, :, None] * mu[:, None])
+            covs = Tn[:, p:].reshape(-1, p, p) - mu[:, :, None] * mu[:, None]
         else:
-            covs = _centred_scatter(X, R, mu, kap, off) / nk[:, None, None]
+            covs = _centred_scatter(X, R, mu, kap, off) / nk[:, :, None]
         covs += floor
         covs = (covs + covs.transpose(0, 2, 1)) / 2.0
         ev, U = np.linalg.eigh(covs)
@@ -640,19 +689,23 @@ def _em_stack(V: np.ndarray, resps, reg: float, tol: float, max_iter: int):
                 keep, kap, (act, kap, ll_prev), (R, w, mu, covs, ev, U))
             if not act.size:
                 break
-            off, seg = _segments(kap)
+            off, seg, slot, pad = _segments(kap, n)
         if moments:
             # log w + log N(x; mu, P^-1) as b . [1, x, vec(x x^T)]
             P = (U / ev[:, None]) @ U.transpose(0, 2, 1)
-            Pmu = (P @ mu[:, :, None])[:, :, 0]
-            const = np.log(w) - 0.5 * (np.log(ev).sum(axis=1)
-                                       + p * np.log(2.0 * np.pi)
-                                       + (mu * Pmu).sum(axis=1))
-            b = np.concatenate([const[:, None], Pmu,
-                                -0.5 * P.reshape(-1, p * p)], axis=1)
-            A = np.empty(R.shape)
-            for lo, Zb in blocks():
-                A[:, lo:lo + Zb.shape[0]] = (Zb @ b[:, :, None])[:, :, 0]
+            b = np.empty((R.shape[0], 1 + p + p * p))
+            Pmu = b[:, 1:p + 1]
+            np.matmul(P, mu[:, :, None], out=Pmu[:, :, None])
+            np.log(w, out=b[:, 0])
+            b[:, 0] -= 0.5 * (np.add.reduce(np.log(ev), 1) + log_2pi
+                              + np.add.reduce(mu * Pmu, 1))
+            np.multiply(P.reshape(-1, p * p), -0.5, out=b[:, p + 1:])
+            if whole is not None:
+                A = (whole @ b[:, :, None])[:, :, 0]
+            else:
+                A = np.empty(R.shape)
+                for lo, Zb in blocks():
+                    A[:, lo:lo + Zb.shape[0]] = (Zb @ b[:, :, None])[:, :, 0]
         else:
             L = np.linalg.cholesky(covs)
             A = np.empty(R.shape)
@@ -660,30 +713,65 @@ def _em_stack(V: np.ndarray, resps, reg: float, tol: float, max_iter: int):
                 A[c:c + k] = gaussian_log_density(X, mu[c:c + k],
                                                   L[c:c + k]).T
             A += np.log(w)[:, None]
-        m = np.maximum.reduceat(A, off, axis=0)
-        A -= m[seg]
+        # each start's log-sum-exp over its components: where every start
+        # has max kappa of them, from a (starts, kappa, n) view of A
+        if pad is None:
+            E = A.reshape(act.size, -1, n)
+            m = E.max(axis=1)
+            E -= m[:, None]
+        else:
+            pad.reshape(-1, n)[slot] = A
+            m = pad.max(axis=1)
+            A -= m[seg]
         np.exp(A, out=A)
         total = np.add.reduceat(A, off, axis=0)
-        ll = (m + np.log(total)).sum(axis=1)
-        A /= total[seg]
+        ll = np.add.reduce(m + np.log(total), 1)
+        if pad is None:
+            E /= total[:, None]
+        else:
+            A /= total[seg]
         R = A
-        for s, v in zip(act.tolist(), ll.tolist()):
+        stop = []
+        for i, (s, v, prev) in enumerate(zip(act.tolist(), ll.tolist(),
+                                             ll_prev.tolist())):
             paths[s].append(v)
-        done = ll - ll_prev < tol * np.abs(ll)
-        stop = done | (it == max_iter)
-        if stop.any():
-            for i in np.flatnonzero(stop).tolist():
+            done = v - prev < tol * abs(v)
+            if done or it == max_iter:
                 c = slice(off[i], off[i] + kap[i])
                 wi = w[c].copy()
                 _unit_sum(wi)
-                out[act[i]] = (float(ll[i]), wi, mu[c] + xbar, covs[c], it,
-                               bool(done[i]), tuple(paths[act[i]]))
-            if stop.all():
+                out[s] = (v, wi, mu[c] + xbar, covs[c], it, done,
+                          tuple(paths[s]))
+                stop.append(i)
+        if stop:
+            if len(stop) == act.size:
                 break
-            (act, kap, ll), (R,) = _drop(~stop, kap, (act, kap, ll), (R,))
-            off, seg = _segments(kap)
+            keep = np.ones(act.size, dtype=bool)
+            keep[stop] = False
+            (act, kap, ll), (R,) = _drop(keep, kap, (act, kap, ll), (R,))
+            off, seg, slot, pad = _segments(kap, n)
         ll_prev = ll
     return out
+
+
+def _seed_stack(V: np.ndarray, starts) -> list[np.ndarray]:
+    """Responsibilities of the starts (kappa, seed, i) of one stack: start
+    i of a kappa is seeded on stream(seed, "em-init", i), alternating soft
+    and hard kmeans++ responsibilities.  The kmeans++ centres are drawn in
+    one pass per group of as many starts as BLOCK_ELEMENTS row
+    differences hold: the whole stack unless n * p is large."""
+    n, p = V.shape
+    group = max(1, BLOCK_ELEMENTS // (n * p))
+    resps = []
+    for lo in range(0, len(starts), group):
+        some = starts[lo:lo + group]
+        centers = _kmeanspp_centers(
+            np.broadcast_to(V, (len(some),) + V.shape),
+            [kappa for kappa, _, _ in some],
+            [stream(seed, "em-init", i) for _, seed, i in some])
+        resps += [_responsibilities(V, c[:kappa], soft=(i % 2 == 0))
+                  for c, (kappa, _, i) in zip(centers, some)]
+    return resps
 
 
 def _em_starts(V: np.ndarray, kappas, n_init: int, seeds, tol: float,
@@ -691,9 +779,8 @@ def _em_starts(V: np.ndarray, kappas, n_init: int, seeds, tol: float,
     """Every start of every kappa: _em_stack results, one list of n_init
     per kappa.
 
-    Start i of kappa j is seeded on stream(seeds[j], "em-init", i),
-    alternating soft and hard kmeans++ responsibilities.  The starts run
-    in stacks of at most BLOCK_ELEMENTS responsibilities each (a start
+    Start i of kappa j is seeded by _seed_stack on seeds[j].  The starts
+    run in stacks of at most BLOCK_ELEMENTS responsibilities each (a start
     larger than that runs alone).
     """
     n = V.shape[0]
@@ -706,10 +793,8 @@ def _em_starts(V: np.ndarray, kappas, n_init: int, seeds, tol: float,
         while hi < len(plan) and (width + plan[hi][0]) * n <= BLOCK_ELEMENTS:
             width += plan[hi][0]
             hi += 1
-        resps = [_seed_responsibilities(V, kappa, stream(seed, "em-init", i),
-                                        soft=(i % 2 == 0))
-                 for kappa, seed, i in plan[lo:hi]]
-        results += _em_stack(V, resps, reg, tol, max_iter)
+        results += _em_stack(V, _seed_stack(V, plan[lo:hi]), reg, tol,
+                             max_iter)
         lo = hi
     return [results[j * n_init:(j + 1) * n_init] for j in range(len(kappas))]
 

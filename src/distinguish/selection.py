@@ -7,7 +7,8 @@ restarts (estimators.fit_kmeans_many): the observed gap fit with all gap
 reference datasets, and each side of the half-splits across all
 repetitions, the stability and prediction-strength splits of selection_table
 together.  Starts do not interact, so every fit equals its lone fit to the
-bit.  At K = 1 nothing is fitted: every row is in cluster 0.  Stability and
+bit.  A Ward tree does not depend on K: each dataset's tree is fitted once
+and cut at every K.  At K = 1 nothing is fitted: every row is in cluster 0.  Stability and
 prediction strength carry a half's clustering to the other half by nearest
 centroid with the Lloyd loop's own assignment (estimators._nearest_centres),
 so a row equidistant from two centroids goes to the first, as in k-means
@@ -64,7 +65,7 @@ def _within_dispersion(X: np.ndarray, part: Partition) -> float:
 
 def gap_statistic(X, clusterer: str = "kmeans",
                   k_range=range(1, 9), B: int = 50,
-                  seed: int | None = None
+                  seed: int | None = None, *, _tree=None
                   ) -> dict[int, tuple[float | None, float | None]]:
     """Gap and its standard error per K.
 
@@ -79,7 +80,10 @@ def gap_statistic(X, clusterer: str = "kmeans",
     stack, the data first, seeded with derive_seed(seed, "gap-obs", K) and
     the b-th reference with derive_seed(seed, "gap-fit", (b << 12) | K).
     The references of a K are so fitted even where the data turn out to
-    have no dispersion; those fits are discarded.
+    have no dispersion; those fits are discarded.  With hclust, the Ward
+    tree of each of the B + 1 datasets is fitted once, at the first K >= 2,
+    and cut at every K; _tree is the data's tree, when the caller already
+    holds it.
     """
     V = as_matrix(X)
     ks = sorted(set(int(k) for k in k_range))
@@ -94,11 +98,18 @@ def gap_statistic(X, clusterer: str = "kmeans",
     for b in range(B):
         refs[b] = lo + stream(seed, "gap-ref", b).random(V.shape) * (hi - lo)
     out: dict[int, tuple[float, float]] = {}
+    trees = []
     for K in ks:
-        part, *ref_parts = _cluster_many(
-            stack, K, clusterer,
-            [derive_seed(seed, "gap-obs", K)]
-            + [derive_seed(seed, "gap-fit", (b << 12) | K) for b in range(B)])
+        if clusterer == "hclust" and K > 1:
+            if not trees:
+                trees = [_tree if _tree is not None else fit_hclust(V)]
+                trees += [fit_hclust(R) for R in refs]
+            part, *ref_parts = [cut_tree(tree, K) for tree in trees]
+        else:
+            part, *ref_parts = _cluster_many(
+                stack, K, clusterer, [derive_seed(seed, "gap-obs", K)]
+                + [derive_seed(seed, "gap-fit", (b << 12) | K)
+                   for b in range(B)])
         within = _within_dispersion(V, part)
         if within == 0.0:
             out[K] = (None, None)
@@ -325,12 +336,15 @@ def selection_table(X, method: str = "kmeans", k_range=range(1, 9),
             raise ValueError(f"K={K} exceeds the {n // 2} rows of a "
                              "half-split, which stability and prediction "
                              "strength cluster")
-    gaps = gap_statistic(V, method, ks, B=B, seed=seed)
+    # the data's Ward tree serves the gap statistic and every table fit
+    tree = fit_hclust(V) if method == "hclust" and ks[-1] > 1 else None
+    gaps = gap_statistic(V, method, ks, B=B, seed=seed, _tree=tree)
     defined = _defined(gaps)
     rows = []
     pmc_by_k: dict[int, float] = {}
     for K in ks:
-        part = _cluster(V, K, method, derive_seed(seed, "table-fit", K))
+        part = (cut_tree(tree, K) if tree is not None and K > 1 else
+                _cluster(V, K, method, derive_seed(seed, "table-fit", K)))
         model = partition_to_gaussians(V, part)
         est = pmc_mc(model, None,
                      PmcSettings(m_samples=m_samples,

@@ -1,5 +1,7 @@
+import contextlib
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from distinguish import (DegenerateFitError, KmeansFit, Partition, cut_tree,
                          default_regularization, estimators, fit_gmm_em,
                          fit_hclust, fit_kmeans, free_parameters, models,
                          partition_to_gaussians, select_gmm_bic, stream)
-from distinguish.estimators import (_em_stack, _lloyd,
+from distinguish.estimators import (_em_stack, _kmeanspp_centers, _lloyd,
                                     _seed_responsibilities)
 from distinguish.rng import derive_seed
 
@@ -556,3 +558,144 @@ def test_max_iter_below_one_rejected(fit, max_iter):
         warnings.simplefilter("error")  # a skipped kappa would warn
         with pytest.raises(ValueError, match="max_iter must be >= 1"):
             fit(X, max_iter)
+
+
+SEEDING_DATA = {
+    "distinct": np.random.default_rng(3).normal(size=(40, 3)),
+    # every distance 0: each centre after the first is a uniform draw
+    "equal rows": np.ones((40, 3)),
+}
+
+
+@pytest.mark.parametrize("name", SEEDING_DATA)
+@pytest.mark.parametrize("Ks", [[1, 2, 5, 9], [9, 1, 5, 2]])
+def test_stacked_kmeanspp_draws_as_each_start_alone(name, Ks):
+    # one pass of max K steps seeds a stack of mixed K on one dataset, as
+    # an EM stack does; each start's centres and generator state equal a
+    # lone draw's and the rng.choice reference's
+    X = SEEDING_DATA[name]
+    rngs = [stream(7, "seeding", s) for s in range(len(Ks))]
+    centers = _kmeanspp_centers(np.broadcast_to(X, (len(Ks),) + X.shape),
+                                Ks, rngs)
+    assert centers.shape == (len(Ks), max(Ks), 3)
+    for s, K in enumerate(Ks):
+        lone_rng, ref_rng = stream(7, "seeding", s), stream(7, "seeding", s)
+        lone = _kmeanspp_centers(X[None], K, [lone_rng])[0]
+        assert np.array_equal(centers[s, :K], lone)
+        assert np.array_equal(lone, per_restart_kmeanspp(X, K, ref_rng))
+        assert (rngs[s].bit_generator.state
+                == lone_rng.bit_generator.state
+                == ref_rng.bit_generator.state)
+
+
+def test_stacked_kmeanspp_with_equal_k():
+    # select's k-means stacks: one K, a dataset per start
+    rng = np.random.default_rng(4)
+    Xs = rng.normal(size=(5, 30, 2))
+    Xs[3] = 2.0  # one dataset of equal rows
+    rngs = [stream(8, "seeding", s) for s in range(5)]
+    centers = _kmeanspp_centers(Xs, 4, rngs)
+    for s, X in enumerate(Xs):
+        lone_rng = stream(8, "seeding", s)
+        assert np.array_equal(centers[s],
+                              _kmeanspp_centers(X[None], 4, [lone_rng])[0])
+        assert rngs[s].bit_generator.state == lone_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("centred", [False, True], ids=["moment", "centred"])
+@pytest.mark.parametrize("p", range(1, 11))
+def test_em_covariances_are_symmetric_to_the_bit(p, centred):
+    # The moment form's scatter R^T vec(x x^T) / n_k - mu mu^T looks
+    # symmetric by construction, yet at p = 5, 6, 9 and 10 its (i, j) and
+    # (j, i) entries came out of the batched product differing in their
+    # last bits (20 of 20 random stacks each, OpenBLAS build of numpy
+    # 2.4).  So _em_stack keeps its (S + S^T) / 2, which this pins.
+    rng = np.random.default_rng(p)
+    X = rng.normal(size=(150, p)) * rng.uniform(0.5, 3.0, p)
+    X[:75] += 3.0
+    form = (mock.patch.object(estimators, "_moment_form_ok",
+                              return_value=False)
+            if centred else contextlib.nullcontext())
+    with form:
+        resps = [_seed_responsibilities(X, k, stream(p, "sym", k), k == 2)
+                 for k in (1, 2, 3)]
+        out = _em_stack(X, resps, default_regularization(X), 1e-8, 500)
+        fit = fit_gmm_em(X, 3, n_init=2, seed=p)
+    covs = [c for r in out for c in r[3]]
+    covs += [comp.covariance for comp in fit.model.components]
+    assert len(covs) == 9
+    for c in covs:
+        assert np.array_equal(c, c.T)
+
+
+def per_start_em(V, resp, reg, tol, max_iter):
+    """Reference moment-form EM: one start, its arithmetic as the stack's
+    former iteration wrote it, with each segmented reduction of the
+    log-sum-exp an np.maximum/np.add.reduceat over the one start's
+    components.  Returns _em_stack's tuple, or None on a collapse."""
+    n, p = V.shape
+    xbar = V.mean(axis=0)
+    X = V - xbar
+    Z = np.hstack([np.ones((n, 1)), X,
+                   (X[:, :, None] * X[:, None]).reshape(n, p * p)])
+    R = resp.T.copy()
+    path, ll_prev = [], -np.inf
+    for it in range(1, max_iter + 1):
+        T = (R[:, None] @ Z)[:, 0]
+        w = T[:, 0] / n
+        if (w < 1e-8).any():
+            return None
+        mu = T[:, 1:p + 1] / T[:, :1]
+        covs = (T[:, p + 1:].reshape(-1, p, p) / T[:, 0, None, None]
+                - mu[:, :, None] * mu[:, None]) + reg * np.eye(p)
+        covs = (covs + covs.transpose(0, 2, 1)) / 2.0
+        ev, U = np.linalg.eigh(covs)
+        if ((ev[:, 0] <= 0) | (1e-12 * ev[:, -1] > ev[:, 0])).any():
+            return None
+        P = (U / ev[:, None]) @ U.transpose(0, 2, 1)
+        Pmu = (P @ mu[:, :, None])[:, :, 0]
+        const = np.log(w) - 0.5 * (np.log(ev).sum(axis=1)
+                                   + p * np.log(2.0 * np.pi)
+                                   + (mu * Pmu).sum(axis=1))
+        b = np.concatenate([const[:, None], Pmu, -0.5 * P.reshape(-1, p * p)],
+                           axis=1)
+        A = (Z @ b[:, :, None])[:, :, 0]
+        m = np.maximum.reduceat(A, [0], axis=0)
+        A = np.exp(A - m)
+        total = np.add.reduceat(A, [0], axis=0)
+        ll = float((m + np.log(total)).sum())
+        R = A / total
+        path.append(ll)
+        done = ll - ll_prev < tol * abs(ll)
+        if done or it == max_iter:
+            estimators._unit_sum(w)
+            return ll, w, mu + xbar, covs, it, done, tuple(path)
+        ll_prev = ll
+
+
+@pytest.mark.parametrize("p", [1, 2, 5, 9])
+def test_stack_equals_the_reference_em_bit_for_bit(p):
+    # mixed kappas, 1 to 11, run as one stack: each start's log-sum-exp
+    # takes its maximum from the stack's padded layout, and its sum keeps
+    # np.add.reduceat's order, pairwise from 9 components on
+    rng = np.random.default_rng(p)
+    X = np.vstack([rng.normal(3.0 * c, 1.0, (30, p)) for c in range(5)])
+    reg = default_regularization(X)
+    kappas = (1, 4, 11, 2, 9, 4)
+    resps = [_seed_responsibilities(X, k, stream(p, "ref", i), i % 2 == 0)
+             for i, k in enumerate(kappas)]
+    out = _em_stack(X, resps, reg, 1e-8, 60)
+    checked = 0
+    for got, resp in zip(out, resps):
+        ref = per_start_em(X, resp, reg, 1e-8, 60)
+        assert (got is None) == (ref is None)
+        if ref is None:
+            continue
+        ll, w, mu, covs, it, converged, path = got
+        assert ll.hex() == ref[0].hex()
+        for a, r in zip((w, mu, covs), ref[1:4]):
+            assert np.array_equal(a, r)
+        assert (it, converged) == ref[4:6]
+        assert [v.hex() for v in path] == [v.hex() for v in ref[6]]
+        checked += 1
+    assert checked >= 4

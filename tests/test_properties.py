@@ -577,10 +577,14 @@ def same_fit(a, b):
 
 
 # 30 examples missed a start whose responsibilities had a stack-dependent
-# stride; 100 catch it
+# stride; 100 catch it.  kappa reaches 12, past the 9 rows from which
+# np.add.reduceat adds a segment pairwise, and p reaches 5, where the
+# moment form's scatter is not symmetric to the bit before its (S + S^T) / 2
 @settings(PROPERTY, max_examples=100)
-@given(shapes, st.integers(40, 150),
-       st.sets(st.integers(1, 6), min_size=1, max_size=4),
+@given(st.tuples(st.integers(0, 2**32 - 1), st.integers(2, 6),
+                 st.integers(1, 5)),
+       st.integers(40, 150),
+       st.sets(st.integers(1, 12), min_size=1, max_size=4),
        st.integers(1, 3), st.booleans(), st.booleans())
 def test_scan_fits_equal_their_solo_fits(shape, n, kappas, n_init, small,
                                          centred):

@@ -4,8 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from distinguish import (Partition, adjusted_rand_index, argmax_gap,
-                         estimators, gap_statistic, lange_stability,
+from distinguish import (Partition, PmcSettings, adjusted_rand_index,
+                         argmax_gap, estimators, gap_statistic,
+                         lange_stability, partition_to_gaussians, pmc_mc,
                          prediction_strength, select_k_constrained,
                          selection, selection_table, silhouette)
 from distinguish.rng import derive_seed, stream
@@ -373,3 +374,43 @@ def test_table_runs_four_lloyd_stacks_per_k(monkeypatch, blobs3):
     selection_table(blobs3, "kmeans", range(1, 5), B=10, reps=4,
                     m_samples=2000, seed=4)
     assert len(shapes) == 12
+
+
+def test_hclust_table_fits_each_tree_once(monkeypatch):
+    # a Ward tree does not depend on K: the data and the B = 10 gap
+    # references take one tree each, the table fits cut the data's tree,
+    # and each K >= 2 clusters 2 draws x 3 repetitions x 2 sides of split
+    # halves, 11 + 3 * 12 = 47 trees on 47 distinct datasets
+    fitted = []
+
+    def spy(X):
+        fitted.append(np.asarray(X).tobytes())
+        return estimators.fit_hclust(X)
+
+    monkeypatch.setattr(selection, "fit_hclust", spy)
+    selection_table(two_blobs(120), "hclust", range(1, 5), B=10, reps=3,
+                    m_samples=2000, seed=3)
+    assert len(fitted) == 47
+    assert len(set(fitted)) == 47
+
+
+@pytest.mark.parametrize("name", SHARED_INPUTS)
+def test_hclust_table_equals_lone_fits(name):
+    # every row as a lone Ward tree per K gives it: the gap, and the risk
+    # and silhouette of the table fit
+    X, ks = SHARED_INPUTS[name]
+    seed, B, m = 11, 10, 2000
+    out = selection_table(X, "hclust", ks, B=B, reps=3, m_samples=m,
+                          seed=seed)
+    gaps = lone_gap(X, "hclust", ks, B, seed)
+    for row in out["rows"]:
+        K = row["K"]
+        part = (estimators.cut_tree(estimators.fit_hclust(X), K) if K > 1
+                else Partition(np.zeros(len(X), dtype=int), 1))
+        est = pmc_mc(partition_to_gaussians(X, part), None,
+                     PmcSettings(m_samples=m,
+                                 seed=derive_seed(seed, "table-pmc", K)))
+        assert (row["gap"], row["gap_sd"]) == gaps[K]
+        assert (row["pmc"], row["pmc_std_error"]) == (est.value,
+                                                      est.std_error)
+        assert row["silhouette"] == (silhouette(X, part) if K > 1 else None)
