@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 input or validation error, 3 numerical failure
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -172,9 +173,7 @@ def _cmd_phm(args) -> int:
         "cluster_assignment": config.to_dict(),
     }
     if args.labels:
-        with open(args.labels, "w") as fh:
-            fh.write("label\n")
-            fh.writelines(f"{int(v)}\n" for v in labels)
+        save_csv(args.labels, labels[:, None].tolist(), ["label"])
         report["labels_file"] = args.labels
     else:
         report["labels"] = [int(v) for v in labels]
@@ -199,13 +198,8 @@ def _cmd_select_k(args) -> int:
     if args.table:
         cols = ["K", "gap", "gap_sd", "pmc", "pmc_std_error", "silhouette",
                 "stability", "prediction_strength"]
-        with open(args.table, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for row in table["rows"]:
-                fh.write(",".join(
-                    "" if row[c] is None
-                    else repr(float(row[c])) if isinstance(row[c], float)
-                    else str(row[c]) for c in cols) + "\n")
+        save_csv(args.table, [[row[c] for c in cols] for row in table["rows"]],
+                 cols)
         report["table_file"] = args.table
     _emit(report)
     if table["infeasible"]:
@@ -237,10 +231,9 @@ def _cmd_preprocess(args) -> int:
                  [f"pc{i + 1}" for i in range(args.pca)])
         report["stdev_per_component"] = result.stdev_per_component.tolist()
         if args.scree:
-            with open(args.scree, "w") as fh:
-                fh.write("component,stdev\n")
-                for i, s in enumerate(result.stdev_per_component, start=1):
-                    fh.write(f"{i},{float(s)!r}\n")
+            save_csv(args.scree,
+                     enumerate(result.stdev_per_component, start=1),
+                     ["component", "stdev"])
             report["scree_file"] = args.scree
         report["out_cols"] = args.pca
     else:
@@ -322,9 +315,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: parse_args keeps no state between calls,
+    so main() builds it once."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except SystemExit:  # only --help exits here; argument errors raise
         return 0

@@ -39,7 +39,9 @@ def default_regularization(X):
 def _unit_sum(w: np.ndarray) -> None:
     """Nudge the largest weight, in place, until the weights sum to 1.0
     exactly in floating point (at most 10 passes); each row of a stack of
-    weight vectors (..., K) separately."""
+    weight vectors (..., K) separately.  This is the package's one weight
+    fix-up: every fit passes its weights through it, and mixture() takes
+    them as given."""
     for _ in range(10):
         resid = 1.0 - w.sum(axis=-1, keepdims=True)
         if not resid.any():
@@ -515,13 +517,6 @@ class EmFit:
 def free_parameters(kappa: int, p: int) -> int:
     """Weights, means, and symmetric covariances of a full-covariance fit."""
     return (kappa - 1) + kappa * p + kappa * p * (p + 1) // 2
-
-
-def _seed_responsibilities(X: np.ndarray, kappa: int,
-                           rng: np.random.Generator, soft: bool) -> np.ndarray:
-    """One start's responsibilities, from kmeans++ centres drawn with rng."""
-    return _responsibilities(X, _kmeanspp_centers(X[None], kappa, [rng])[0],
-                             soft)
 
 
 def _responsibilities(X: np.ndarray, centers: np.ndarray,

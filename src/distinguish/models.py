@@ -8,17 +8,17 @@ The types the CLI writes as JSON have to_dict; the two it also reads,
 MixtureModel (through GaussianComponent) and ClusterConfiguration, have
 from_dict.  A valid mixture is what validate() reports no issue for: the
 CLI checks the models it reads with it, and mixture(), which builds the
-models fitted in code, raises its report.
+models fitted in code, raises its report.  Neither fixes a model up: the
+fits hand mixture() weights that sum to 1.0 exactly and covariances
+symmetric to the bit.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 WEIGHT_SUM_TOL = 1e-12
-WEIGHT_RENORM_TOL = 1e-6
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -236,27 +236,15 @@ class MixtureModel:
 def mixture(weights, means, covariances) -> MixtureModel:
     """Build a MixtureModel from raw arrays and raise what validate() reports.
 
-    mixture() accepts what `pmc --model` accepts, after two fix-ups: a
-    weight sum within WEIGHT_RENORM_TOL (1e-6) of 1, but further than
-    WEIGHT_SUM_TOL, is renormalized with a warning, and a finite covariance
-    whose asymmetry is at most 1e-9 of its largest entry is symmetrized.
-    Any issue validate() then finds is a ValueError carrying its report.
+    mixture() accepts exactly what `pmc --model` accepts: a model with any
+    issue is a ValueError whose message is validate()'s report, the text
+    `pmc --model` prints after "invalid model: ".  Weights that sum to 1
+    within WEIGHT_SUM_TOL are kept as given, and nothing is renormalized or
+    symmetrized.
     """
-    w = np.atleast_1d(np.asarray(weights, dtype=float))
-    s = float(np.sum(w))
-    if WEIGHT_SUM_TOL < abs(s - 1.0) <= WEIGHT_RENORM_TOL:
-        warnings.warn(f"renormalizing mixture weights (sum {s:.17g})",
-                      stacklevel=2)
-        w = w / s
-    comps = []
-    for mean, cov in zip(means, covariances, strict=True):
-        comp = GaussianComponent(mean, cov)
-        c = comp.covariance
-        if (not np.array_equal(c, c.T) and np.isfinite(c).all()
-                and np.abs(c - c.T).max() <= 1e-9 * np.abs(c).max()):
-            comp = GaussianComponent(comp.mean, (c + c.T) / 2.0)
-        comps.append(comp)
-    model = MixtureModel(w, tuple(comps))
+    model = MixtureModel(weights, tuple(
+        GaussianComponent(mean, cov)
+        for mean, cov in zip(means, covariances, strict=True)))
     issues = validate(model)
     if issues:
         raise ValueError("; ".join(issues))

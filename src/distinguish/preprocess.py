@@ -48,14 +48,23 @@ def load_csv(path, has_header: bool = False) -> DataMatrix:
     return DataMatrix(np.asarray(rows, dtype=float), names)
 
 
-def save_csv(path, X, feature_names=None) -> None:
-    X = as_matrix(X)
+def save_csv(path, rows, header=None) -> None:
+    """Write rows as CSV with "\\n" line endings, after an optional header
+    row.  A DataMatrix or array is taken as floats, a 1-D array as one
+    column; any other rows are written cell by cell.
+
+    A float is written as its repr, so it reads back to the same bits; None
+    is an empty cell, and any other cell (an int) is written by str.
+    """
+    if isinstance(rows, (DataMatrix, np.ndarray)):
+        rows = as_matrix(rows)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if feature_names:
-            writer.writerow(list(feature_names))
-        for row in X:
-            writer.writerow([repr(float(v)) for v in row])
+        writer = csv.writer(fh, lineterminator="\n")
+        if header:
+            writer.writerow(list(header))
+        writer.writerows(
+            ["" if v is None else repr(float(v)) if isinstance(v, float)
+             else str(v) for v in row] for row in rows)
 
 
 def standardize(X, center: bool = True, scale: bool = True) -> DataMatrix:

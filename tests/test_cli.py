@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from distinguish import MixtureModel, fit_gmm_em, load_csv, mixture
+from distinguish import MixtureModel, cli, fit_gmm_em, load_csv, mixture
 from distinguish.cli import main
 
 # the package exports the function pmc under the module's name
@@ -827,3 +827,145 @@ def test_help_exits_0(capsys):
 
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
+
+
+WEIGHT_OFFSETS = (0.0, 1e-13, 3e-8, 1e-6, 1e-3)
+FLAWS = ("none", "ulp", "relative-1e-12", "gross", "indefinite", "non-finite")
+
+
+@st.composite
+def near_valid_model(draw, offset, flaw):
+    """(weights, means, covariances) of a valid model whose last weight is
+    moved by +-offset and, unless flaw is "none", one component flawed:
+    its covariance asymmetric by one ulp, by 1e-12 of its largest entry or
+    by 1, its first diagonal entry negated (not positive definite), or a
+    NaN or infinity in a weight, the mean or a covariance entry."""
+    asymmetric = flaw in ("ulp", "relative-1e-12", "gross")
+    kappa = draw(st.integers(1, 3))
+    p = draw(st.integers(2 if asymmetric else 1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.dirichlet(np.ones(kappa))
+    w[-1] = 1.0 - w[:-1].sum()
+    w[-1] += draw(st.sampled_from([offset, -offset]))
+    means = rng.normal(0, 3, (kappa, p))
+    A = rng.normal(size=(kappa, p, p))
+    covs = A @ A.swapaxes(-1, -2) + 0.5 * np.eye(p)
+    covs = (covs + covs.swapaxes(-1, -2)) / 2.0
+    k = draw(st.integers(0, kappa - 1))
+    c = covs[k]
+    if flaw == "ulp":
+        c[0, 1] = np.nextafter(c[0, 1], np.inf)
+    elif flaw == "relative-1e-12":
+        c[0, 1] += 1e-12 * np.abs(c).max()
+    elif flaw == "gross":
+        c[0, 1] += 1.0
+    elif flaw == "indefinite":
+        c[0, 0] = -c[0, 0]
+    elif flaw == "non-finite":
+        bad = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        spot = draw(st.sampled_from(["weight", "mean", "cov"]))
+        if spot == "weight":
+            w[k] = bad
+        elif spot == "mean":
+            means[k, draw(st.integers(0, p - 1))] = bad
+        else:
+            c[draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))] = bad
+    return w, means, covs
+
+
+@pytest.mark.parametrize("flaw", FLAWS)
+@pytest.mark.parametrize("offset", WEIGHT_OFFSETS)
+# each example overwrites the model file and reads the captured output
+@settings(derandomize=True, deadline=None, max_examples=4,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mixture_accepts_what_pmc_model_accepts(capsys, tmp_path, offset,
+                                                flaw, data):
+    w, means, covs = data.draw(near_valid_model(offset, flaw))
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"weights": w.tolist(), "components": [
+        {"mean": m.tolist(), "covariance": c.tolist()}
+        for m, c in zip(means, covs)]}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            mixture(w, means, covs)
+            message = None
+        except ValueError as exc:
+            message = str(exc)
+        code, out, err = run(capsys, "pmc", "--model", str(path),
+                             "--m", "1000")
+    assert [str(x.message) for x in caught] == []
+    if message is None:
+        assert code == 0 and err == ""
+        assert offset <= 1e-13 and flaw == "none"
+    else:
+        assert code == 2 and out == ""
+        assert parse_err(err) == {"kind": "validation",
+                                  "message": "invalid model: " + message}
+
+
+def test_parser_is_built_once(capsys, monkeypatch, model_path, data_path):
+    # a failing argv followed by valid ones: the shared parser carries no
+    # state from one call to the next
+    argvs = [("pmc", "--model", model_path, "--m", "1000"),
+             ("pmc", "--model", model_path, "--rule", "bogus"),
+             ("pmc", "--model", model_path, "--m", "1000", "--delta"),
+             ("phm", "--kappa-range", "1:2"),
+             ("phm", "--data", data_path, "--kappa-range", "1:2",
+              "--m", "2000", "--seed", "3"),
+             ("frobnicate",),
+             ("pmc", "--model", model_path, "--m", "1000", "--rule",
+              "optimal")]
+    fresh = []
+    for argv in argvs:
+        cli._parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    built, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    shared = [run(capsys, *argv) for argv in argvs]
+    assert len(built) == 1
+    assert shared == fresh
+    assert [code for code, _, _ in fresh] == [0, 2, 0, 2, 0, 2, 0]
+
+
+def test_cli_csv_files_use_newline_only(capsys, tmp_path, data_path):
+    # preprocess --out and --scree, phm --labels and select-k --table all
+    # end their lines with "\n" and read back with load_csv
+    paths = {name: tmp_path / f"{name}.csv"
+             for name in ("out", "scree", "labels", "table")}
+    phm = ("phm", "--data", data_path, "--kappa-range", "1:2", "--m", "2000",
+           "--seed", "3")
+    code, out, _ = run(capsys, "preprocess", "--data", data_path, "--center",
+                       "--pca", "1", "--out", str(paths["out"]),
+                       "--scree", str(paths["scree"]))
+    assert code == 0
+    stdev = json.loads(out)["stdev_per_component"]
+    code, out, _ = run(capsys, *phm)
+    assert code == 0
+    labels = json.loads(out)["labels"]
+    assert run(capsys, *phm, "--labels", str(paths["labels"]))[0] == 0
+    code, out, _ = run(capsys, "select-k", "--data", data_path,
+                       "--k-range", "2:3", "--b-refs", "10", "--reps", "2",
+                       "--m", "2000", "--table", str(paths["table"]))
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    for path in paths.values():
+        raw = path.read_bytes()
+        assert b"\r" not in raw and raw.endswith(b"\n")
+        load_csv(path, has_header=True)
+    centred = load_csv(data_path).values
+    centred = centred - centred.mean(axis=0)
+    assert np.allclose(np.abs(load_csv(paths["out"], has_header=True).values),
+                       np.abs(centred), rtol=1e-12, atol=1e-12)
+    # the labels, scree and table bytes of the writers save_csv replaced
+    assert paths["labels"].read_text() == "label\n" + "".join(
+        f"{v}\n" for v in labels)
+    assert paths["scree"].read_text() == "component,stdev\n" + "".join(
+        f"{i},{s!r}\n" for i, s in enumerate(stdev, start=1))
+    cols = ["K", "gap", "gap_sd", "pmc", "pmc_std_error", "silhouette",
+            "stability", "prediction_strength"]
+    assert paths["table"].read_text() == ",".join(cols) + "\n" + "".join(
+        ",".join(repr(r[c]) for c in cols) + "\n" for r in rows)

@@ -11,7 +11,7 @@ from distinguish import (DegenerateFitError, KmeansFit, Partition, cut_tree,
                          fit_hclust, fit_kmeans, free_parameters, models,
                          partition_to_gaussians, select_gmm_bic, stream)
 from distinguish.estimators import (_em_stack, _kmeanspp_centers, _lloyd,
-                                    _seed_responsibilities)
+                                    _responsibilities)
 from distinguish.rng import derive_seed
 
 
@@ -444,7 +444,8 @@ class TestEm:
         # (kappa, n, p) scatter temporaries at n = 50000 would take 36 MB each
         rng = np.random.default_rng(10)
         X = rng.normal(size=(50_000, 10))
-        resp = _seed_responsibilities(X, 9, rng, soft=True)
+        resp = _responsibilities(X, _kmeanspp_centers(X[None], 9, [rng])[0],
+                                 soft=True)
         tracemalloc.start()
         try:
             _em_stack(X, [resp], 1e-6, 1e-8, 1)
@@ -460,7 +461,8 @@ class TestEm:
         # holds a single row (zero covariance) only without a floor
         rng = np.random.default_rng(11)
         X = np.vstack([rng.normal(0, 1, (60, 2)), rng.normal(5, 1, (60, 2))])
-        good = [_seed_responsibilities(X, k, stream(0, "test", k), k == 3)
+        good = [_responsibilities(X, _kmeanspp_centers(
+                    X[None], k, [stream(0, "test", k)])[0], k == 3)
                 for k in (2, 3)]
         no_weight = np.zeros((120, 2))
         no_weight[:, 0] = 1.0
@@ -617,7 +619,8 @@ def test_em_covariances_are_symmetric_to_the_bit(p, centred):
                               return_value=False)
             if centred else contextlib.nullcontext())
     with form:
-        resps = [_seed_responsibilities(X, k, stream(p, "sym", k), k == 2)
+        resps = [_responsibilities(X, _kmeanspp_centers(
+                     X[None], k, [stream(p, "sym", k)])[0], k == 2)
                  for k in (1, 2, 3)]
         out = _em_stack(X, resps, default_regularization(X), 1e-8, 500)
         fit = fit_gmm_em(X, 3, n_init=2, seed=p)
@@ -682,7 +685,8 @@ def test_stack_equals_the_reference_em_bit_for_bit(p):
     X = np.vstack([rng.normal(3.0 * c, 1.0, (30, p)) for c in range(5)])
     reg = default_regularization(X)
     kappas = (1, 4, 11, 2, 9, 4)
-    resps = [_seed_responsibilities(X, k, stream(p, "ref", i), i % 2 == 0)
+    resps = [_responsibilities(X, _kmeanspp_centers(
+                 X[None], k, [stream(p, "ref", i)])[0], i % 2 == 0)
              for i, k in enumerate(kappas)]
     out = _em_stack(X, resps, reg, 1e-8, 60)
     checked = 0

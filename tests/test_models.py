@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -28,20 +29,31 @@ class TestMixtureFactory:
         with pytest.raises(ValueError, match="weights sum 0.8999"):
             unit_mixture([[0.0], [3.0]], [0.7, 0.2])
 
-    def test_weight_sum_within_renorm_band_warns(self):
-        with pytest.warns(UserWarning):
-            m = unit_mixture([[0.0], [3.0]], [0.5, 0.5 + 3e-8])
-        assert abs(m.weights.sum() - 1.0) <= 1e-12
+    def test_weight_sum_off_by_3e8_rejected_without_warning(self):
+        # no renormalization band: 3e-8 off is refused as pmc --model
+        # refuses it
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError) as exc:
+                unit_mixture([[0.0], [3.0]], [0.5, 0.5 + 3e-8])
+        assert caught == []
+        assert str(exc.value) == ("weights sum 1.00000003, more than 1e-12 "
+                                  "from 1")
 
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValueError):
             unit_mixture([[0.0], [3.0]], [1.0, 0.0])
 
-    def test_slightly_asymmetric_covariance_symmetrized(self):
+    def test_slightly_asymmetric_covariance_rejected_without_warning(self):
+        # no symmetrization: an asymmetry of 1e-12 is refused as pmc --model
+        # refuses it
         c = np.array([[1.0, 0.2], [0.2 + 1e-12, 1.0]])
-        m = mixture([1.0], [[0.0, 0.0]], [c])
-        cov = m.components[0].covariance
-        assert np.array_equal(cov, cov.T)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError) as exc:
+                mixture([1.0], [[0.0, 0.0]], [c])
+        assert caught == []
+        assert str(exc.value) == "component 0 covariance not symmetric"
 
     def test_grossly_asymmetric_covariance_rejected(self):
         c = np.array([[1.0, 0.5], [0.1, 1.0]])
