@@ -9,11 +9,15 @@ draws from the null or by a parametric bootstrap around the fitted
 Gaussian; p-values use the add-one estimator so they are never zero.
 
 Replicate r of the null (bootstrap replicate b) is drawn from its own
-stream(seed, "null-rep", r) (stream(seed, "boot-rep", b)).  Replicates are
-split and scored in stacked chunks: one moment fit, one batched Cholesky
-and one log-density call per chunk.  Univariate chunks are split by one
-lockstep Ward pass over all their replicates (_ward_splits_1d), which hands
-a replicate with a near-tied merge to scipy; multivariate chunks and the
+stream(seed, "null-rep", r) (stream(seed, "boot-rep", b)); a chunk's
+streams are opened in one stream() call, which seeds them in one
+vectorised pass and builds each generator as the chunk's stack reaches
+it.  Replicates are split and scored in stacked chunks: one moment fit,
+one batched Cholesky and one log-density call per chunk.
+Univariate chunks are split by rounds of Ward merges over all their
+replicates at once (_ward_splits_1d): each round merges every adjacent
+pair of clusters cheaper than both its neighbouring pairs, and a replicate
+with a near-tied merge cost goes to scipy.  Multivariate chunks and the
 observed data get one scipy Ward tree and two-way cut each.  Either way
 every split equals cut_tree(fit_hclust(V), 2).  A chunk holds at most
 BLOCK_ELEMENTS replicates x n x 2 x p elements, so memory does not grow
@@ -59,17 +63,22 @@ def _statistics(Vs: np.ndarray, split=_scipy_splits) -> np.ndarray:
     return np.sort(_summands(pi, "randomized", [0, 1]), axis=-1).sum(-1) / n
 
 
-def _replicate_statistics(draw, reps: int, n: int, p: int) -> np.ndarray:
-    """Statistics of the datasets draw(0), ..., draw(reps - 1), each (n, p),
-    drawn and scored one chunk of at most BLOCK_ELEMENTS // (n * 2 * p)
-    replicates at a time."""
+def _replicate_statistics(seed: int | None, name: str, make, reps: int,
+                          n: int, p: int) -> np.ndarray:
+    """Statistics of the datasets make(stream(seed, name, r)), each (n, p),
+    for r = 0, ..., reps - 1, drawn and scored one chunk of at most
+    BLOCK_ELEMENTS // (n * 2 * p) replicates at a time; each chunk opens
+    its streams in one call and draws each replicate into its stack before
+    the next generator is built."""
     chunk = max(1, BLOCK_ELEMENTS // (n * 2 * p))
     split = _ward_splits_1d if p == 1 else _scipy_splits
     values = np.empty(reps)
     for lo in range(0, reps, chunk):
         hi = min(reps, lo + chunk)
-        values[lo:hi] = _statistics(
-            np.array([draw(r) for r in range(lo, hi)]), split)
+        Vs = np.empty((hi - lo, n, p))
+        for V, g in zip(Vs, stream(seed, name, range(lo, hi))):
+            V[...] = make(g)
+        values[lo:hi] = _statistics(Vs, split)
     return values
 
 
@@ -92,8 +101,7 @@ def null_distribution(n: int, p: int, reps: int,
     if reps < 100:
         raise ValueError("reps must be >= 100")
     return np.sort(_replicate_statistics(
-        lambda r: stream(seed, "null-rep", r).standard_normal((n, p)),
-        reps, n, p))
+        seed, "null-rep", lambda g: g.standard_normal((n, p)), reps, n, p))
 
 
 def pvalue_mc(stat: float, null_sample: np.ndarray) -> float:
@@ -119,8 +127,8 @@ def pvalue_bootstrap(X, B: int = 500, seed: int | None = None, *,
     n, p = V.shape
     fit, = partition_to_gaussians(V, Partition(np.zeros(n, int), 1)).components
     boots = _replicate_statistics(
-        lambda b: fit.mean + stream(seed, "boot-rep", b)
-        .standard_normal((n, p)) @ fit.chol.T, B, n, p)
+        seed, "boot-rep",
+        lambda g: fit.mean + g.standard_normal((n, p)) @ fit.chol.T, B, n, p)
     return pvalue_mc(stat, boots)
 
 

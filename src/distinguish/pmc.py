@@ -44,7 +44,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .models import (BLOCK_ELEMENTS, ClusterConfiguration, McEstimate,
                      MixtureModel, as_matrix)
@@ -313,6 +312,9 @@ def pmc_quadrature(model: MixtureModel,
     def integrand(x: np.ndarray) -> np.ndarray:
         pi, dens = _posteriors_and_density(model, config, x)
         return dens * _summands(pi, rule, clusters)
+
+    # imported here, so that Monte Carlo commands never load scipy
+    from scipy import integrate
 
     with np.errstate(over="ignore", invalid="ignore"):
         value = integrate.cubature(integrand, lo, hi, rule="gk21", atol=1e-8,

@@ -1,6 +1,10 @@
 import importlib
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -405,6 +409,19 @@ class TestHclustTestCommand:
                            "--bootstrap", "120", "--seed", "3")
         assert code == 0
         assert json.loads(out)["method"] == "bootstrap"
+
+
+@pytest.mark.parametrize("argv", [
+    ("hclust-test", "--reps", "100"),
+    ("hclust-test", "--bootstrap", "100"),
+    ("select-k", "--k-range", "1:3", "--b-refs", "10", "--reps", "3"),
+], ids=["hclust-test-mc", "hclust-test-bootstrap", "select-k"])
+def test_negative_seed_is_a_validation_error(capsys, data_path, argv):
+    # the replicates and the k-means restarts open their streams in batches
+    code, out, err = run(capsys, *argv, "--data", data_path, "--seed", "-1")
+    assert (code, out) == (2, "")
+    assert parse_err(err) == {"kind": "validation",
+                              "message": "expected non-negative integer"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -969,3 +986,37 @@ def test_cli_csv_files_use_newline_only(capsys, tmp_path, data_path):
             "stability", "prediction_strength"]
     assert paths["table"].read_text() == ",".join(cols) + "\n" + "".join(
         ",".join(repr(r[c]) for c in cols) + "\n" for r in rows)
+
+
+def test_commands_that_call_no_scipy_do_not_load_it(tmp_path):
+    # scipy is imported only inside fit_hclust and pmc_quadrature, so
+    # phm, Monte Carlo pmc and k-means select-k start without it
+    rng = np.random.default_rng(4)
+    data = tmp_path / "data.csv"
+    write_rows(data, np.vstack([rng.normal(0, 1, (40, 2)),
+                                rng.normal(5, 1, (40, 2))]))
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(mixture(
+        [0.5, 0.5], [[0.0], [4.0]], [np.eye(1), np.eye(1)]).to_dict()))
+    script = f"""
+import contextlib, io, sys
+import distinguish.cli as cli
+runs = [["phm", "--data", {str(data)!r}, "--kappa-range", "1:2",
+         "--n-init", "2", "--m", "2000"],
+        ["pmc", "--model", {str(model)!r}, "--m", "2000"],
+        ["select-k", "--data", {str(data)!r}, "--k-range", "1:2",
+         "--method", "kmeans", "--b-refs", "10", "--reps", "2",
+         "--m", "2000"]]
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -77,6 +77,22 @@ class TestNullDistribution:
         assert null.size == 2000
         assert peak < 16 * 2**20
 
+    def test_memory_is_bounded_for_small_replicates(self):
+        # one full chunk of 4 x 1 replicates, 32,768 of them: the chunk
+        # must hold one generator at a time, not one per replicate, whose
+        # objects outweigh a replicate's 32 bytes of data (a list of them
+        # peaked at 30 MiB)
+        reps = hyptest.BLOCK_ELEMENTS // (4 * 2 * 1)
+        null_distribution(4, 1, 100, seed=1)
+        tracemalloc.start()
+        try:
+            null = null_distribution(4, 1, reps, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert null.size == reps
+        assert peak < 16 * 2**20
+
     def test_disjoint_seeds_agree_in_distribution(self):
         # Kolmogorov-Smirnov distance between two independent null samples
         a = null_distribution(60, 1, reps=400, seed=10)

@@ -2,11 +2,11 @@
 per-point loss, the mean with its Monte Carlo standard error, the delta
 matrix, the merge order and its bookkeeping; for the stacked k-means restarts;
 for the stacked EM starts of a BIC scan; for the stacked existence-test
-statistic and its lockstep 1-D Ward split; and for the canonical component
-order that fixes every sum across components, so that relabelling the
-components keeps every bit; and for the k-means kernels: the
-running-minimum assignment against the argmin, and the unmasked segment
-means against the masked ones."""
+statistic and its 1-D Ward split in rounds; for named streams opened in
+batches; and for the canonical component order that fixes every sum
+across components, so that relabelling the components keeps every bit;
+and for the k-means kernels: the running-minimum assignment against the
+argmin, and the unmasked segment means against the masked ones."""
 import contextlib
 import heapq
 import importlib
@@ -809,29 +809,38 @@ def former_statistic(V):
     return value
 
 
-def replicate_draw(seed, n, p, shift):
+def shifted_normals(n, p, shift):
     """Two groups shift apart, so both clean and overlapping splits occur."""
-    def draw(r):
-        X = stream(seed, "null-rep", r).standard_normal((n, p))
+    def make(rng):
+        X = rng.standard_normal((n, p))
         X[: n // 2, 0] += shift
         return X
-    return draw
+    return make
+
+
+def replicate_draw(seed, n, p, shift):
+    return lambda r: shifted_normals(n, p, shift)(stream(seed, "null-rep", r))
 
 
 @PROPERTY
 @given(st.integers(0, 2**32 - 1), st.integers(4, 40), st.integers(1, 3),
-       st.integers(1, 12), st.integers(1, 5), st.floats(0, 6))
+       st.integers(1, 40), st.integers(1, 15), st.floats(0, 6))
 def test_stacked_statistics_equal_one_by_one(seed, n, p, reps, per_chunk,
                                              shift):
+    # reps up to 40 and chunks of 1 to 15 replicates, each chunk's streams
+    # opened in one stream() call
+    make = shifted_normals(n, p, shift)
     draw = replicate_draw(seed, n, p, shift)
     alone = np.array([pmc_statistic(draw(r)) for r in range(reps)])
-    assert np.array_equal(hyptest._replicate_statistics(draw, reps, n, p),
-                          alone)
+    assert np.array_equal(
+        hyptest._replicate_statistics(seed, "null-rep", make, reps, n, p),
+        alone)
     # chunks of per_chunk replicates: a replicate's statistic does not
     # depend on the chunk it lands in
     with mock.patch.object(hyptest, "BLOCK_ELEMENTS", n * 2 * p * per_chunk):
         assert np.array_equal(
-            hyptest._replicate_statistics(draw, reps, n, p), alone)
+            hyptest._replicate_statistics(seed, "null-rep", make, reps, n,
+                                          p), alone)
 
 
 # 1-D data for the stacked Ward split: continuous draws, and CSV-like
@@ -842,6 +851,9 @@ WARD_KINDS = {
     "rounded-0.1": lambda rng, shape: np.round(rng.normal(size=shape), 1),
     "rounded-0.01": lambda rng, shape: np.round(rng.normal(size=shape), 2),
     "integers": lambda rng, shape: rng.integers(0, 20, shape) * 1.0,
+    # the existence bench's alternative input: two groups 5 apart
+    "two-blobs": lambda rng, shape: (rng.normal(size=shape)
+                                     + 5.0 * (rng.random(shape) < 0.5)),
 }
 
 
@@ -857,6 +869,62 @@ def test_stacked_ward_splits_equal_scipy(kind, n, reps, seed):
     Vs = WARD_KINDS[kind](np.random.default_rng(seed), (reps, n, 1))
     expect = np.array([cut_tree(fit_hclust(V), 2).labels for V in Vs])
     assert np.array_equal(estimators._ward_splits_1d(Vs), expect)
+
+
+def scipy_split_count(Vs):
+    """Labels of _ward_splits_1d(Vs), and how many of its replicates it
+    handed to scipy."""
+    with mock.patch.object(estimators, "_scipy_splits",
+                           wraps=estimators._scipy_splits) as spy:
+        labels = estimators._ward_splits_1d(Vs)
+    return labels, sum(c.args[0].shape[0] for c in spy.call_args_list)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 150])
+def test_ward_split_of_evenly_spaced_values_ends_at_scipy(n):
+    # every adjacent merge cost is equal, so no pair is cheaper than both
+    # its neighbours: the tie rule must hand the replicate to scipy
+    Vs = np.stack([np.arange(n) * 0.5, np.arange(n)[::-1] - 3.0])[..., None]
+    labels, tied = scipy_split_count(Vs)
+    assert tied == 2
+    assert np.array_equal(labels, [cut_tree(fit_hclust(V), 2).labels
+                                   for V in Vs])
+
+
+@pytest.mark.parametrize("n", [4, 5, 12, 40])
+def test_ward_split_of_powers_of_two_merges_one_pair_per_round(n):
+    # values 2^i: the cheapest pair is always the two smallest clusters,
+    # so each round merges exactly one pair, n - 2 rounds in all
+    rng = np.random.default_rng(n)
+    Vs = np.stack([rng.permutation(2.0 ** np.arange(n))
+                   for _ in range(6)])[..., None]
+    labels, tied = scipy_split_count(Vs)
+    assert tied == 0
+    assert np.array_equal(labels, [cut_tree(fit_hclust(V), 2).labels
+                                   for V in Vs])
+    # the split is {largest} against the rest
+    assert np.array_equal(labels != labels[:, :1],
+                          (Vs[..., 0] == 2.0 ** (n - 1))
+                          != (Vs[:, :1, 0] == 2.0 ** (n - 1)))
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("kind", sorted(WARD_KINDS))
+def test_ward_split_of_four_and_five_values(kind, n):
+    Vs = WARD_KINDS[kind](np.random.default_rng(n), (500, n, 1))
+    expect = np.array([cut_tree(fit_hclust(V), 2).labels for V in Vs])
+    assert np.array_equal(estimators._ward_splits_1d(Vs), expect)
+
+
+def test_ward_split_hands_only_tied_replicates_to_scipy():
+    # continuous draws have no near-tied costs; a replicate of evenly
+    # spaced values among them is the one that goes to scipy
+    Vs = np.random.default_rng(3).normal(size=(50, 30, 1))
+    Vs[17, :, 0] = np.arange(30.0)
+    labels, tied = scipy_split_count(Vs)
+    assert tied == 1
+    assert np.array_equal(labels, [cut_tree(fit_hclust(V), 2).labels
+                                   for V in Vs])
 
 
 @PROPERTY
@@ -884,3 +952,47 @@ def test_statistic_is_similarity_invariant(seed, n, p, shift, log_scale,
     a = 10.0 ** log_scale
     b = a * offset * rng.uniform(-1, 1, p)
     assert abs(pmc_statistic(a * X @ Q + b) - pmc_statistic(X)) <= 1e-10
+
+
+# seeds of every width numpy's SeedSequence splits into 1 to 4 words, and
+# wider; indices up to the largest one-word index, and two wider ones
+STREAM_SEEDS = [None, 0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**100,
+                2**128 - 1, 2**128, 3**90]
+stream_seeds = st.sampled_from(STREAM_SEEDS) | st.integers(0, 2**64 - 1)
+stream_indices = (st.sampled_from([0, 1, 2**31, 2**32 - 1, 2**32, 2**40])
+                  | st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.lists(st.tuples(stream_seeds, stream_indices), min_size=1,
+                max_size=40),
+       st.sampled_from(["null-rep", "boot-rep", "kmeans-restart", "", "é"]),
+       st.booleans())
+def test_batched_streams_equal_streams_opened_alone(pairs, name, one_seed):
+    # one seed for the batch (the replicates) or a seed per stream (the
+    # k-means restarts)
+    seeds = [s for s, _ in pairs]
+    indices = [i for _, i in pairs]
+    if one_seed:
+        seeds = [seeds[0]] * len(pairs)
+    batch = list(stream(seeds[0] if one_seed else seeds, name, indices))
+    assert len(batch) == len(pairs)
+    for g, s, i in zip(batch, seeds, indices):
+        alone = stream(s, name, i)
+        assert g.bit_generator.state == alone.bit_generator.state
+        assert np.array_equal(g.random(3), alone.random(3))
+        assert np.array_equal(g.integers(0, 2**40, 3),
+                              alone.integers(0, 2**40, 3))
+        assert np.array_equal(g.standard_normal(3), alone.standard_normal(3))
+
+
+@pytest.mark.parametrize("bad", ["seed", "index"])
+def test_batched_streams_refuse_negative_seeds_as_numpy_does(bad):
+    seeds = [5] * 40
+    indices = list(range(40))
+    (seeds if bad == "seed" else indices)[-1] = -1
+    # the whole batch is hashed at the call, before any generator is taken
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        stream(seeds, "null-rep", indices)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        stream(-1, "null-rep", range(40))
