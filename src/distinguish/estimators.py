@@ -355,16 +355,23 @@ class HclustTree:
 
 
 def fit_hclust(X) -> HclustTree:
-    """Ward-linkage agglomeration on squared Euclidean distances."""
-    # imported here, so that commands which fit no tree never load scipy
-    from scipy.cluster.hierarchy import linkage
+    """Ward-linkage agglomeration on squared Euclidean distances, its
+    merges numbered as scipy's linkage numbers them.
 
+    Univariate data are merged in rounds (_ward_tree_1d) in O(n) memory.
+    scipy, imported here so that commands which fit no such tree never load
+    it, takes data with p >= 2 and univariate data with a near tie.
+    """
     V = as_matrix(X)
-    if V.shape[0] < 2:
+    n, p = V.shape
+    if n < 2:
         raise ValueError("hierarchical clustering needs n >= 2")
-    Z = linkage(V, method="ward")
-    merges = np.column_stack([Z[:, 0], Z[:, 1], Z[:, 2] ** 2])
-    return HclustTree(V.shape[0], merges)
+    merges = _ward_tree_1d(V[:, 0]) if p == 1 else None
+    if merges is None:
+        from scipy.cluster.hierarchy import linkage
+        Z = linkage(V, method="ward")
+        merges = np.column_stack([Z[:, 0], Z[:, 1], Z[:, 2] ** 2])
+    return HclustTree(n, merges)
 
 
 def cut_tree(tree: HclustTree, K: int) -> Partition:
@@ -385,15 +392,16 @@ def cut_tree(tree: HclustTree, K: int) -> Partition:
                                for r in root[:n]]), K)
 
 
-def _scipy_splits(Vs: np.ndarray) -> np.ndarray:
+def _tree_splits(Vs: np.ndarray) -> np.ndarray:
     """Two-way Ward labels (R, n) of each dataset of an (R, n, p) stack, one
-    scipy tree each."""
+    fit_hclust tree each."""
     return np.array([cut_tree(fit_hclust(V), 2).labels for V in Vs])
 
 
-def _ward_splits_1d(Vs: np.ndarray) -> np.ndarray:
-    """Two-way Ward labels (R, n) of each dataset of an (R, n, 1) stack,
-    n >= 3, equal to cut_tree(fit_hclust(V), 2).labels for each.
+# an overflowing or NaN cost ends a row as a tie or a short stop
+@np.errstate(over="ignore", invalid="ignore")
+def _ward_rounds(xs: np.ndarray, tree: bool = False):
+    """Ward merges, in rounds, of each row of xs (R, n), sorted ascending.
 
     On the line every Ward cluster is an interval of the sorted values, and
     the cheapest pair is always adjacent.  Take intervals A < B < C with
@@ -413,40 +421,49 @@ def _ward_splits_1d(Vs: np.ndarray) -> np.ndarray:
     neighbouring pair costs merges with each other in the greedy sequence
     before either merges with anything else, and every such pair can merge
     at once (Ward is reducible: Murtagh 1983, Muellner 2011).  Each round
-    merges all of them, in every replicate; without ties that gives the
-    tree of scipy's nearest-neighbour chain.  A round from k >= 3 clusters
-    merges at most ceil((k - 1)/2) disjoint pairs and so leaves at least
-    two, and a replicate leaves the rounds at exactly two clusters.
+    merges all of them, in every row; without ties that gives the tree of
+    scipy's nearest-neighbour chain.
 
-    The clusters of all replicates lie in two flat arrays, sizes and sums,
-    replicate after replicate; a pair that straddles two replicates costs
-    +inf, and a replicate at two clusters, whose one pair sits between two
-    such costs, merges no further.  A merged cluster's sum is its left
-    half's plus its right half's, as in the greedy sequence, so every cost
-    is computed from the same operands.  Values are taken relative to their
-    median, so a common offset does not cost precision.  A replicate in
-    which a round finds two neighbouring pair costs within 1e-9 of each
-    other (or a NaN) has a tie that scipy may break otherwise, and is split
-    by scipy instead.  Without one, a replicate's cheapest pair is strictly
-    below its neighbours, so each round merges at least one of its pairs
-    until it is at two clusters, and the rounds end within n - 2 (values
-    2^i take all of them); 200 normal replicates of 150 values take 17.
-    In a replicate without a tie, equal values merge in the first round,
-    so its left cluster is the values up to a threshold.
+    The clusters of all rows lie in two flat arrays, sizes and sums, row
+    after row; a pair that straddles two rows costs +inf.  A merged
+    cluster's sum is its left half's plus its right half's, as in the
+    greedy sequence, so every cost is computed from the same operands.
+    Values are taken relative to their row's median, so a common offset
+    does not cost precision.  A row in which a round finds two neighbouring
+    pair costs within 1e-9 of each other (or a NaN) has a tie that scipy may
+    break otherwise.  Without one, a row's cheapest pair is strictly below
+    its neighbours, so each round merges at least one of its pairs, and the
+    rounds end within n - 1 (values 2^i take all of them).
+
+    Without tree, a row stops at two clusters: its one pair then sits
+    between two +inf costs and merges no further, and a round from k >= 3
+    clusters merges at most ceil((k - 1)/2) disjoint pairs, so it leaves at
+    least two.  Returns the size of each row's left cluster and which rows
+    saw a tie; 200 normal rows of 150 values take 17 rounds.
+
+    With tree, xs holds one row, which runs to one cluster.  Returns, for
+    each boundary b = 1, ..., n - 1 between sorted values b - 1 and b, the
+    cost of the merge that joins across it and the position of the first
+    value of that merge's cluster; or None on a tie, or if an overflowing
+    cost stopped the rounds short.
     """
-    R, n, _ = Vs.shape
-    xs = np.sort(Vs[:, :, 0], axis=1)
+    R, n = xs.shape
     total = (xs - xs[:, n // 2, None]).ravel()
     size = np.ones(R * n)
-    start = np.arange(R) * n  # position of each replicate's first cluster
+    start = np.arange(R) * n  # position of each row's first cluster
     tied = np.zeros(R, bool)
     cost = np.full(R * n + 1, np.inf)  # cost[j + 1]: clusters j and j + 1
     gap = np.empty(R * n)
+    keep = np.ones(R * n, bool)  # keep[0] stays True
+    if tree:
+        first = np.arange(n)  # position of each cluster's first value
+        height, begin = np.empty(n), np.empty(n, int)
     while True:
         m = total.size
         mean = total / size
         g = np.subtract(mean[1:], mean[:-1], out=gap[:m - 1])
-        g[start[1:] - 1] = np.inf
+        if R > 1:
+            g[start[1:] - 1] = np.inf
         a, b = size[:-1], size[1:]
         c = cost[:m + 1]
         # ab / (a + b) g^2, evaluated left to right in place
@@ -456,26 +473,102 @@ def _ward_splits_1d(Vs: np.ndarray) -> np.ndarray:
         w *= g
         c[m] = np.inf
         lo, hi = c[1:m - 1], c[2:m]
-        near = ~(np.maximum(lo, hi) > np.minimum(lo, hi) * (1 + 1e-9))
-        if near.any():
-            tied[np.searchsorted(start, np.flatnonzero(near) + 1, "right")
+        apart = np.maximum(lo, hi) > np.minimum(lo, hi) * (1 + 1e-9)
+        if not apart.all():
+            if tree:
+                return None
+            tied[np.searchsorted(start, np.flatnonzero(~apart) + 1, "right")
                  - 1] = True
         nb = np.minimum(c[:m - 1], c[2:])
-        j = np.flatnonzero((c[1:m] < nb) & (nb < np.inf))
-        if not j.size:
+        merge = w < nb
+        if not tree:
+            merge &= nb < np.inf
+        np.logical_not(merge, out=keep[1:m])
+        kept = np.flatnonzero(keep[:m])
+        if kept.size == m:
             break
-        size[j] += size[j + 1]
-        total[j] = total[j] + total[j + 1]
-        keep = np.ones(m, bool)
-        keep[j + 1] = False
-        kept = np.flatnonzero(keep)
-        total, size = total[kept], size[kept]
-        start = np.searchsorted(kept, start)
-    head = size[start].astype(int) - 1
-    left = Vs[:, :, 0] <= xs[np.arange(R), head, None]
+        if tree:
+            # a boundary's last entry is written in the round that merges
+            # across it
+            height[first[1:]] = w
+            begin[first[1:]] = first[:-1]
+            first = first[kept]
+            # one row holds few clusters, where reduceat's cost per call
+            # beats the index arithmetic below; a stack holds thousands
+            total = np.add.reduceat(total, kept)
+            size = np.add.reduceat(size, kept)
+        else:
+            j = np.flatnonzero(merge)
+            size[j] += size[j + 1]
+            total[j] += total[j + 1]
+            total, size = total[kept], size[kept]
+            start = np.searchsorted(kept, start)
+    if tree:
+        return (height[1:], begin[1:]) if m == 1 else None
+    return size[start].astype(int), tied
+
+
+def _ward_tree_1d(x: np.ndarray) -> np.ndarray | None:
+    """Merges (n - 1, 3) of the Ward tree of the n >= 2 values x, as
+    fit_hclust returns them, or None where a near tie may order the merges
+    otherwise than scipy does.
+
+    scipy sorts its merges stably by height and numbers them with a
+    union-find: row i is [min(a, b), max(a, b), height] for the ids a, b of
+    the two clusters it joins, a value keeps its index as id, and row i
+    creates node n + i.  The rounds (_ward_rounds) give, for each boundary
+    between neighbouring sorted values, the height of the merge across it
+    and where that merge's cluster starts.  A merge's left child is the
+    merge before it, in height order, whose cluster starts where its own
+    does, or else the value there; its right child is the last merge whose
+    cluster starts at its boundary, or else the value there.  Heights are
+    2ab/(a+b) (m_b - m_a)^2, scipy's Ward distance squared.  Two sorted
+    heights within 1e-9 of each other are a tie, which scipy's heights,
+    rounded otherwise, may order the other way.
+    """
+    n = x.size
+    order = np.argsort(x, kind="stable")
+    found = _ward_rounds(x[order][None], tree=True)
+    if found is None:
+        return None
+    height, begin = found
+    rows = np.argsort(height, kind="stable")  # row i: boundary rows[i] + 1
+    h = height[rows]
+    if not (h[1:] > h[:-1] * (1 + 1e-9)).all():
+        return None
+    # rows grouped by where their cluster starts, in height order
+    s = begin[rows]
+    grp = np.argsort(s, kind="stable")
+    sg = s[grp]
+    same = sg[1:] == sg[:-1]
+    left = order[s]
+    left[grp[1:][same]] = n + grp[:-1][same]
+    last = np.full(n, -1)
+    ends = np.append(~same, True)
+    last[sg[ends]] = grp[ends]
+    b = rows + 1
+    right = np.where(last[b] < 0, order[b], n + last[b])
+    return np.column_stack([np.minimum(left, right), np.maximum(left, right),
+                            h + h])
+
+
+def _ward_splits_1d(Vs: np.ndarray) -> np.ndarray:
+    """Two-way Ward labels (R, n) of each dataset of an (R, n, 1) stack,
+    n >= 3, equal to cut_tree(fit_hclust(V), 2).labels for each.
+
+    The rounds (_ward_rounds) stop every replicate at two clusters.  A
+    replicate with a near tie is split by _tree_splits, whose tree finds
+    the same tie and goes to scipy.  In a replicate without a tie, equal
+    values merge in the first round, so its left cluster is the values up
+    to a threshold.
+    """
+    R, n, _ = Vs.shape
+    xs = np.sort(Vs[:, :, 0], axis=1)
+    size, tied = _ward_rounds(xs)
+    left = Vs[:, :, 0] <= xs[np.arange(R), size - 1, None]
     labels = (left != left[:, :1]).astype(int)
     if tied.any():
-        labels[tied] = _scipy_splits(Vs[tied])
+        labels[tied] = _tree_splits(Vs[tied])
     return labels
 
 

@@ -17,9 +17,11 @@ one batched Cholesky and one log-density call per chunk.
 Univariate chunks are split by rounds of Ward merges over all their
 replicates at once (_ward_splits_1d): each round merges every adjacent
 pair of clusters cheaper than both its neighbouring pairs, and a replicate
-with a near-tied merge cost goes to scipy.  Multivariate chunks and the
-observed data get one scipy Ward tree and two-way cut each.  Either way
-every split equals cut_tree(fit_hclust(V), 2).  A chunk holds at most
+with a near-tied merge cost goes to scipy.  The observed data and
+multivariate chunks get one fit_hclust tree and two-way cut each; on
+univariate data that tree comes from the same rounds, run to one cluster,
+and only a near tie loads scipy.  Either way every split equals
+cut_tree(fit_hclust(V), 2).  A chunk holds at most
 BLOCK_ELEMENTS replicates x n x 2 x p elements, so memory does not grow
 with the replicate count, and a replicate's statistic does not depend on
 the chunk it falls in: pmc_statistic is the one-replicate case.
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .estimators import (_gaussian_moments, _scipy_splits, _ward_splits_1d,
+from .estimators import (_gaussian_moments, _tree_splits, _ward_splits_1d,
                          default_regularization, partition_to_gaussians)
 from .models import (BLOCK_ELEMENTS, Partition, as_matrix,
                      gaussian_log_density, mixture)
@@ -39,7 +41,7 @@ QUANTILE_GRID = (0.01, 0.025, 0.05, 0.10, 0.25, 0.50,
                  0.75, 0.90, 0.95, 0.975, 0.99)
 
 
-def _statistics(Vs: np.ndarray, split=_scipy_splits) -> np.ndarray:
+def _statistics(Vs: np.ndarray, split=_tree_splits) -> np.ndarray:
     """pmc_statistic of each dataset of a (R, n, p) stack, whose two-way
     Ward labels split(Vs) gives."""
     n = Vs.shape[1]
@@ -71,7 +73,7 @@ def _replicate_statistics(seed: int | None, name: str, make, reps: int,
     its streams in one call and draws each replicate into its stack before
     the next generator is built."""
     chunk = max(1, BLOCK_ELEMENTS // (n * 2 * p))
-    split = _ward_splits_1d if p == 1 else _scipy_splits
+    split = _ward_splits_1d if p == 1 else _tree_splits
     values = np.empty(reps)
     for lo in range(0, reps, chunk):
         hi = min(reps, lo + chunk)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -14,38 +15,52 @@ def load_csv(path, has_header: bool = False) -> DataMatrix:
 
     Ragged rows and non-numeric cells are reported with their position.
     """
-    rows: list[list[float]] = []
-    names: tuple[str, ...] | None = None
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        width = None
-        for lineno, rec in enumerate(reader, start=1):
-            if not rec or (len(rec) == 1 and rec[0].strip() == ""):
-                continue
-            if has_header and names is None and not rows:
-                names = tuple(s.strip() for s in rec)
-                width = len(names)
-                continue
-            if width is None:
-                width = len(rec)
-            if len(rec) != width:
-                raise ValueError(f"ragged row {lineno}: expected {width} "
-                                 f"fields, got {len(rec)}")
-            vals = []
-            for colno, cell in enumerate(rec, start=1):
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise ValueError(f"non-numeric cell at row {lineno}, "
-                                     f"column {colno}: {cell!r}") from None
-                if not np.isfinite(v):
-                    raise ValueError(f"non-finite cell at row {lineno}, "
-                                     f"column {colno}: {cell!r}")
-                vals.append(v)
-            rows.append(vals)
-    if not rows:
+        records = [(lineno, rec) for lineno, rec
+                   in enumerate(csv.reader(fh), start=1)
+                   if len(rec) > 1 or rec and rec[0].strip()]
+    names: tuple[str, ...] | None = None
+    if has_header and records:
+        names = tuple(s.strip() for s in records.pop(0)[1])
+    if not records:
         raise ValueError("no data rows in file")
-    return DataMatrix(np.asarray(rows, dtype=float), names)
+    width = len(names) if names is not None else len(records[0][1])
+    # every cell through float() and one finiteness check; on any problem
+    # the cell-by-cell pass names the first bad row or cell
+    if all(len(rec) == width for _, rec in records):
+        cells = chain.from_iterable(rec for _, rec in records)
+        try:
+            values = np.fromiter(map(float, cells), float,
+                                 len(records) * width)
+        except ValueError:
+            values = None
+        if values is not None and np.isfinite(values).all():
+            return DataMatrix(values.reshape(len(records), width), names)
+    return DataMatrix(_parse_cells(records, width), names)
+
+
+def _parse_cells(records, width: int) -> np.ndarray:
+    """The values of the (line number, cells) records, checked cell by
+    cell: the first ragged row, or non-numeric or non-finite cell, in file
+    order raises a ValueError that names it."""
+    rows = []
+    for lineno, rec in records:
+        if len(rec) != width:
+            raise ValueError(f"ragged row {lineno}: expected {width} "
+                             f"fields, got {len(rec)}")
+        vals = []
+        for colno, cell in enumerate(rec, start=1):
+            try:
+                v = float(cell)
+            except ValueError:
+                raise ValueError(f"non-numeric cell at row {lineno}, "
+                                 f"column {colno}: {cell!r}") from None
+            if not np.isfinite(v):
+                raise ValueError(f"non-finite cell at row {lineno}, "
+                                 f"column {colno}: {cell!r}")
+            vals.append(v)
+        rows.append(vals)
+    return np.asarray(rows, dtype=float)
 
 
 def save_csv(path, rows, header=None) -> None:

@@ -1,22 +1,66 @@
 """Shared test plumbing.
 
-The acceptance tests append one pass/fail line per criterion to a scratch
-file; the terminal-summary hook below replays those lines after the run so
-they are visible even without -s.
+The acceptance tests record one pass/fail line per criterion through the
+criterion fixture, in a file of their session's own; the terminal-summary
+hook below replays those lines after the run so they are visible even
+without -s.  Another pytest session started in the same checkout meanwhile
+writes its own file, so it neither removes nor adds to this session's lines.
 """
-import pathlib
+import os
+import tempfile
+from contextlib import contextmanager
+from pathlib import Path
 
-LINES_FILE = pathlib.Path(__file__).with_name(".acceptance_lines")
+import pytest
+
+LINES_FILE = pytest.StashKey[Path]()
 
 
 def pytest_sessionstart(session):
-    if LINES_FILE.exists():
-        LINES_FILE.unlink()
+    fd, path = tempfile.mkstemp(prefix="acceptance-lines-", suffix=".txt")
+    os.close(fd)
+    session.config.stash[LINES_FILE] = Path(path)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    if not LINES_FILE.exists():
+    path = config.stash.get(LINES_FILE, None)
+    lines = path.read_text().splitlines() if path else []
+    if not lines:
         return
     terminalreporter.write_sep("=", "acceptance criteria")
-    for line in LINES_FILE.read_text().splitlines():
+    for line in lines:
         terminalreporter.write_line(line)
+
+
+def pytest_unconfigure(config):
+    path = config.stash.get(LINES_FILE, None)
+    if path:
+        path.unlink(missing_ok=True)
+
+
+@pytest.fixture
+def criterion(request):
+    """criterion(n) is a context yielding a dict: the test sets its "ok"
+    and "detail", and on leaving, the line "[criterion n] PASS/FAIL -
+    detail" is printed and recorded, and a FAIL fails the test.  An
+    exception inside records a FAIL carrying the error."""
+    path = request.config.stash[LINES_FILE]
+
+    def emit(n, ok, detail):
+        line = f"[criterion {n}] {'PASS' if ok else 'FAIL'} - {detail}"
+        with path.open("a") as fh:
+            fh.write(line + "\n")
+        print(line)
+
+    @contextmanager
+    def record(n):
+        rec = {"ok": False, "detail": "did not finish"}
+        try:
+            yield rec
+        except Exception as e:
+            emit(n, False, f"error: {e!r}")
+            raise
+        emit(n, rec["ok"], rec["detail"])
+        assert rec["ok"], f"criterion {n}: {rec['detail']}"
+
+    return record

@@ -1,13 +1,11 @@
 """End-to-end acceptance checks, one summary line per criterion.
 
-Each test prints "[criterion N] PASS/FAIL - detail" and appends the same
-line to .acceptance_lines so conftest can replay all of them after the
-run.  Tolerances live next to the checks they guard.
+Each test prints "[criterion N] PASS/FAIL - detail" through the
+criterion fixture (conftest.py), which records the same line so that it is
+replayed after the run.  Tolerances live next to the checks they guard.
 """
 import math
 import time
-from contextlib import contextmanager
-from pathlib import Path
 
 import numpy as np
 
@@ -39,27 +37,6 @@ from distinguish import (
 )
 from distinguish.models import Partition
 
-LINES = Path(__file__).with_name(".acceptance_lines")
-
-
-def _emit(n, ok, detail):
-    line = f"[criterion {n}] {'PASS' if ok else 'FAIL'} - {detail}"
-    with LINES.open("a") as fh:
-        fh.write(line + "\n")
-    print(line)
-
-
-@contextmanager
-def criterion(n):
-    rec = {"ok": False, "detail": "did not finish"}
-    try:
-        yield rec
-    except Exception as e:
-        _emit(n, False, f"error: {e!r}")
-        raise
-    _emit(n, rec["ok"], rec["detail"])
-    assert rec["ok"], f"criterion {n}: {rec['detail']}"
-
 
 def random_mixture(rng, kappa, p):
     means = rng.normal(0, 3, size=(kappa, p))
@@ -72,7 +49,7 @@ def random_mixture(rng, kappa, p):
     return mixture(w / w.sum(), means, covs)
 
 
-def test_reference_three_component_risk():
+def test_reference_three_component_risk(criterion):
     # Equal-weight unit-covariance triple at 0 and +/- d with ||d|| = 3;
     # the risk is the same in every dimension.
     REF = 0.13144
@@ -99,7 +76,7 @@ def test_reference_three_component_risk():
                          f"slowest dim {max(times):.2f}s (limit 10s)")
 
 
-def test_identical_components_hit_upper_bound():
+def test_identical_components_hit_upper_bound(criterion):
     # K indistinguishable components: risk must equal (K-1)/K up to MC
     # noise, and the closed-form bounds must match to an ulp.
     with criterion(2) as rec:
@@ -119,7 +96,7 @@ def test_identical_components_hit_upper_bound():
                          f"worst bound dev={max(bound_dev):.2e} (tol 1e-15)")
 
 
-def test_pairwise_reductions_sum_to_risk():
+def test_pairwise_reductions_sum_to_risk(criterion):
     # The pairwise merge reductions from one shared sample must add up to
     # that sample's risk estimate bit for bit, and merging everything at
     # tau=0 must drain the bookkeeping to zero.
@@ -150,7 +127,7 @@ def test_pairwise_reductions_sum_to_risk():
                          f"{max(cross):.2e} (tol 1e-12)")
 
 
-def test_randomized_rule_dominates_optimal():
+def test_randomized_rule_dominates_optimal(criterion):
     # On any shared sample the randomized rule's risk is at least the
     # optimal rule's; allow 3 se of slack even though the inequality
     # holds pointwise.
@@ -209,7 +186,7 @@ def _draw_six(seed):
     return X[rng.permutation(len(X))]
 
 
-def test_merging_recovers_visual_clusters():
+def test_merging_recovers_visual_clusters(criterion):
     # BIC should pick six components, merging at tau=0.01 should stop at
     # four clusters, and the risk sequence should track the targets.
     with criterion(5) as rec:
@@ -233,7 +210,7 @@ def test_merging_recovers_visual_clusters():
                          f"{MERGE_TARGETS} (need >=7), kappas={kappas}")
 
 
-def test_combined_selection_study():
+def test_combined_selection_study(criterion):
     # Three blobs, two of them close: the gap statistic alone prefers 3,
     # the risk constraint at 0.01 pulls the choice back to 2.
     with criterion(6) as rec:
@@ -270,7 +247,7 @@ def test_combined_selection_study():
                          + (f", FAILED: {failed}" if failed else ""))
 
 
-def test_existence_test_calibration():
+def test_existence_test_calibration(criterion):
     # Null calibration, type I error, bootstrap super-uniformity, and
     # power at a well-separated alternative, all inside a 10 minute cap.
     with criterion(7) as rec:
@@ -315,7 +292,7 @@ def test_existence_test_calibration():
                          + (f", FAILED: {failed}" if failed else ""))
 
 
-def test_estimator_sanity_properties():
+def test_estimator_sanity_properties(criterion):
     # A bundle of cheap invariants: MC error scaling, monotone fit paths,
     # small exact oracles, and scalar affine invariance of the statistic.
     with criterion(8) as rec:

@@ -989,12 +989,16 @@ def test_cli_csv_files_use_newline_only(capsys, tmp_path, data_path):
 
 
 def test_commands_that_call_no_scipy_do_not_load_it(tmp_path):
-    # scipy is imported only inside fit_hclust and pmc_quadrature, so
-    # phm, Monte Carlo pmc and k-means select-k start without it
+    # scipy is imported only inside fit_hclust, for p >= 2 or a near tie,
+    # and inside pmc_quadrature; so phm, Monte Carlo pmc, k-means select-k,
+    # and hclust-test and Ward select-k on tie-free 1-D data start without it
     rng = np.random.default_rng(4)
     data = tmp_path / "data.csv"
     write_rows(data, np.vstack([rng.normal(0, 1, (40, 2)),
                                 rng.normal(5, 1, (40, 2))]))
+    line = tmp_path / "line.csv"
+    write_rows(line, np.concatenate([rng.normal(0, 1, 40),
+                                     rng.normal(4, 1, 40)])[:, None])
     model = tmp_path / "model.json"
     model.write_text(json.dumps(mixture(
         [0.5, 0.5], [[0.0], [4.0]], [np.eye(1), np.eye(1)]).to_dict()))
@@ -1006,6 +1010,11 @@ runs = [["phm", "--data", {str(data)!r}, "--kappa-range", "1:2",
         ["pmc", "--model", {str(model)!r}, "--m", "2000"],
         ["select-k", "--data", {str(data)!r}, "--k-range", "1:2",
          "--method", "kmeans", "--b-refs", "10", "--reps", "2",
+         "--m", "2000"],
+        ["hclust-test", "--data", {str(line)!r}, "--reps", "200"],
+        ["hclust-test", "--data", {str(line)!r}, "--bootstrap", "200"],
+        ["select-k", "--data", {str(line)!r}, "--k-range", "1:3",
+         "--method", "hclust", "--b-refs", "10", "--reps", "2",
          "--m", "2000"]]
 for argv in runs:
     with contextlib.redirect_stdout(io.StringIO()):

@@ -5,6 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from scipy.cluster.hierarchy import linkage
 
 from distinguish import (DegenerateFitError, KmeansFit, Partition, cut_tree,
                          default_regularization, estimators, fit_gmm_em,
@@ -328,7 +329,7 @@ class TestHclust:
     def test_1d_merges_join_adjacent_intervals(self, kind):
         # on tie-free 1-D data every scipy Ward merge joins two clusters
         # that are neighbouring intervals of the sorted values, which the
-        # stacked split (_ward_splits_1d) relies on
+        # 1-D Ward rounds (_ward_rounds) rely on
         for seed in range(20):
             rng = np.random.default_rng(seed)
             n = int(rng.integers(4, 200))
@@ -338,10 +339,34 @@ class TestHclust:
                  }[kind]
             rank = np.argsort(np.argsort(x))
             span = {i: (int(r), int(r)) for i, r in enumerate(rank)}
-            for i, (a, b, _) in enumerate(fit_hclust(x[:, None]).merges):
+            for i, (a, b, _, _) in enumerate(linkage(x[:, None], "ward")):
                 (lo_a, hi_a), (lo_b, hi_b) = span.pop(a), span.pop(b)
                 assert hi_a + 1 == lo_b or hi_b + 1 == lo_a
                 span[n + i] = (min(lo_a, lo_b), max(hi_a, hi_b))
+
+    def test_1d_tree_of_20k_values_needs_no_distance_matrix(self):
+        # scipy's condensed distance matrix alone would take 1.6 GB; the
+        # rounds keep a few arrays of n values
+        x = np.random.default_rng(11).normal(size=20_000)
+        # a near tie would send the data to scipy: rule it out first
+        assert estimators._ward_tree_1d(x) is not None
+        tracemalloc.start()
+        try:
+            tree = fit_hclust(x[:, None])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tree.merges.shape == (19_999, 3)
+        assert peak < 16 * 2**20
+
+    def test_1d_overflowing_merge_cost_goes_to_scipy(self):
+        # the last merge cost overflows, so the rounds stop at two clusters
+        # and scipy, whose distances overflow too, refuses the data
+        with mock.patch("scipy.cluster.hierarchy.linkage",
+                        wraps=linkage) as spy, \
+                pytest.raises(ValueError, match="finite values"):
+            fit_hclust(np.array([[0.0], [1.0], [1e160]]))
+        assert spy.call_count == 1
 
     def test_ward_pair_height_is_squared_distance(self):
         # two singletons at distance d merge at height d^2

@@ -152,8 +152,8 @@ class TestReport:
         assert r["p_value"] == pvalue_bootstrap(bimodal, B=120, seed=6)
 
     def test_bootstrap_report_scores_the_data_once(self, bimodal):
-        # one scipy Ward tree for the observed data; the stacked 1-D pass
-        # splits all 120 replicates, none of which falls back to scipy
+        # one Ward tree for the observed data; the stacked 1-D pass splits
+        # all 120 replicates, none of which needs a tree of its own
         with mock.patch.object(estimators, "fit_hclust",
                                wraps=fit_hclust) as spy, \
                 mock.patch.object(hyptest, "_ward_splits_1d",

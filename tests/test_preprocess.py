@@ -1,7 +1,85 @@
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from distinguish import DataMatrix, load_csv, pca, save_csv, standardize
+
+
+def former_load_csv(path, has_header=False):
+    """load_csv as it parsed every file: one pass over the records, each
+    cell through float() and np.isfinite, stopping at the first bad row or
+    cell."""
+    rows, names = [], None
+    with open(path, newline="") as fh:
+        width = None
+        for lineno, rec in enumerate(csv.reader(fh), start=1):
+            if not rec or (len(rec) == 1 and rec[0].strip() == ""):
+                continue
+            if has_header and names is None and not rows:
+                names = tuple(s.strip() for s in rec)
+                width = len(names)
+                continue
+            if width is None:
+                width = len(rec)
+            if len(rec) != width:
+                raise ValueError(f"ragged row {lineno}: expected {width} "
+                                 f"fields, got {len(rec)}")
+            vals = []
+            for colno, cell in enumerate(rec, start=1):
+                try:
+                    v = float(cell)
+                except ValueError:
+                    raise ValueError(f"non-numeric cell at row {lineno}, "
+                                     f"column {colno}: {cell!r}") from None
+                if not np.isfinite(v):
+                    raise ValueError(f"non-finite cell at row {lineno}, "
+                                     f"column {colno}: {cell!r}")
+                vals.append(v)
+            rows.append(vals)
+    if not rows:
+        raise ValueError("no data rows in file")
+    return DataMatrix(np.asarray(rows, dtype=float), names)
+
+
+# cells that float() reads, and cells it reads to a non-finite value or
+# refuses: whitespace, underscores, hex, nan, inf, overflow, words, blanks
+CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["1", " 2.5 ", "\t-3e-2", "1_000", "1__0", "_1", "0x10",
+                     "1e-400", "+.5", "5.", "nan", "NaN", " -inf",
+                     "Infinity", "1e400", "-1e400", "", " ", "abc", "1,5",
+                     "1e", "--1"]))
+LINES = st.one_of(
+    st.lists(CELLS, min_size=1, max_size=4),
+    st.sampled_from([[], [""], ["   "]]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(LINES, max_size=8), st.booleans(), st.integers(1, 3))
+def test_load_csv_equals_the_cell_by_cell_parse(tmp_path_factory, lines,
+                                                header, width):
+    # every line of cells is padded or cut to width, except at width 3 the
+    # first, so that some files are ragged
+    rows = [cells if not cells or i == 0 and width == 3
+            else (cells * width)[:width] for i, cells in enumerate(lines)]
+    path = tmp_path_factory.getbasetemp() / "cell_by_cell.csv"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    try:
+        expect = former_load_csv(path, header)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            load_csv(path, header)
+        assert str(got.value) == str(exc)
+        return
+    X = load_csv(path, header)
+    assert X.feature_names == expect.feature_names
+    assert X.values.dtype == expect.values.dtype
+    assert X.values.shape == expect.values.shape
+    assert X.values.tobytes() == expect.values.tobytes()
 
 
 @pytest.fixture

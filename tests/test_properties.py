@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.cluster.hierarchy import linkage
 from scipy.stats import multivariate_normal
 
 from distinguish import (DeltaMatrix, MixtureModel, Partition, PmcSettings,
@@ -27,10 +28,10 @@ from distinguish import (DeltaMatrix, MixtureModel, Partition, PmcSettings,
                          hyptest, mixture, partition_to_gaussians, phm_run,
                          pmc_from_sample, pmc_mc, pmc_statistic,
                          pmc_upper_bound, select_gmm_bic, stream)
-from distinguish.estimators import (_gaussian_moments, _moment_form_ok,
-                                    _nearest_centres, _segment_means,
-                                    _stack_sq_dists, fit_kmeans_many,
-                                    sq_dists)
+from distinguish.estimators import (HclustTree, _gaussian_moments,
+                                    _moment_form_ok, _nearest_centres,
+                                    _segment_means, _stack_sq_dists,
+                                    fit_kmeans_many, sq_dists)
 from distinguish.models import (BLOCK_ELEMENTS, ClusterConfiguration,
                                 GaussianComponent, gaussian_log_density)
 from distinguish.pmc import (RULES, _CHAIN_ROWS, _normalise,
@@ -784,12 +785,24 @@ def test_stacked_moments_equal_one_by_one(seed, D, n, p, K):
             assert np.array_equal(comp.covariance, covs[d, k])
 
 
+def scipy_tree(V):
+    """The Ward tree of V as fit_hclust built it from scipy's linkage."""
+    Z = linkage(V, method="ward")
+    return HclustTree(len(V), np.column_stack([Z[:, 0], Z[:, 1],
+                                               Z[:, 2] ** 2]))
+
+
+def scipy_split(V):
+    """scipy's two-way Ward split of V: the oracle of every 1-D split."""
+    return cut_tree(scipy_tree(V), 2).labels
+
+
 def former_statistic(V):
     """pmc_statistic as it was computed one replicate at a time: Ward
     split, per-cluster masked means and d.T @ d scatter, a MixtureModel,
     and the risk of its posteriors on V."""
     n, p = V.shape
-    lab = cut_tree(fit_hclust(V), 2).labels
+    lab = scipy_split(V)
     reg = 1e-6 * float(V.var(axis=0, ddof=1).mean())
     w = np.array([(lab == k).sum() / n for k in range(2)])
     for _ in range(10):
@@ -867,17 +880,16 @@ WARD_KINDS = {
 @example("rounded-0.1", 5, 1, 4)
 def test_stacked_ward_splits_equal_scipy(kind, n, reps, seed):
     Vs = WARD_KINDS[kind](np.random.default_rng(seed), (reps, n, 1))
-    expect = np.array([cut_tree(fit_hclust(V), 2).labels for V in Vs])
+    expect = np.array([scipy_split(V) for V in Vs])
     assert np.array_equal(estimators._ward_splits_1d(Vs), expect)
 
 
 def scipy_split_count(Vs):
     """Labels of _ward_splits_1d(Vs), and how many of its replicates it
     handed to scipy."""
-    with mock.patch.object(estimators, "_scipy_splits",
-                           wraps=estimators._scipy_splits) as spy:
+    with mock.patch("scipy.cluster.hierarchy.linkage", wraps=linkage) as spy:
         labels = estimators._ward_splits_1d(Vs)
-    return labels, sum(c.args[0].shape[0] for c in spy.call_args_list)
+    return labels, spy.call_count
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 150])
@@ -887,8 +899,7 @@ def test_ward_split_of_evenly_spaced_values_ends_at_scipy(n):
     Vs = np.stack([np.arange(n) * 0.5, np.arange(n)[::-1] - 3.0])[..., None]
     labels, tied = scipy_split_count(Vs)
     assert tied == 2
-    assert np.array_equal(labels, [cut_tree(fit_hclust(V), 2).labels
-                                   for V in Vs])
+    assert np.array_equal(labels, [scipy_split(V) for V in Vs])
 
 
 @pytest.mark.parametrize("n", [4, 5, 12, 40])
@@ -900,8 +911,7 @@ def test_ward_split_of_powers_of_two_merges_one_pair_per_round(n):
                    for _ in range(6)])[..., None]
     labels, tied = scipy_split_count(Vs)
     assert tied == 0
-    assert np.array_equal(labels, [cut_tree(fit_hclust(V), 2).labels
-                                   for V in Vs])
+    assert np.array_equal(labels, [scipy_split(V) for V in Vs])
     # the split is {largest} against the rest
     assert np.array_equal(labels != labels[:, :1],
                           (Vs[..., 0] == 2.0 ** (n - 1))
@@ -912,7 +922,7 @@ def test_ward_split_of_powers_of_two_merges_one_pair_per_round(n):
 @pytest.mark.parametrize("kind", sorted(WARD_KINDS))
 def test_ward_split_of_four_and_five_values(kind, n):
     Vs = WARD_KINDS[kind](np.random.default_rng(n), (500, n, 1))
-    expect = np.array([cut_tree(fit_hclust(V), 2).labels for V in Vs])
+    expect = np.array([scipy_split(V) for V in Vs])
     assert np.array_equal(estimators._ward_splits_1d(Vs), expect)
 
 
@@ -923,8 +933,60 @@ def test_ward_split_hands_only_tied_replicates_to_scipy():
     Vs[17, :, 0] = np.arange(30.0)
     labels, tied = scipy_split_count(Vs)
     assert tied == 1
-    assert np.array_equal(labels, [cut_tree(fit_hclust(V), 2).labels
-                                   for V in Vs])
+    assert np.array_equal(labels, [scipy_split(V) for V in Vs])
+
+
+def equal_pairs(rng, n):
+    """Continuous draws in which two values recur once each: two merges at
+    height 0 tie, though no two neighbouring merge costs do."""
+    x = rng.normal(size=n)
+    if n >= 4:
+        x[n // 2:n // 2 + 2] = x[:2]
+    return x
+
+
+# 1-D data for the Ward tree: continuous draws, which have no near tie,
+# and data that tie two merge costs or two heights for certain from the
+# least n of TIED_KINDS on
+TREE_KINDS = {
+    "normal": lambda rng, n: rng.normal(size=n),
+    "exponential": lambda rng, n: rng.exponential(size=n),
+    "two-blobs": lambda rng, n: rng.normal(size=n) + 5.0 * (rng.random(n)
+                                                            < 0.5),
+    "evenly-spaced": lambda rng, n: rng.permutation(n) * 1.0,
+    "integers": lambda rng, n: rng.integers(0, max(1, n // 2), n) * 1.0,
+    "repeated": lambda rng, n: rng.normal(size=max(1, n // 2))[
+        rng.integers(0, max(1, n // 2), n)],
+    "equal-pairs": equal_pairs,
+}
+TIED_KINDS = {"evenly-spaced": 3, "integers": 3, "repeated": 3,
+              "equal-pairs": 4}
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.sampled_from(sorted(TREE_KINDS)), st.integers(2, 2000),
+       st.sampled_from([-3, 0, 3]), st.sampled_from([0.0, 100.0, -100.0]),
+       st.integers(0, 2**32 - 1))
+@example("normal", 2000, 0, 100.0, 0)
+@example("two-blobs", 2000, -3, -100.0, 1)
+@example("exponential", 2, 3, 0.0, 2)
+@example("evenly-spaced", 3, -3, 100.0, 3)
+@example("repeated", 2000, 0, 0.0, 4)
+@example("equal-pairs", 4, 0, 0.0, 5)
+@example("equal-pairs", 300, 3, -100.0, 6)
+def test_ward_tree_of_1d_data_is_scipys(kind, n, log_scale, offset, seed):
+    x = TREE_KINDS[kind](np.random.default_rng(seed), n)
+    x = x * 10.0 ** log_scale + offset
+    tied = n >= TIED_KINDS.get(kind, n + 1)
+    with mock.patch("scipy.cluster.hierarchy.linkage", wraps=linkage) as spy:
+        tree = fit_hclust(x[:, None])
+    # tie-free data never reach scipy; tied data are scipy's tree
+    assert spy.call_count == tied
+    expect = scipy_tree(x[:, None]).merges
+    assert tree.n == n
+    assert np.array_equal(tree.merges[:, :2], expect[:, :2])
+    top = expect[:, 2].max()
+    assert np.all(np.abs(tree.merges[:, 2] - expect[:, 2]) <= 1e-12 * top)
 
 
 @PROPERTY
