@@ -462,8 +462,7 @@ def _ward_rounds(xs: np.ndarray, tree: bool = False):
         m = total.size
         mean = total / size
         g = np.subtract(mean[1:], mean[:-1], out=gap[:m - 1])
-        if R > 1:
-            g[start[1:] - 1] = np.inf
+        g[start[1:] - 1] = np.inf
         a, b = size[:-1], size[1:]
         c = cost[:m + 1]
         # ab / (a + b) g^2, evaluated left to right in place
@@ -493,8 +492,9 @@ def _ward_rounds(xs: np.ndarray, tree: bool = False):
             height[first[1:]] = w
             begin[first[1:]] = first[:-1]
             first = first[kept]
-            # one row holds few clusters, where reduceat's cost per call
-            # beats the index arithmetic below; a stack holds thousands
+            # one row holds few clusters, where two reduceat calls cost
+            # less than the index arithmetic below; a stack holds
+            # thousands, where reduceat's cost per segment loses
             total = np.add.reduceat(total, kept)
             size = np.add.reduceat(size, kept)
         else:

@@ -2,41 +2,62 @@
 from __future__ import annotations
 
 import csv
+import io
+from array import array
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .models import DataMatrix, as_matrix
 
 
+def _records(fh):
+    """The (line number, cells) of each record of an open CSV file that is
+    not blank."""
+    return ((lineno, rec) for lineno, rec
+            in enumerate(csv.reader(fh), start=1)
+            if len(rec) > 1 or rec and rec[0].strip())
+
+
 def load_csv(path, has_header: bool = False) -> DataMatrix:
     """Parse a rectangular numeric CSV file into a DataMatrix.
 
     Ragged rows and non-numeric cells are reported with their position.
+    Each row is converted as it is read, into one flat array of doubles
+    that is checked for finiteness once; on any problem the file is read
+    again cell by cell (_parse_cells), to name the first bad row or cell;
+    a pipe is read into memory first, so that it can be read again.
     """
     with open(path, newline="") as fh:
-        records = [(lineno, rec) for lineno, rec
-                   in enumerate(csv.reader(fh), start=1)
-                   if len(rec) > 1 or rec and rec[0].strip()]
-    names: tuple[str, ...] | None = None
-    if has_header and records:
-        names = tuple(s.strip() for s in records.pop(0)[1])
-    if not records:
-        raise ValueError("no data rows in file")
-    width = len(names) if names is not None else len(records[0][1])
-    # every cell through float() and one finiteness check; on any problem
-    # the cell-by-cell pass names the first bad row or cell
-    if all(len(rec) == width for _, rec in records):
-        cells = chain.from_iterable(rec for _, rec in records)
+        if not fh.seekable():
+            fh = io.StringIO(fh.read(), newline="")
+        records = _records(fh)
+        names: tuple[str, ...] | None = None
+        if has_header:
+            header = next(records, None)
+            if header is not None:
+                names = tuple(s.strip() for s in header[1])
+        width = len(names) if names is not None else None
+        values = array("d")
         try:
-            values = np.fromiter(map(float, cells), float,
-                                 len(records) * width)
+            for _, rec in records:
+                width = width or len(rec)
+                if len(rec) != width:
+                    raise ValueError
+                values.extend(map(float, rec))
         except ValueError:
-            values = None
-        if values is not None and np.isfinite(values).all():
-            return DataMatrix(values.reshape(len(records), width), names)
-    return DataMatrix(_parse_cells(records, width), names)
+            pass
+        else:
+            if not values:
+                raise ValueError("no data rows in file")
+            V = np.frombuffer(values)
+            if np.isfinite(V).all():
+                return DataMatrix(V.reshape(-1, width), names)
+        fh.seek(0)
+        records = _records(fh)
+        if has_header:
+            next(records)
+        return DataMatrix(_parse_cells(records, width), names)
 
 
 def _parse_cells(records, width: int) -> np.ndarray:
