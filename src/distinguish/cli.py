@@ -4,6 +4,7 @@ Subcommands: pmc (risk of a mixture), phm (fit, merge, label), select-k
 (per-K diagnostics and constrained selection), hclust-test (cluster
 existence test), preprocess (standardize/PCA).  Every report carries a
 provenance block; runs are single-process, and a seed fixes every number.
+Each input is opened once and hashed as it is parsed, so it can be a pipe.
 Argument errors follow the same contract as every other failure: one JSON
 error object on stderr and a kind-specific exit code.
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import io
 import json
 import sys
 
@@ -46,22 +48,36 @@ def _fail(kind: str, message: str) -> int:
     return KIND_EXIT[kind]
 
 
-def _hash_inputs(*paths: str | None) -> str:
-    outer = hashlib.sha256()
-    for path in paths:
-        if path is None:
-            continue
-        h = hashlib.sha256()
-        with open(path, "rb") as fh:
-            for block in iter(lambda: fh.read(65536), b""):
-                h.update(block)
-        outer.update(h.digest())
-    return outer.hexdigest()
+class _HashedFile(io.FileIO):
+    """A file opened for reading that hashes the bytes read from it: read
+    and readall are the generic ones, which call readinto, not FileIO's."""
+
+    def __init__(self, path):
+        super().__init__(path)
+        self.sha256 = hashlib.sha256()
+
+    def readinto(self, b):
+        n = super().readinto(b)
+        self.sha256.update(memoryview(b)[:n])
+        return n
+
+    read = io.RawIOBase.read
+    readall = io.RawIOBase.readall
 
 
-def _provenance(command: str, seed: int, *paths: str | None) -> dict:
+def _read(path: str, parse, newline=None):
+    """parse(text file) of the input at path, opened once, and the sha256
+    of the bytes parse read: all of them, as the CSV and JSON parsers read
+    to the end.  A pipe or /dev/stdin is read as it arrives."""
+    with io.TextIOWrapper(io.BufferedReader(_HashedFile(path)),
+                          newline=newline) as fh:
+        return parse(fh), fh.buffer.raw.sha256.digest()
+
+
+def _provenance(command: str, seed: int, *digests: bytes) -> dict:
+    """inputs_hash is the sha256 of the inputs' sha256 digests, in order."""
     return {"tool_version": __version__, "command": command, "seed": seed,
-            "inputs_hash": _hash_inputs(*paths)}
+            "inputs_hash": hashlib.sha256(b"".join(digests)).hexdigest()}
 
 
 def _parse_range(text: str) -> list[int]:
@@ -78,34 +94,31 @@ def _parse_range(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def _load_data(args):
-    """The --data CSV, refused when sums of squared distances over its rows
-    could overflow: every such distance between points of the data's
-    bounding box is at most 4 R^2, R the norm of the box's farthest corner,
-    and a sum over the n rows at most n times that."""
-    X = load_csv(args.data, has_header=args.header)
+def _load_data(args, bounded: bool = True):
+    """The --data CSV and its digest; if bounded, refused when sums of
+    squared distances over its rows could overflow: each such distance in
+    the data's bounding box is at most 4 R^2, R the norm of the box's
+    farthest corner, and a sum over the n rows at most n times that."""
+    X, digest = _read(args.data, lambda fh: load_csv(fh, args.header),
+                      newline="")
     with np.errstate(over="ignore"):
         bound = 4.0 * X.n * np.square(np.abs(X.values).max(axis=0)).sum()
-    if not np.isfinite(bound):
+    if bounded and not np.isfinite(bound):
         raise CliError("validation",
                        "data values too large: sums of squared distances "
                        "over the rows overflow; rescale the columns first "
                        "(distinguish preprocess --scale)")
-    return X
+    return X, digest
 
 
-def _load_model(path: str) -> MixtureModel:
-    with open(path) as fh:
-        raw = json.load(fh)
+def _read_json(path: str, name: str, from_dict):
+    """from_dict of the JSON input at path, and its digest."""
+    raw, digest = _read(path, json.load)
     try:
-        model = MixtureModel.from_dict(raw)
+        return from_dict(raw), digest
     except (KeyError, TypeError) as exc:
         raise CliError("validation",
-                       f"model JSON malformed: {exc!r}") from None
-    issues = validate(model)
-    if issues:
-        raise CliError("validation", "invalid model: " + "; ".join(issues))
-    return model
+                       f"{name} JSON malformed: {exc!r}") from None
 
 
 def _emit(report: dict) -> None:
@@ -115,16 +128,15 @@ def _emit(report: dict) -> None:
 def _cmd_pmc(args) -> int:
     if args.delta and args.rule != "randomized":
         raise CliError("validation", "delta requires randomized rule")
-    model = _load_model(args.model)
+    model, *digests = _read_json(args.model, "model", MixtureModel.from_dict)
+    issues = validate(model)
+    if issues:
+        raise CliError("validation", "invalid model: " + "; ".join(issues))
     config = ClusterConfiguration.singletons(model.kappa)
     if args.config:
-        with open(args.config) as fh:
-            raw = json.load(fh)
-        try:
-            config = ClusterConfiguration.from_dict(raw)
-        except (KeyError, TypeError) as exc:
-            raise CliError("validation",
-                           f"config JSON malformed: {exc!r}") from None
+        config, digest = _read_json(args.config, "config",
+                                    ClusterConfiguration.from_dict)
+        digests.append(digest)
         if config.kappa != model.kappa:
             raise CliError("validation",
                            "config component count != model components")
@@ -139,7 +151,7 @@ def _cmd_pmc(args) -> int:
         sample = None
         est = pmc(model, config, settings)
     report = {
-        "provenance": _provenance("pmc", args.seed, args.model, args.config),
+        "provenance": _provenance("pmc", args.seed, *digests),
         "estimate": est.to_dict(),
         "rule": args.rule,
     }
@@ -153,7 +165,7 @@ def _cmd_pmc(args) -> int:
 def _cmd_phm(args) -> int:
     if args.dendrogram and args.tau != 0.0:
         raise CliError("validation", "dendrogram export requires tau = 0")
-    X = _load_data(args)
+    X, digest = _load_data(args)
     kappas = _parse_range(args.kappa_range)
     if len(kappas) == 1:
         fit = fit_gmm_em(X, kappas[0], n_init=args.n_init, seed=args.seed)
@@ -164,7 +176,7 @@ def _cmd_phm(args) -> int:
     pi = cluster_posterior_matrix(fit.model, config, X)
     labels = pi.argmax(axis=1)
     report = {
-        "provenance": _provenance("phm", args.seed, args.data),
+        "provenance": _provenance("phm", args.seed, digest),
         "kappa": fit.model.kappa,
         "bic": fit.bic,
         "model": fit.model.to_dict(),
@@ -188,12 +200,12 @@ def _cmd_phm(args) -> int:
 
 
 def _cmd_select_k(args) -> int:
-    X = _load_data(args)
+    X, digest = _load_data(args)
     table = selection_table(X, method=args.method,
                             k_range=_parse_range(args.k_range),
                             tau=args.tau, B=args.b_refs, reps=args.reps,
                             m_samples=args.m, seed=args.seed)
-    report = {"provenance": _provenance("select-k", args.seed, args.data)}
+    report = {"provenance": _provenance("select-k", args.seed, digest)}
     report.update(table)
     if args.table:
         cols = ["K", "gap", "gap_sd", "pmc", "pmc_std_error", "silhouette",
@@ -209,21 +221,21 @@ def _cmd_select_k(args) -> int:
 
 
 def _cmd_hclust_test(args) -> int:
-    X = _load_data(args)
+    X, digest = _load_data(args)
     report = test_report(X, reps=args.reps, bootstrap=args.bootstrap,
                          seed=args.seed)
-    out = {"provenance": _provenance("hclust-test", args.seed, args.data)}
+    out = {"provenance": _provenance("hclust-test", args.seed, digest)}
     out.update(report)
     _emit(out)
     return 0
 
 
 def _cmd_preprocess(args) -> int:
-    X = load_csv(args.data, has_header=args.header)
+    X, digest = _load_data(args, bounded=False)
     names = X.feature_names
     if args.center or args.scale:
         X = standardize(X, center=args.center, scale=args.scale)
-    report = {"provenance": _provenance("preprocess", args.seed, args.data),
+    report = {"provenance": _provenance("preprocess", args.seed, digest),
               "rows": X.n, "cols": X.p}
     if args.pca is not None:
         result = pca(X, args.pca)

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import csv
-import io
+import math
 from array import array
 from dataclasses import dataclass
 
@@ -11,77 +11,60 @@ import numpy as np
 from .models import DataMatrix, as_matrix
 
 
-def _records(fh):
-    """The (line number, cells) of each record of an open CSV file that is
-    not blank."""
-    return ((lineno, rec) for lineno, rec
-            in enumerate(csv.reader(fh), start=1)
-            if len(rec) > 1 or rec and rec[0].strip())
-
-
-def load_csv(path, has_header: bool = False) -> DataMatrix:
+def load_csv(source, has_header: bool = False) -> DataMatrix:
     """Parse a rectangular numeric CSV file into a DataMatrix.
 
-    Ragged rows and non-numeric cells are reported with their position.
-    Each row is converted as it is read, into one flat array of doubles
-    that is checked for finiteness once; on any problem the file is read
-    again cell by cell (_parse_cells), to name the first bad row or cell;
-    a pipe is read into memory first, so that it can be read again.
+    source is a path, or a text file opened with newline="", read once.
+    Each record is converted into one flat array of doubles as it is read;
+    a row that does not convert, or whose sum is not finite, is checked
+    cell by cell.  The first ragged row, non-numeric or non-finite cell, or
+    record the csv module cannot read is a ValueError that names it.
     """
-    with open(path, newline="") as fh:
-        if not fh.seekable():
-            fh = io.StringIO(fh.read(), newline="")
-        records = _records(fh)
-        names: tuple[str, ...] | None = None
-        if has_header:
-            header = next(records, None)
-            if header is not None:
-                names = tuple(s.strip() for s in header[1])
-        width = len(names) if names is not None else None
-        values = array("d")
-        try:
-            for _, rec in records:
-                width = width or len(rec)
-                if len(rec) != width:
-                    raise ValueError
-                values.extend(map(float, rec))
-        except ValueError:
-            pass
-        else:
-            if not values:
-                raise ValueError("no data rows in file")
-            V = np.frombuffer(values)
-            if np.isfinite(V).all():
-                return DataMatrix(V.reshape(-1, width), names)
-        fh.seek(0)
-        records = _records(fh)
-        if has_header:
-            next(records)
-        return DataMatrix(_parse_cells(records, width), names)
-
-
-def _parse_cells(records, width: int) -> np.ndarray:
-    """The values of the (line number, cells) records, checked cell by
-    cell: the first ragged row, or non-numeric or non-finite cell, in file
-    order raises a ValueError that names it."""
-    rows = []
-    for lineno, rec in records:
-        if len(rec) != width:
-            raise ValueError(f"ragged row {lineno}: expected {width} "
-                             f"fields, got {len(rec)}")
-        vals = []
-        for colno, cell in enumerate(rec, start=1):
+    if not hasattr(source, "read"):
+        with open(source, newline="") as fh:
+            return load_csv(fh, has_header)
+    names = width = None
+    values = array("d")
+    lineno = 0
+    try:
+        for lineno, rec in enumerate(csv.reader(source), start=1):
+            if len(rec) <= 1 and not (rec and rec[0].strip()):
+                continue
+            if width is None:
+                width = len(rec)
+                if has_header:
+                    names = tuple(s.strip() for s in rec)
+                    continue
+            if len(rec) != width:
+                raise ValueError(f"ragged row {lineno}: expected {width} "
+                                 f"fields, got {len(rec)}")
             try:
-                v = float(cell)
+                row = list(map(float, rec))
+                if not math.isfinite(sum(row)):
+                    raise ValueError
             except ValueError:
-                raise ValueError(f"non-numeric cell at row {lineno}, "
-                                 f"column {colno}: {cell!r}") from None
-            if not np.isfinite(v):
-                raise ValueError(f"non-finite cell at row {lineno}, "
-                                 f"column {colno}: {cell!r}")
-            vals.append(v)
-        rows.append(vals)
-    return np.asarray(rows, dtype=float)
+                row = list(_checked_cells(lineno, rec))
+            values.extend(row)
+    except csv.Error as exc:
+        raise ValueError(f"unreadable row {lineno + 1}: {exc}") from None
+    if not values:
+        raise ValueError("no data rows in file")
+    return DataMatrix(np.frombuffer(values).reshape(-1, width), names)
+
+
+def _checked_cells(lineno: int, rec: list[str]):
+    """The values of record lineno; its first non-numeric or non-finite cell
+    raises a ValueError that names it."""
+    for colno, cell in enumerate(rec, start=1):
+        try:
+            v = float(cell)
+        except ValueError:
+            raise ValueError(f"non-numeric cell at row {lineno}, "
+                             f"column {colno}: {cell!r}") from None
+        if not math.isfinite(v):
+            raise ValueError(f"non-finite cell at row {lineno}, "
+                             f"column {colno}: {cell!r}")
+        yield v
 
 
 def save_csv(path, rows, header=None) -> None:

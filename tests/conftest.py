@@ -1,14 +1,16 @@
 """Shared test plumbing.
 
-The acceptance tests record one pass/fail line per criterion through the
+The fifo fixture makes named pipes fed by a thread.  The acceptance tests
+record one pass/fail line per criterion through the
 criterion fixture, in a file of their session's own; the terminal-summary
 hook below replays those lines after the run so they are visible even
 without -s.  Another pytest session started in the same checkout meanwhile
 writes its own file, so it neither removes nor adds to this session's lines.
 """
+import contextlib
 import os
 import tempfile
-from contextlib import contextmanager
+import threading
 from pathlib import Path
 
 import pytest
@@ -52,7 +54,7 @@ def criterion(request):
             fh.write(line + "\n")
         print(line)
 
-    @contextmanager
+    @contextlib.contextmanager
     def record(n):
         rec = {"ok": False, "detail": "did not finish"}
         try:
@@ -64,3 +66,38 @@ def criterion(request):
         assert rec["ok"], f"criterion {n}: {rec['detail']}"
 
     return record
+
+
+def _write_to_pipe(path, data):
+    with contextlib.suppress(BrokenPipeError):
+        path.write_bytes(data)
+
+
+@pytest.fixture
+def fifo(tmp_path):
+    """fifo(data) is the path of a new named pipe, which a thread fills
+    with the bytes data once a reader opens it.  On leaving the test, the
+    pipe is opened and drained, so that a writer still waiting for a reader
+    ends and the test cannot hang on it."""
+    if not hasattr(os, "mkfifo"):
+        pytest.skip("no named pipes")
+    writers = []
+
+    def feed(data: bytes, name: str = "pipe"):
+        path = tmp_path / name
+        os.mkfifo(path)
+        writer = threading.Thread(target=_write_to_pipe, args=(path, data))
+        writer.start()
+        writers.append((path, writer))
+        return path
+
+    yield feed
+    for path, writer in writers:
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            while writer.is_alive():
+                with contextlib.suppress(BlockingIOError):
+                    os.read(fd, 1 << 16)
+                writer.join(0.01)
+        finally:
+            os.close(fd)

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -8,7 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import (HealthCheck, example, given, settings,
+                        strategies as st)
 
 from distinguish import MixtureModel, cli, fit_gmm_em, load_csv, mixture
 from distinguish.cli import main
@@ -517,6 +519,10 @@ def test_phm_is_quiet_at_a_huge_spread(capsys, tmp_path, scale, rows, kappas):
     assert code == 0
 
 
+# a field over the csv module's limit of 131,072 characters
+LONG_FIELD = "1\n" + "7" * 200_000 + "\n2\n"
+
+
 def malformed_csv():
     """CSV text that select-k and hclust-test must refuse: ragged rows,
     non-numeric or non-finite cells, no rows, one row, constant data, or
@@ -583,6 +589,7 @@ def malformed_csv():
 @settings(derandomize=True, deadline=None, max_examples=60,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=malformed_csv())
+@example(text=LONG_FIELD)
 def test_malformed_csv_follows_contract(capsys, tmp_path, argv, text):
     path = tmp_path / "fuzz.csv"
     path.write_text(text)
@@ -601,6 +608,7 @@ def test_malformed_csv_follows_contract(capsys, tmp_path, argv, text):
 @settings(derandomize=True, deadline=None, max_examples=60,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=malformed_csv())
+@example(text=LONG_FIELD)
 def test_phm_malformed_csv_follows_contract(capsys, tmp_path, text):
     path = tmp_path / "fuzz.csv"
     path.write_text(text)
@@ -809,6 +817,17 @@ class TestPreprocessCommand:
         assert code == 2
         assert parse_err(err)["kind"] == "validation"
 
+    def test_field_over_the_csv_limit(self, capsys, tmp_path):
+        src = tmp_path / "in.csv"
+        src.write_text(LONG_FIELD)
+        code, out, err = run(capsys, "preprocess", "--data", str(src),
+                             "--out", str(tmp_path / "o.csv"))
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert parse_err(err) == {
+            "kind": "validation", "message":
+            "unreadable row 2: field larger than field limit (131072)"}
+
 
 @pytest.mark.parametrize("argv", [
     ("pmc", "--threads", "2"),
@@ -988,6 +1007,14 @@ def test_cli_csv_files_use_newline_only(capsys, tmp_path, data_path):
         ",".join(repr(r[c]) for c in cols) + "\n" for r in rows)
 
 
+def package_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(
+                [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+
 def test_commands_that_call_no_scipy_do_not_load_it(tmp_path):
     # scipy is imported only inside fit_hclust, for p >= 2 or a near tie,
     # and inside pmc_quadrature; so phm, Monte Carlo pmc, k-means select-k,
@@ -1021,11 +1048,110 @@ for argv in runs:
         assert cli.main(argv) == 0, argv
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(
-               [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    done = subprocess.run([sys.executable, "-c", script], env=env,
+    done = subprocess.run([sys.executable, "-c", script], env=package_env(),
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+# Runs the CLI and then writes, as the last line of stderr, how many times
+# each path was opened, counted by the audit events that every open raises.
+SPY = """
+import collections, json, sys
+from distinguish.cli import main
+opened = collections.Counter()
+sys.addaudithook(
+    lambda event, args: event == "open" and opened.update([str(args[0])]))
+code = main(sys.argv[1:])
+print(json.dumps(opened), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def cli_process(*argv, stdin=b""):
+    """The exit code, stdout bytes and per-path open counts of the CLI run
+    in a fresh interpreter, with the bytes stdin on its standard input.
+    The timeout turns a CLI that waits forever on a pipe into a failure."""
+    done = subprocess.run([sys.executable, "-c", SPY, *map(str, argv)],
+                          input=stdin, capture_output=True,
+                          env=package_env(), timeout=60)
+    return (done.returncode, done.stdout,
+            json.loads(done.stderr.splitlines()[-1]))
+
+
+class TestPipeInputs:
+    """A named pipe or /dev/stdin can stand in for any input file: it is
+    read once, and the report, inputs_hash included, is the regular file's."""
+
+    HCLUST = ("hclust-test", "--reps", "200")
+    PMC = ("pmc", "--m", "2000", "--delta")
+
+    def test_hclust_test_reads_data_from_a_fifo(self, data_path, fifo):
+        want = cli_process(*self.HCLUST, "--data", data_path)
+        pipe = fifo(Path(data_path).read_bytes())
+        code, out, opened = cli_process(*self.HCLUST, "--data", pipe)
+        assert want[0] == code == 0
+        assert out == want[1]
+        assert opened[str(pipe)] == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"),
+                        reason="no /dev/stdin")
+    def test_hclust_test_reads_data_from_stdin(self, data_path):
+        want = cli_process(*self.HCLUST, "--data", data_path)
+        code, out, opened = cli_process(*self.HCLUST, "--data", "/dev/stdin",
+                                        stdin=Path(data_path).read_bytes())
+        assert want[0] == code == 0
+        assert out == want[1]
+        assert opened["/dev/stdin"] == 1
+
+    def test_pmc_reads_the_model_from_a_fifo(self, model_path, fifo):
+        want = cli_process(*self.PMC, "--model", model_path)
+        pipe = fifo(Path(model_path).read_bytes())
+        code, out, opened = cli_process(*self.PMC, "--model", pipe)
+        assert want[0] == code == 0
+        assert out == want[1]
+        assert opened[str(pipe)] == 1
+
+
+def test_inputs_hash_is_the_sha256_of_each_inputs_sha256(capsys, tmp_path,
+                                                        model_path,
+                                                        data_path):
+    # a model and config with \r\n line ends, which a text read translates
+    model = tmp_path / "crlf.json"
+    model.write_bytes(Path(model_path).read_bytes().replace(b", ", b",\r\n"))
+    config = tmp_path / "config.json"
+    config.write_bytes(b'{"assignment": [0, 0],\r\n "K": 1}\r\n')
+    runs = [(("pmc", "--model", model, "--config", config, "--m", "2000"),
+             [model, config]),
+            (("hclust-test", "--data", data_path, "--reps", "100"),
+             [data_path])]
+    for argv, inputs in runs:
+        code, out, _ = run(capsys, *map(str, argv))
+        assert code == 0
+        outer = hashlib.sha256(b"".join(
+            hashlib.sha256(Path(path).read_bytes()).digest()
+            for path in inputs))
+        assert (json.loads(out)["provenance"]["inputs_hash"]
+                == outer.hexdigest())
+
+
+@pytest.mark.parametrize("command", ["pmc", "phm", "select-k", "hclust-test",
+                                     "preprocess"])
+def test_each_input_is_opened_once(tmp_path, model_path, data_path, command):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"assignment": [0, 1], "K": 2}))
+    argv, inputs = {
+        "pmc": (("--model", model_path, "--config", config, "--m", "2000"),
+                [model_path, config]),
+        "phm": (("--data", data_path, "--kappa-range", "1:2", "--n-init", "2",
+                 "--m", "2000"), [data_path]),
+        "select-k": (("--data", data_path, "--k-range", "1:2",
+                      "--b-refs", "10", "--reps", "2", "--m", "2000"),
+                     [data_path]),
+        "hclust-test": (("--data", data_path, "--reps", "200"), [data_path]),
+        "preprocess": (("--data", data_path, "--scale",
+                        "--out", tmp_path / "out.csv"), [data_path]),
+    }[command]
+    code, _, opened = cli_process(command, *argv)
+    assert code == 0
+    assert [opened.get(str(path), 0) for path in inputs] == [1] * len(inputs)
