@@ -9,11 +9,13 @@ decomposition: merging clusters i and j removes 2 E[pi_i pi_j] from the
 risk, which is what the merge machinery in phm.py consumes.
 
 Estimates are Monte Carlo over samples drawn from the mixture, with
-adaptive Gauss-Kronrod cubature over vectorised point batches as an oracle
-in one and two dimensions.  Both routes and the delta matrix take
-posteriors from one path, `_posteriors_and_density`, and per-point loss
-from `_summands`.  `pmc_mc` and `delta_matrix` score the seeded sample in
-one pass, `_mc_sample`, which `pmc --delta` hands to both.
+adaptive Gauss-Kronrod cubature as an oracle in one and two dimensions:
+`_cubature` does in numpy what scipy's `integrate.cubature(rule="gk21")`
+does, with the same bits, so the oracle loads no scipy.  Both routes and
+the delta matrix take posteriors from one path, `_posteriors_and_density`,
+and per-point loss from `_summands`.  `pmc_mc` and `delta_matrix` score
+the seeded sample in one pass, `_mc_sample`, which `pmc --delta` hands to
+both.
 
 `_posteriors_and_density` runs log weight, log-density and normalisation
 over blocks of _CHAIN_ROWS rows, whose temporaries stay in cache, and
@@ -41,7 +43,9 @@ matrix's upper-triangle total adds in ascending value order.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -59,6 +63,28 @@ CHUNK = 16384
 _CHAIN_ROWS = 8192
 
 RULES = ("randomized", "optimal")
+
+# QUADPACK's 21-point Kronrod nodes (dqk21; Piessens, de Doncker-Kapenga,
+# Ueberhuber & Kahaner 1983) from 1 down to 0 with their weights, and the
+# positive 10-point Gauss-Legendre nodes, ascending, with theirs: the
+# doubles of scipy's GaussKronrodQuadrature(21) and roots_legendre(10).
+# The Gauss nodes near 0.149 and 0.865 are an ulp off the Kronrod nodes
+# they stand for, so the two sets are kept apart.
+_KRONROD = (0.9956571630258081, 0.9739065285171717, 0.9301574913557082,
+            0.8650633666889845, 0.7808177265864169, 0.6794095682990244,
+            0.5627571346686047, 0.4333953941292472, 0.2943928627014602,
+            0.14887433898163122, 0.0)
+_KRONROD_WEIGHTS = (0.011694638867371874, 0.032558162307964725,
+                    0.054755896574351995, 0.07503967481091996,
+                    0.0931254545836976, 0.10938715880229764,
+                    0.12349197626206584, 0.13470921731147334,
+                    0.14277593857706009, 0.14773910490133849,
+                    0.1494455540029169)
+_GAUSS = (0.14887433898163116, 0.4333953941292472, 0.6794095682990244,
+          0.8650633666889844, 0.9739065285171717)
+_GAUSS_WEIGHTS = (0.2955242247147533, 0.26926671930999674,
+                  0.21908636251598224, 0.14945134915058053,
+                  0.06667134430868714)
 
 
 @dataclass(frozen=True)
@@ -235,7 +261,14 @@ def sample_mixture(model: MixtureModel, m_samples: int,
         stream(seed, "mc-chunk", c).standard_normal(out=X[lo:lo + CHUNK])
     ends = np.cumsum(base)
     for comp, lo, hi in zip(model.components, ends - base, ends):
-        X[lo:hi] = comp.mean + X[lo:hi] @ comp.chol.T
+        Z = X[lo:hi] @ comp.chol.T
+        # the mean's sum with each row has the same bits in either form;
+        # at small p a column at a time skips a broadcast over a short axis
+        if model.p <= 3:
+            for c in range(model.p):
+                np.add(Z[:, c], comp.mean[c], out=X[lo:hi, c])
+        else:
+            np.add(Z, comp.mean, out=X[lo:hi])
     return X, labels
 
 
@@ -286,6 +319,88 @@ def pmc_mc(model: MixtureModel, config: ClusterConfiguration | None = None,
     return McEstimate(value, se, settings.m_samples, settings.seed)
 
 
+class _Box:
+    """A box of the adaptive cubature, ordered as scipy orders its heap:
+    the larger error first, with no tie-break."""
+
+    __slots__ = ("estimate", "error", "a", "b")
+
+    def __init__(self, estimate, error, a, b):
+        self.estimate, self.error, self.a, self.b = estimate, error, a, b
+
+    def __lt__(self, other):
+        return self.error > other.error
+
+
+def _gk21_product(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (21^d + 10^d, d) and weights of the d-fold product rules on
+    [-1, 1]^d, in scipy's order: the Kronrod points, descending, then the
+    Gauss points, ascending, with their weights negated.  A point's weight
+    is the product of its coordinates' weights."""
+    k, kw = np.array(_KRONROD), np.array(_KRONROD_WEIGHTS)
+    g, gw = np.array(_GAUSS), np.array(_GAUSS_WEIGHTS)
+    nodes, weights = [], []
+    for x, w, sign in [(np.concatenate([k, -k[-2::-1]]),
+                        np.concatenate([kw, kw[-2::-1]]), 1.0),
+                       (np.concatenate([-g[::-1], g]),
+                        np.concatenate([gw[::-1], gw]), -1.0)]:
+        grid = np.meshgrid(*[x] * d, indexing="ij")
+        nodes.append(np.stack(grid, axis=-1).reshape(-1, d))
+        weights.append(sign * reduce(np.multiply.outer, [w] * d).ravel())
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def _cubature(f, a: np.ndarray, b: np.ndarray, atol: float, rtol: float,
+              max_subdivisions: int = 10000) -> float:
+    """The integral of a row-local f over the box [a, b], a < b: the
+    estimate of scipy's integrate.cubature(f, a, b, rule="gk21",
+    atol=atol, rtol=rtol), bit for bit.
+
+    A box's nodes are (x + 1) * (len * 0.5) + a and its weights are scaled
+    by prod(len) / 2^d.  Its estimate is the pairwise sum of the 21^d
+    Kronrod terms, and its error the absolute pairwise sum of all 21^d +
+    10^d terms.  Until the error sum is within atol + rtol |estimate|, or
+    max_subdivisions splits are made, the box of largest error leaves the
+    heap and is split at its midpoint into 2^d boxes, in scipy's order,
+    with the running sums updated as scipy updates them.  scipy calls f
+    once per new box for its estimate and once more for its error; here
+    the points of all 2^d new boxes go through one call and each point is
+    scored once, which gives each point the same value when f is row-local.
+    """
+    d = a.size
+    nodes, weights = _gk21_product(d)
+    n_kronrod = 21 ** d
+    upper = np.stack(np.meshgrid(*[[False, True]] * d, indexing="ij"),
+                     axis=-1).reshape(-1, d)
+
+    def boxes(lo, hi):
+        """The boxes [lo[i], hi[i]], scored in one call of f."""
+        length = hi - lo
+        x = (nodes + 1) * (length[:, None] * 0.5) + lo[:, None]
+        w = weights * (np.prod(length, axis=-1) / 2 ** d)[:, None]
+        terms = w * f(x.reshape(-1, d)).reshape(len(lo), -1)
+        return [_Box(*box) for box in zip(
+            terms[:, :n_kronrod].sum(axis=-1).tolist(),
+            np.abs(terms.sum(axis=-1)).tolist(), lo, hi)]
+
+    heap = boxes(a[None], b[None])
+    # scipy's sums start from +0.0, which turns an estimate of -0.0 to +0.0
+    estimate, error = 0.0 + heap[0].estimate, 0.0 + heap[0].error
+    for _ in range(max_subdivisions):
+        if not error > atol + rtol * abs(estimate):
+            break
+        box = heapq.heappop(heap)
+        estimate -= box.estimate
+        error -= box.error
+        mid = (box.a + box.b) / 2
+        for new in boxes(np.where(upper, mid, box.a),
+                         np.where(upper, box.b, mid)):
+            estimate += new.estimate
+            error += new.error
+            heapq.heappush(heap, new)
+    return estimate
+
+
 def pmc_quadrature(model: MixtureModel,
                    config: ClusterConfiguration | None = None,
                    rule: str = "randomized") -> float:
@@ -294,8 +409,10 @@ def pmc_quadrature(model: MixtureModel,
     Integrates density times per-point loss over a box covering every
     component mean plus/minus 10 standard deviations, with a 21-point
     Gauss-Kronrod rule per axis (absolute tolerance 1e-8, relative 1.49e-8)
-    whose points are scored a whole batch per integrand call.  A non-finite
-    integral (e.g. from overflow at extreme scales) raises RuntimeError.
+    whose points are scored a whole split per integrand call: `_cubature`,
+    which gives the bits of scipy's cubature without loading scipy.  A
+    non-finite integral (e.g. from overflow at extreme scales) raises
+    RuntimeError.
     """
     if model.p > 2:
         raise ValueError("quadrature unsupported for p > 2")
@@ -313,12 +430,8 @@ def pmc_quadrature(model: MixtureModel,
         pi, dens = _posteriors_and_density(model, config, x)
         return dens * _summands(pi, rule, clusters)
 
-    # imported here, so that Monte Carlo commands never load scipy
-    from scipy import integrate
-
     with np.errstate(over="ignore", invalid="ignore"):
-        value = integrate.cubature(integrand, lo, hi, rule="gk21", atol=1e-8,
-                                   rtol=1.49e-8).estimate
+        value = _cubature(integrand, lo, hi, atol=1e-8, rtol=1.49e-8)
     if not np.isfinite(value):
         raise RuntimeError(f"quadrature integral is not finite: {value}")
     return float(value)

@@ -1016,9 +1016,9 @@ def package_env():
 
 
 def test_commands_that_call_no_scipy_do_not_load_it(tmp_path):
-    # scipy is imported only inside fit_hclust, for p >= 2 or a near tie,
-    # and inside pmc_quadrature; so phm, Monte Carlo pmc, k-means select-k,
-    # and hclust-test and Ward select-k on tie-free 1-D data start without it
+    # scipy is imported only inside fit_hclust, for p >= 2 or a near tie;
+    # so phm, pmc with or without --quadrature, k-means select-k, and
+    # hclust-test and Ward select-k on tie-free 1-D data start without it
     rng = np.random.default_rng(4)
     data = tmp_path / "data.csv"
     write_rows(data, np.vstack([rng.normal(0, 1, (40, 2)),
@@ -1029,12 +1029,21 @@ def test_commands_that_call_no_scipy_do_not_load_it(tmp_path):
     model = tmp_path / "model.json"
     model.write_text(json.dumps(mixture(
         [0.5, 0.5], [[0.0], [4.0]], [np.eye(1), np.eye(1)]).to_dict()))
+    plane = tmp_path / "plane.json"
+    plane.write_text(json.dumps(mixture(
+        [0.3, 0.7], [[0.0, 0.0], [3.0, 1.0]],
+        [np.eye(2), [[1.0, 0.4], [0.4, 2.0]]]).to_dict()))
     script = f"""
 import contextlib, io, sys
 import distinguish.cli as cli
 runs = [["phm", "--data", {str(data)!r}, "--kappa-range", "1:2",
          "--n-init", "2", "--m", "2000"],
         ["pmc", "--model", {str(model)!r}, "--m", "2000"],
+        *[["pmc", "--model", path, "--rule", rule, "--quadrature"]
+          for path in ({str(model)!r}, {str(plane)!r})
+          for rule in ("randomized", "optimal")],
+        ["pmc", "--model", {str(plane)!r}, "--m", "2000", "--delta",
+         "--quadrature"],
         ["select-k", "--data", {str(data)!r}, "--k-range", "1:2",
          "--method", "kmeans", "--b-refs", "10", "--reps", "2",
          "--m", "2000"],

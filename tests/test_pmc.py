@@ -1,12 +1,14 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from distinguish import (ClusterConfiguration, PmcSettings, cluster_posterior_matrix,
                          delta_matrix, mixture, pmc, pmc_mc, pmc_quadrature,
                          pmc_upper_bound, sample_mixture, stream)
-from distinguish.pmc import CHUNK, pmc_from_sample
+from distinguish.pmc import CHUNK, _cubature, _gk21_product, pmc_from_sample
 
 # frozen trapezoid values for equal-weight N(0,1) vs N(3,1)
 TWO_GAUSS_RANDOMIZED = 0.0986212510997209
@@ -19,6 +21,18 @@ def two_gauss(d=3.0):
 
 def identical_mixture(K, p=1):
     return mixture(np.full(K, 1.0 / K), np.zeros((K, p)), [np.eye(p)] * K)
+
+
+def reference(p):
+    """Criterion 1's equal-weight triple at 0 and +/- d, ||d|| = 3."""
+    mu = np.ones(p) * 3.0 / np.sqrt(p)
+    return mixture([1 / 3] * 3, [np.zeros(p), mu, -mu], [np.eye(p)] * 3)
+
+
+def two_gauss_in(p):
+    """two_gauss, with independent coordinates after the first."""
+    return mixture([0.5, 0.5], [np.zeros(p), np.eye(p)[0] * 3.0],
+                   [np.eye(p)] * 2)
 
 
 def random_mixture(rng, kappa, p):
@@ -135,12 +149,7 @@ class TestQuadrature:
         ("two_gauss", 2, "optimal", 0.06680720126885745),
     ])
     def test_matches_former_integrators(self, name, p, rule, expect):
-        if name == "reference":
-            mu = np.ones(p) * 3.0 / np.sqrt(p)
-            m = mixture([1 / 3] * 3, [np.zeros(p), mu, -mu], [np.eye(p)] * 3)
-        else:
-            m = mixture([0.5, 0.5], [np.zeros(p), np.eye(p)[0] * 3.0],
-                        [np.eye(p)] * 2)
+        m = reference(p) if name == "reference" else two_gauss_in(p)
         assert abs(pmc_quadrature(m, None, rule) - expect) <= 1e-8
 
     def test_2d_matches_1d_product_structure(self):
@@ -150,6 +159,98 @@ class TestQuadrature:
         v1 = pmc_quadrature(m1, None, "randomized")
         v2 = pmc_quadrature(m2, None, "randomized")
         assert np.isclose(v1, v2, rtol=0, atol=1e-5)
+
+
+def scipy_quadrature(model, config, rule):
+    """pmc_quadrature with scipy's cubature, at the former call's
+    tolerances, in place of _cubature."""
+    from scipy import integrate
+
+    def cubature(f, a, b, atol, rtol):
+        return integrate.cubature(f, a, b, rule="gk21", atol=1e-8,
+                                  rtol=1.49e-8).estimate
+
+    with mock.patch("distinguish.pmc._cubature", side_effect=cubature) as spy:
+        value = pmc_quadrature(model, config, rule)
+    K = model.kappa if config is None else config.K
+    assert spy.call_count == (K > 1)
+    return value
+
+
+def same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class TestCubatureOracle:
+    """_cubature against scipy.integrate.cubature, bit for bit; scipy is
+    imported inside each test only."""
+
+    def test_rule_constants_are_scipys(self):
+        from scipy.integrate._rules import (GaussKronrodQuadrature,
+                                            ProductNestedFixed)
+        from scipy.special import roots_legendre
+        gk21 = GaussKronrodQuadrature(21)
+        one = (gk21.nodes_and_weights, roots_legendre(10))
+        two = (ProductNestedFixed([gk21] * 2).nodes_and_weights,
+               ProductNestedFixed([gk21] * 2).lower_nodes_and_weights)
+        for d, ((kx, kw), (gx, gw)) in [(1, one), (2, two)]:
+            nodes, weights = _gk21_product(d)
+            expect_nodes = np.concatenate([np.reshape(kx, (-1, d)),
+                                           np.reshape(gx, (-1, d))])
+            assert nodes.tobytes() == expect_nodes.tobytes()
+            assert weights.tobytes() == np.concatenate([kw, -gw]).tobytes()
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("name", ["reference", "two_gauss"])
+    @pytest.mark.parametrize("rule", ["randomized", "optimal"])
+    def test_models_match_scipy(self, name, p, rule):
+        m = reference(p) if name == "reference" else two_gauss_in(p)
+        assert same_bits(pmc_quadrature(m, None, rule),
+                         scipy_quadrature(m, None, rule))
+
+    @pytest.mark.parametrize("p, rule", [(1, "randomized"), (1, "optimal"),
+                                         (2, "randomized")])
+    @pytest.mark.parametrize("assignment", [(0, 1, 1), (1, 0, 1),
+                                            (0, 0, 1, 2), (2, 1, 0, 1)])
+    def test_merged_clusters_match_scipy(self, p, rule, assignment):
+        rng = np.random.default_rng(len(assignment) + 10 * p)
+        m = random_mixture(rng, len(assignment), p)
+        config = ClusterConfiguration(assignment, max(assignment) + 1)
+        assert same_bits(pmc_quadrature(m, config, rule),
+                         scipy_quadrature(m, config, rule))
+
+    # scipy takes about a second per 2-D model under the optimal rule, so
+    # that pairing comes from an example; the draws favour small kappa, so
+    # the examples are wide
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5),
+           st.sampled_from([(1, "randomized"), (1, "optimal"),
+                            (2, "randomized")]))
+    @example(1, 4, (2, "optimal"))
+    @example(2, 5, (2, "randomized"))
+    @example(3, 5, (1, "optimal"))
+    def test_random_mixtures_match_scipy(self, seed, kappa, shape):
+        p, rule = shape
+        m = random_mixture(np.random.default_rng(seed), kappa, p)
+        assert same_bits(pmc_quadrature(m, None, rule),
+                         scipy_quadrature(m, None, rule))
+
+    @pytest.mark.parametrize("cap", [1, 40, 200])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_a_jump_and_the_split_cap_match_scipy(self, d, cap):
+        # f jumps off every midpoint, so with no tolerance the boxes across
+        # the jump keep their error and every run ends at the cap
+        from scipy import integrate
+
+        def f(x):
+            return (x[:, 0] > 1 / 3) + np.exp(-x[:, 0] ** 2)
+
+        a, b = -np.ones(d), np.ones(d)
+        expect = integrate.cubature(f, a, b, rule="gk21", atol=0.0, rtol=0.0,
+                                    max_subdivisions=cap)
+        assert expect.status == "not_converged"
+        assert same_bits(_cubature(f, a, b, 0.0, 0.0, cap),
+                         expect.estimate)
 
 
 class TestMonteCarlo:
