@@ -261,14 +261,7 @@ def sample_mixture(model: MixtureModel, m_samples: int,
         stream(seed, "mc-chunk", c).standard_normal(out=X[lo:lo + CHUNK])
     ends = np.cumsum(base)
     for comp, lo, hi in zip(model.components, ends - base, ends):
-        Z = X[lo:hi] @ comp.chol.T
-        # the mean's sum with each row has the same bits in either form;
-        # at small p a column at a time skips a broadcast over a short axis
-        if model.p <= 3:
-            for c in range(model.p):
-                np.add(Z[:, c], comp.mean[c], out=X[lo:hi, c])
-        else:
-            np.add(Z, comp.mean, out=X[lo:hi])
+        np.add(X[lo:hi] @ comp.chol.T, comp.mean, out=X[lo:hi])
     return X, labels
 
 
