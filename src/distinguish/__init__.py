@@ -12,9 +12,9 @@ from .estimators import (DegenerateFitError, EmFit, HclustTree, KmeansFit,
                          partition_to_gaussians, select_gmm_bic)
 from .hyptest import (null_distribution, pmc_statistic, pvalue_bootstrap,
                       pvalue_mc, test_report)
-from .models import (ClusterConfiguration, DataMatrix, GaussianComponent,
-                     McEstimate, MergeStep, MergeTrace, MixtureModel,
-                     Partition, as_matrix, mixture, validate)
+from .models import (ClusterConfiguration, DataMatrix, McEstimate,
+                     MergeStep, MergeTrace, MixtureModel, Partition,
+                     as_matrix, mixture)
 from .phm import PhmDendrogram, build_dendrogram, phm_run
 from .pmc import (DeltaMatrix, PmcSettings, cluster_posterior_matrix,
                   delta_matrix, pmc, pmc_from_sample, pmc_mc, pmc_quadrature,
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_SEED", "ClusterConfiguration", "DataMatrix", "DegenerateFitError",
-    "DeltaMatrix", "EmFit", "GaussianComponent", "HclustTree", "KmeansFit",
+    "DeltaMatrix", "EmFit", "HclustTree", "KmeansFit",
     "McEstimate", "MergeStep", "MergeTrace", "MixtureModel", "Partition",
     "PcaResult", "PhmDendrogram", "PmcSettings", "adjusted_rand_index",
     "argmax_gap", "as_matrix", "build_dendrogram", "cluster_posterior_matrix",
@@ -41,5 +41,4 @@ __all__ = [
     "pmc_upper_bound", "prediction_strength", "pvalue_bootstrap", "pvalue_mc",
     "sample_mixture", "save_csv", "select_gmm_bic", "select_k_constrained",
     "selection_table", "silhouette", "standardize", "stream", "test_report",
-    "validate",
 ]

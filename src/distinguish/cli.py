@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .estimators import DegenerateFitError, fit_gmm_em, select_gmm_bic
 from .hyptest import test_report
-from .models import ClusterConfiguration, MixtureModel, validate
+from .models import ClusterConfiguration, MixtureModel
 from .phm import build_dendrogram, phm_run
 from .pmc import (PmcSettings, _mc_sample, cluster_posterior_matrix,
                   delta_matrix, pmc, pmc_mc)
@@ -112,13 +112,16 @@ def _load_data(args, bounded: bool = True):
 
 
 def _read_json(path: str, name: str, from_dict):
-    """from_dict of the JSON input at path, and its digest."""
+    """from_dict of the JSON input at path, and its digest; a ValueError of
+    from_dict becomes "invalid {name}: " and its message."""
     raw, digest = _read(path, json.load)
     try:
         return from_dict(raw), digest
     except (KeyError, TypeError) as exc:
         raise CliError("validation",
                        f"{name} JSON malformed: {exc!r}") from None
+    except ValueError as exc:
+        raise CliError("validation", f"invalid {name}: {exc}") from None
 
 
 def _emit(report: dict) -> None:
@@ -129,9 +132,6 @@ def _cmd_pmc(args) -> int:
     if args.delta and args.rule != "randomized":
         raise CliError("validation", "delta requires randomized rule")
     model, *digests = _read_json(args.model, "model", MixtureModel.from_dict)
-    issues = validate(model)
-    if issues:
-        raise CliError("validation", "invalid model: " + "; ".join(issues))
     config = ClusterConfiguration.singletons(model.kappa)
     if args.config:
         config, digest = _read_json(args.config, "config",
@@ -165,13 +165,16 @@ def _cmd_pmc(args) -> int:
 def _cmd_phm(args) -> int:
     if args.dendrogram and args.tau != 0.0:
         raise CliError("validation", "dendrogram export requires tau = 0")
+    # checked before the fit, as phm_run checks it
+    if not 0.0 <= args.tau <= 1.0:
+        raise CliError("validation", "tau must be in [0, 1]")
+    settings = PmcSettings(m_samples=args.m, seed=args.seed)
     X, digest = _load_data(args)
     kappas = _parse_range(args.kappa_range)
     if len(kappas) == 1:
         fit = fit_gmm_em(X, kappas[0], n_init=args.n_init, seed=args.seed)
     else:
         fit = select_gmm_bic(X, kappas, n_init=args.n_init, seed=args.seed)
-    settings = PmcSettings(m_samples=args.m, seed=args.seed)
     trace, config = phm_run(fit.model, args.tau, settings)
     pi = cluster_posterior_matrix(fit.model, config, X)
     labels = pi.argmax(axis=1)
@@ -231,6 +234,8 @@ def _cmd_hclust_test(args) -> int:
 
 
 def _cmd_preprocess(args) -> int:
+    if args.scree and args.pca is None:
+        raise CliError("validation", "scree export requires --pca")
     X, digest = _load_data(args, bounded=False)
     names = X.feature_names
     if args.center or args.scale:
@@ -256,6 +261,13 @@ def _cmd_preprocess(args) -> int:
     return 0
 
 
+def non_negative_int(text: str) -> int:
+    """A --seed value: numpy seeds only with non-negative integers."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError("expected non-negative integer")
+    return int(text)
+
+
 class _Parser(argparse.ArgumentParser):
     """Raises argument errors as CliError instead of printing usage."""
 
@@ -271,13 +283,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        p.add_argument("--seed", type=non_negative_int, default=DEFAULT_SEED)
         p.add_argument("--header", action="store_true",
                        help="first CSV row is a header")
         p.add_argument("--data", required=True)
 
     p = sub.add_parser("pmc", help="risk of a mixture model")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=non_negative_int, default=DEFAULT_SEED)
     p.add_argument("--model", required=True)
     p.add_argument("--config")
     p.add_argument("--rule", choices=["randomized", "optimal"],

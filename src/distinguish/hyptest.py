@@ -84,6 +84,11 @@ def _replicate_statistics(seed: int | None, name: str, make, reps: int,
     return values
 
 
+def _check_replicates(count: int, name: str) -> None:
+    if count < 100:
+        raise ValueError(f"{name} must be >= 100")
+
+
 def pmc_statistic(X) -> float:
     """Two-cluster separability of the first Ward split, lower = cleaner.
 
@@ -100,8 +105,7 @@ def null_distribution(n: int, p: int, reps: int,
     The statistic is location-scale invariant, so the standard normal
     stands in for any single Gaussian.
     """
-    if reps < 100:
-        raise ValueError("reps must be >= 100")
+    _check_replicates(reps, "reps")
     return np.sort(_replicate_statistics(
         seed, "null-rep", lambda g: g.standard_normal((n, p)), reps, n, p))
 
@@ -122,21 +126,23 @@ def pvalue_bootstrap(X, B: int = 500, seed: int | None = None, *,
     test_report passes _stat, the pmc_statistic(X) it has already
     computed, so that the data are scored once.
     """
-    if B < 100:
-        raise ValueError("B must be >= 100")
+    _check_replicates(B, "B")
     V = as_matrix(X)
     stat = pmc_statistic(V) if _stat is None else _stat
     n, p = V.shape
-    fit, = partition_to_gaussians(V, Partition(np.zeros(n, int), 1)).components
+    fit = partition_to_gaussians(V, Partition(np.zeros(n, int), 1))
+    mean, L = fit.means[0], fit.chol[0]
     boots = _replicate_statistics(
-        seed, "boot-rep",
-        lambda g: fit.mean + g.standard_normal((n, p)) @ fit.chol.T, B, n, p)
+        seed, "boot-rep", lambda g: mean + g.standard_normal((n, p)) @ L.T,
+        B, n, p)
     return pvalue_mc(stat, boots)
 
 
 def test_report(X, reps: int = 5000, bootstrap: int | None = None,
                 seed: int | None = None) -> dict:
     """Full test result: statistic, p-value, and the null quantile table."""
+    count, name = (reps, "reps") if bootstrap is None else (bootstrap, "B")
+    _check_replicates(count, name)
     V = as_matrix(X)
     stat = pmc_statistic(V)
     if bootstrap is not None:

@@ -5,11 +5,11 @@ All types are immutable after construction.
 Component indices are stable for the lifetime of a mixture; clusters are
 identified by sets of component indices, never by reordering.
 The types the CLI writes as JSON have to_dict; the two it also reads,
-MixtureModel (through GaussianComponent) and ClusterConfiguration, have
-from_dict.  A valid mixture is what validate() reports no issue for: the
-CLI checks the models it reads with it, and mixture(), which builds the
-models fitted in code, raises its report.  Neither fixes a model up: the
-fits hand mixture() weights that sum to 1.0 exactly and covariances
+MixtureModel and ClusterConfiguration, have from_dict.  A MixtureModel
+holds stacked arrays, the layout every kernel takes, and is valid by
+construction: building one raises every issue as one ValueError, the text
+`pmc --model` prints after "invalid model: ".  Nothing fixes a model up:
+the fits hand mixture() weights that sum to 1.0 exactly and covariances
 symmetric to the bit.
 """
 from __future__ import annotations
@@ -151,148 +151,126 @@ def gaussian_log_density(X: np.ndarray, means: np.ndarray, L: np.ndarray
     return out.swapaxes(-1, -2)
 
 
-@dataclass(frozen=True)
-class GaussianComponent:
-    """One Gaussian: mean vector and full covariance matrix.
+def _weight_issues(w: np.ndarray, kappa: int) -> list[str]:
+    """What is wrong with the weights of a kappa-component mixture."""
+    if w.ndim != 1:
+        return [f"weights must be a flat list of numbers, got shape "
+                f"{list(w.shape)}"]
+    issues = []
+    if w.size != kappa:
+        issues.append(f"weights length {w.size} != component count {kappa}")
+    for k in np.flatnonzero(~(w > 0)):
+        issues.append(f"weight {k} not strictly positive: {w[k]}")
+    s = float(np.sum(w))
+    if abs(s - 1.0) > WEIGHT_SUM_TOL:
+        issues.append(f"weights sum {s:.17g}, more than "
+                      f"{WEIGHT_SUM_TOL:g} from 1")
+    return issues
 
-    The Cholesky factor is computed lazily on first use (validate() or a
-    log-density call) and cached; log densities are evaluated through it.
-    """
 
-    mean: np.ndarray
-    covariance: np.ndarray
-    _chol: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        m = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        c = np.atleast_2d(np.asarray(self.covariance, dtype=float))
-        if m.ndim != 1 or c.shape != (m.size, m.size):
-            raise ValueError("covariance shape must be (p, p) matching mean")
-        object.__setattr__(self, "mean", _readonly(m))
-        object.__setattr__(self, "covariance", _readonly(c))
-
-    @property
-    def p(self) -> int:
-        return self.mean.size
-
-    @property
-    def chol(self) -> np.ndarray:
-        if self._chol is None:
-            L = np.linalg.cholesky(self.covariance)
-            object.__setattr__(self, "_chol", _readonly(L))
-        return self._chol
-
-    def to_dict(self) -> dict:
-        return {"mean": self.mean.tolist(), "covariance": self.covariance.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GaussianComponent":
-        return cls(np.asarray(d["mean"], dtype=float),
-                   np.asarray(d["covariance"], dtype=float))
+def _component_issues(means: np.ndarray, covs: np.ndarray) -> list[str]:
+    """Each component's issues, in order: a mean or covariance not finite,
+    else a covariance not symmetric to the bit, else not positive definite."""
+    issues = []
+    for k, (mean, cov) in enumerate(zip(means, covs)):
+        bad = [f"component {k} {name} not finite"
+               for name, a in (("mean", mean), ("covariance", cov))
+               if not np.isfinite(a).all()]
+        if bad:
+            issues.extend(bad)
+        elif not np.array_equal(cov, cov.T):
+            issues.append(f"component {k} covariance not symmetric")
+        else:
+            try:
+                np.linalg.cholesky(cov)
+            except np.linalg.LinAlgError:
+                issues.append(f"component {k} covariance not positive "
+                              "definite")
+    return issues
 
 
 @dataclass(frozen=True)
 class MixtureModel:
-    """Weighted Gaussian mixture; weights strictly positive, summing to 1."""
+    """Weighted Gaussian mixture as read-only stacked arrays: weights
+    (kappa,), means (kappa, p), covariances (kappa, p, p) and chol, their
+    lower Cholesky factors, copied or computed once, here.
+
+    An invalid model cannot be built.  Arrays of the wrong shape are
+    refused; otherwise every issue is raised as one "; "-joined ValueError,
+    the weights' first, then each component's in order.  Nothing is
+    renormalized or symmetrized.
+    """
 
     weights: np.ndarray
-    components: tuple[GaussianComponent, ...]
+    means: np.ndarray
+    covariances: np.ndarray
+    chol: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        w = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        comps = tuple(self.components)
-        object.__setattr__(self, "weights", _readonly(w))
-        object.__setattr__(self, "components", comps)
+        w = np.array(self.weights, dtype=float, ndmin=1)
+        means = np.array(self.means, dtype=float)
+        covs = np.array(self.covariances, dtype=float)
+        if (means.ndim != 2 or not means.shape[1]
+                or covs.shape != means.shape + means.shape[1:]):
+            raise ValueError(f"means and covariances must have shapes "
+                             f"(kappa, p) and (kappa, p, p), p >= 1, got "
+                             f"{list(means.shape)} and {list(covs.shape)}")
+        factorable = (np.isfinite(means).all() and np.isfinite(covs).all()
+                      and np.array_equal(covs, covs.swapaxes(1, 2)))
+        try:
+            # numpy factors each matrix of a stack on its own: the factors
+            # have the bits of one call per covariance
+            chol = np.linalg.cholesky(covs) if factorable else None
+        except np.linalg.LinAlgError:
+            chol = None
+        issues = _weight_issues(w, len(means)) + (
+            _component_issues(means, covs) if chol is None else [])
+        if issues:
+            raise ValueError("; ".join(issues))
+        for name, a in (("weights", w), ("means", means),
+                        ("covariances", covs), ("chol", chol)):
+            object.__setattr__(self, name, _readonly(a))
 
     @property
     def kappa(self) -> int:
-        return len(self.components)
+        return self.means.shape[0]
 
     @property
     def p(self) -> int:
-        return self.components[0].p
+        return self.means.shape[1]
 
     def log_component_densities(self, X) -> np.ndarray:
         """(n, kappa) matrix of per-component log densities."""
-        return gaussian_log_density(
-            np.atleast_2d(as_matrix(X)),
-            np.array([c.mean for c in self.components]),
-            np.array([c.chol for c in self.components]))
+        return gaussian_log_density(np.atleast_2d(as_matrix(X)), self.means,
+                                    self.chol)
 
     def to_dict(self) -> dict:
-        return {
-            "kappa": self.kappa,
-            "p": self.p,
-            "weights": self.weights.tolist(),
-            "components": [c.to_dict() for c in self.components],
-        }
+        return {"kappa": self.kappa, "p": self.p,
+                "weights": self.weights.tolist(),
+                "components": [{"mean": m.tolist(), "covariance": c.tolist()}
+                               for m, c in zip(self.means, self.covariances)]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "MixtureModel":
-        return cls(np.asarray(d["weights"], dtype=float),
-                   tuple(GaussianComponent.from_dict(c) for c in d["components"]))
+        """The model of a `pmc --model` object.  Each component is read on
+        its own, so that a list that is not an array of numbers names its
+        component; mixed dimensions are named before anything is stacked."""
+        means, covs = [], []
+        for k, comp in enumerate(d["components"]):
+            try:
+                means.append(np.asarray(comp["mean"], dtype=float))
+                covs.append(np.asarray(comp["covariance"], dtype=float))
+            except ValueError as exc:
+                raise ValueError(f"component {k}: {exc}") from None
+        dims = sorted({m.size for m in means})
+        if len(dims) > 1:
+            raise ValueError(f"components disagree on dimension: {dims}")
+        return cls(d["weights"], means, covs)
 
 
 def mixture(weights, means, covariances) -> MixtureModel:
-    """Build a MixtureModel from raw arrays and raise what validate() reports.
-
-    mixture() accepts exactly what `pmc --model` accepts: a model with any
-    issue is a ValueError whose message is validate()'s report, the text
-    `pmc --model` prints after "invalid model: ".  Weights that sum to 1
-    within WEIGHT_SUM_TOL are kept as given, and nothing is renormalized or
-    symmetrized.
-    """
-    model = MixtureModel(weights, tuple(
-        GaussianComponent(mean, cov)
-        for mean, cov in zip(means, covariances, strict=True)))
-    issues = validate(model)
-    if issues:
-        raise ValueError("; ".join(issues))
-    return model
-
-
-def validate(model: MixtureModel) -> list[str]:
-    """Collect every invariant violation; empty list means the model is ok.
-
-    Never raises: a report is produced even for badly broken models.  Each
-    component is factored through comp.chol, so a valid model's Cholesky
-    factors are cached for scoring.
-    """
-    issues: list[str] = []
-    w = model.weights
-    if w.ndim != 1:
-        issues.append(f"weights must be a flat list of numbers, got shape "
-                      f"{list(w.shape)}")
-    else:
-        if w.size != model.kappa:
-            issues.append(f"weights length {w.size} != component count "
-                          f"{model.kappa}")
-        for k, wk in enumerate(w):
-            if not wk > 0:
-                issues.append(f"weight {k} not strictly positive: {wk}")
-        s = float(np.sum(w))
-        if abs(s - 1.0) > WEIGHT_SUM_TOL:
-            issues.append(f"weights sum {s:.17g}, more than "
-                          f"{WEIGHT_SUM_TOL:g} from 1")
-    dims = {c.p for c in model.components}
-    if len(dims) > 1:
-        issues.append(f"components disagree on dimension: {sorted(dims)}")
-    for k, comp in enumerate(model.components):
-        cov = comp.covariance
-        bad = [f"component {k} {name} not finite"
-               for name, a in (("mean", comp.mean), ("covariance", cov))
-               if not np.isfinite(a).all()]
-        if bad:
-            issues.extend(bad)
-            continue
-        if not np.array_equal(cov, cov.T):
-            issues.append(f"component {k} covariance not symmetric")
-            continue
-        try:
-            comp.chol
-        except np.linalg.LinAlgError:
-            issues.append(f"component {k} covariance not positive definite")
-    return issues
+    """MixtureModel(weights, means, covariances), as the fits call it."""
+    return MixtureModel(weights, means, covariances)
 
 
 @dataclass(frozen=True)

@@ -136,8 +136,8 @@ def _summation_order(model: MixtureModel, config: ClusterConfiguration
     bitwise-identical components, or clusters of them, tie, and their
     columns are then equal, so a tie cannot change a sum.
     """
-    key = [w.tobytes() + c.mean.tobytes() + c.covariance.tobytes()
-           for w, c in zip(model.weights, model.components)]
+    key = [w.tobytes() + m.tobytes() + c.tobytes() for w, m, c
+           in zip(model.weights, model.means, model.covariances)]
     groups = [[] for _ in range(config.K)]
     for j in sorted(range(model.kappa), key=key.__getitem__):
         groups[config.assignment[j]].append(j)
@@ -260,8 +260,8 @@ def sample_mixture(model: MixtureModel, m_samples: int,
     for c, lo in enumerate(range(0, m_samples, CHUNK)):
         stream(seed, "mc-chunk", c).standard_normal(out=X[lo:lo + CHUNK])
     ends = np.cumsum(base)
-    for comp, lo, hi in zip(model.components, ends - base, ends):
-        np.add(X[lo:hi] @ comp.chol.T, comp.mean, out=X[lo:hi])
+    for L, mean, lo, hi in zip(model.chol, model.means, ends - base, ends):
+        np.add(X[lo:hi] @ L.T, mean, out=X[lo:hi])
     return X, labels
 
 
@@ -414,10 +414,9 @@ def pmc_quadrature(model: MixtureModel,
     if config.K == 1:
         return 0.0
     _, clusters = _summation_order(model, config)
-    means = np.array([c.mean for c in model.components])
-    sds = np.array([np.sqrt(np.diag(c.covariance)) for c in model.components])
-    lo = (means - 10.0 * sds).min(axis=0)
-    hi = (means + 10.0 * sds).max(axis=0)
+    sds = np.sqrt(np.diagonal(model.covariances, axis1=1, axis2=2))
+    lo = (model.means - 10.0 * sds).min(axis=0)
+    hi = (model.means + 10.0 * sds).max(axis=0)
 
     def integrand(x: np.ndarray) -> np.ndarray:
         pi, dens = _posteriors_and_density(model, config, x)

@@ -16,7 +16,7 @@ itself.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -321,11 +321,14 @@ def selection_table(X, method: str = "kmeans", k_range=range(1, 9),
     Rows carry gap, gap sd, risk of the fitted per-cluster Gaussians,
     silhouette, split stability, and prediction strength (the last three
     only for K >= 2).  Only a K with a defined gap can be selected.  Every
-    K is checked before any fit: 1 <= K <= n, and K <= n // 2 from K = 2
-    on, since the split halves are clustered into K clusters too.
+    argument is checked before any fit: 1 <= K <= n, and K <= n // 2 from
+    K = 2 on, since the split halves are clustered into K clusters too.
     """
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must be in [0, 1]")
+    if B < 10:
+        raise ValueError("B must be >= 10")
+    settings = PmcSettings(m_samples=m_samples)
     V = as_matrix(X)
     ks = sorted(set(int(k) for k in k_range))
     n = V.shape[0]
@@ -336,6 +339,8 @@ def selection_table(X, method: str = "kmeans", k_range=range(1, 9),
             raise ValueError(f"K={K} exceeds the {n // 2} rows of a "
                              "half-split, which stability and prediction "
                              "strength cluster")
+    if reps < 2 and any(K >= 2 for K in ks):
+        raise ValueError("reps must be >= 2")
     # the data's Ward tree serves the gap statistic and every table fit
     tree = fit_hclust(V) if method == "hclust" and ks[-1] > 1 else None
     gaps = gap_statistic(V, method, ks, B=B, seed=seed, _tree=tree)
@@ -346,9 +351,8 @@ def selection_table(X, method: str = "kmeans", k_range=range(1, 9),
         part = (cut_tree(tree, K) if tree is not None and K > 1 else
                 _cluster(V, K, method, derive_seed(seed, "table-fit", K)))
         model = partition_to_gaussians(V, part)
-        est = pmc_mc(model, None,
-                     PmcSettings(m_samples=m_samples,
-                                 seed=derive_seed(seed, "table-pmc", K)))
+        est = pmc_mc(model, None, replace(
+            settings, seed=derive_seed(seed, "table-pmc", K)))
         pmc_by_k[K] = est.value
         row = {"K": K, "gap": gaps[K][0], "gap_sd": gaps[K][1],
                "pmc": est.value, "pmc_std_error": est.std_error,

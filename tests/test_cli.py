@@ -63,6 +63,18 @@ def strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
+def refuse_fits(monkeypatch):
+    """Make each fit and estimate that phm, select-k, hclust-test and pmc
+    run fail the test if it is called."""
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit ran before the arguments were checked")
+    for name in ("cli.fit_gmm_em", "cli.select_gmm_bic", "cli.pmc",
+                 "cli._mc_sample", "selection.fit_kmeans",
+                 "selection.fit_kmeans_many", "selection.fit_hclust",
+                 "hyptest._statistics"):
+        monkeypatch.setattr(f"distinguish.{name}", no_fit)
+
+
 class TestPmcCommand:
     def test_happy_path(self, capsys, model_path):
         code, out, _ = run(capsys, "pmc", "--model", model_path,
@@ -120,6 +132,44 @@ class TestPmcCommand:
         e = parse_err(err)
         assert e["kind"] == "validation"
         assert "component 1 covariance not finite" in e["message"]
+
+    @pytest.mark.parametrize("components, message", [
+        ([{"mean": [0.0, 0.0], "covariance": [[1.0, 0.0], [0.0, 1.0]]},
+          {"mean": [3.0, 0.0], "covariance": [[1.0, 0.0], [0.0]]}],
+         "invalid model: component 1: "),
+        ([{"mean": [0.0], "covariance": [[1.0]]},
+          {"mean": [3.0], "covariance": [[1.0, 0.0], [0.0, 1.0]]}],
+         "invalid model: "),
+        ([{"mean": [0.0], "covariance": [[1.0]]},
+          {"mean": [3.0, 0.0], "covariance": [[1.0, 0.0], [0.0, 1.0]]}],
+         "invalid model: components disagree on dimension: [1, 2]"),
+    ], ids=["ragged-cov", "cov-of-another-dimension", "mixed-dims"])
+    def test_shape_errors_name_the_component_or_dimensions(
+            self, capsys, tmp_path, components, message):
+        path = tmp_path / "shapes.json"
+        path.write_text(json.dumps({"weights": [0.5, 0.5],
+                                    "components": components}))
+        code, out, err = run(capsys, "pmc", "--model", str(path))
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        e = parse_err(err)
+        assert e["kind"] == "validation"
+        if message.endswith(": "):
+            # numpy's own words for the list that does not stack follow
+            assert e["message"].startswith(message)
+            assert len(e["message"]) > len(message)
+        else:
+            assert e["message"] == message
+
+    def test_invalid_config_is_named(self, capsys, model_path, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"assignment": [0, 1], "K": 3}')
+        code, out, err = run(capsys, "pmc", "--model", model_path,
+                             "--config", str(path))
+        assert (code, out) == (2, "")
+        assert parse_err(err) == {
+            "kind": "validation",
+            "message": "invalid config: need 1 <= K <= number of components"}
 
     def test_weight_sum_message_carries_the_exact_sum(self, capsys, tmp_path):
         path = tmp_path / "offsum.json"
@@ -266,9 +316,8 @@ class TestPhmCommand:
         fitted = fit_gmm_em(load_csv(data_path), 3, seed=1).model
         back = MixtureModel.from_dict(report["model"])
         assert np.array_equal(back.weights, fitted.weights)
-        for a, b in zip(back.components, fitted.components, strict=True):
-            assert np.array_equal(a.mean, b.mean)
-            assert np.array_equal(a.covariance, b.covariance)
+        assert np.array_equal(back.means, fitted.means)
+        assert np.array_equal(back.covariances, fitted.covariances)
 
     def test_dendrogram_requires_tau_zero(self, capsys, data_path, tmp_path):
         code, _, err = run(capsys, "phm", "--data", data_path,
@@ -347,10 +396,7 @@ class TestSelectKCommand:
     @pytest.mark.parametrize("method", ["kmeans", "hclust"])
     def test_k_beyond_the_split_halves_fails_before_any_fit(
             self, capsys, tmp_path, monkeypatch, method):
-        def no_fit(*args, **kwargs):
-            raise AssertionError("a fit ran before the K range was checked")
-        for name in ("fit_kmeans", "fit_kmeans_many", "fit_hclust"):
-            monkeypatch.setattr(f"distinguish.selection.{name}", no_fit)
+        refuse_fits(monkeypatch)
         path = tmp_path / "seven.csv"
         write_rows(path, np.random.default_rng(3).normal(size=(7, 2)))
         code, out, err = run(capsys, "select-k", "--data", str(path),
@@ -417,13 +463,40 @@ class TestHclustTestCommand:
     ("hclust-test", "--reps", "100"),
     ("hclust-test", "--bootstrap", "100"),
     ("select-k", "--k-range", "1:3", "--b-refs", "10", "--reps", "3"),
-], ids=["hclust-test-mc", "hclust-test-bootstrap", "select-k"])
-def test_negative_seed_is_a_validation_error(capsys, data_path, argv):
-    # the replicates and the k-means restarts open their streams in batches
-    code, out, err = run(capsys, *argv, "--data", data_path, "--seed", "-1")
+    ("phm", "--kappa-range", "1:3"),
+    ("pmc", "--delta"),
+], ids=["hclust-test-mc", "hclust-test-bootstrap", "select-k", "phm", "pmc"])
+def test_negative_seed_is_a_validation_error(capsys, data_path, model_path,
+                                             monkeypatch, argv):
+    # refused as an argument, before anything is read or fitted
+    refuse_fits(monkeypatch)
+    files = (("--model", model_path) if argv[0] == "pmc" else
+             ("--data", data_path))
+    code, out, err = run(capsys, *argv, *files, "--seed", "-1")
     assert (code, out) == (2, "")
-    assert parse_err(err) == {"kind": "validation",
-                              "message": "expected non-negative integer"}
+    assert parse_err(err) == {
+        "kind": "validation", "message":
+        f"distinguish {argv[0]}: argument --seed: expected non-negative "
+        "integer"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("phm", "--m", "10"), "m_samples must be >= 1000"),
+    (("phm", "--tau", "2"), "tau must be in [0, 1]"),
+    (("select-k", "--reps", "1"), "reps must be >= 2"),
+    (("select-k", "--m", "10"), "m_samples must be >= 1000"),
+    (("select-k", "--b-refs", "5", "--method", "hclust"), "B must be >= 10"),
+    (("hclust-test", "--reps", "50"), "reps must be >= 100"),
+    (("hclust-test", "--bootstrap", "50"), "B must be >= 100"),
+], ids=["phm-m", "phm-tau", "select-k-reps", "select-k-m",
+        "select-k-b-refs-hclust", "hclust-test-reps", "hclust-test-bootstrap"])
+def test_bad_counts_are_refused_before_any_fit(capsys, data_path, monkeypatch,
+                                               argv, message):
+    refuse_fits(monkeypatch)
+    code, out, err = run(capsys, *argv, "--data", data_path)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert parse_err(err) == {"kind": "validation", "message": message}
 
 
 @pytest.mark.parametrize("argv", [
@@ -808,6 +881,16 @@ class TestPreprocessCommand:
         scree = open(scree_path).read().strip().splitlines()
         assert scree[0] == "component,stdev"
         assert len(scree) == 4
+
+    def test_scree_requires_pca(self, capsys, data_path, tmp_path):
+        out_path, scree_path = tmp_path / "out.csv", tmp_path / "scree.csv"
+        code, out, err = run(capsys, "preprocess", "--data", data_path,
+                             "--out", str(out_path), "--scree",
+                             str(scree_path))
+        assert (code, out) == (2, "")
+        assert parse_err(err) == {"kind": "validation",
+                                  "message": "scree export requires --pca"}
+        assert not out_path.exists() and not scree_path.exists()
 
     def test_non_numeric_input(self, capsys, tmp_path):
         src = tmp_path / "in.csv"

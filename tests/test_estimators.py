@@ -385,7 +385,7 @@ class TestPartitionToGaussians:
         X, truth = blobs
         model = partition_to_gaussians(X, Partition(truth, 3))
         for k in range(3):
-            np.testing.assert_allclose(model.components[k].mean,
+            np.testing.assert_allclose(model.means[k],
                                        X[truth == k].mean(axis=0))
 
     def test_covariance_is_mle_plus_reg(self):
@@ -394,7 +394,7 @@ class TestPartitionToGaussians:
         reg = 1e-3
         model = partition_to_gaussians(X, part, reg=reg)
         mle = np.var(X[:3], ddof=0)
-        assert np.isclose(model.components[0].covariance[0, 0], mle + reg,
+        assert np.isclose(model.covariances[0, 0, 0], mle + reg,
                           rtol=0, atol=1e-15)
 
     def test_default_regularization_scale(self):
@@ -414,7 +414,7 @@ class TestEm:
                        rng.normal(8, 1, (150, 1))])
         fit = fit_gmm_em(X, 2, seed=0)
         assert fit.converged
-        mus = sorted(c.mean[0] for c in fit.model.components)
+        mus = sorted(fit.model.means[:, 0])
         assert abs(mus[0] - 0.0) < 0.4 and abs(mus[1] - 8.0) < 0.4
         assert np.sum(fit.model.weights) == 1.0
 
@@ -547,10 +547,10 @@ class TestEm:
         rng = np.random.default_rng(6)
         X = rng.normal(2.0, 1.5, size=(200, 1))
         fit = fit_gmm_em(X, 1, seed=0)
-        comp = fit.model.components[0]
-        assert np.isclose(comp.mean[0], X.mean(), atol=1e-8)
+        assert np.isclose(fit.model.means[0, 0], X.mean(), atol=1e-8)
         reg = default_regularization(X)
-        assert np.isclose(comp.covariance[0, 0], X.var(ddof=0) + reg,
+        assert np.isclose(fit.model.covariances[0, 0, 0],
+                          X.var(ddof=0) + reg,
                           atol=1e-6)
 
 
@@ -650,7 +650,7 @@ def test_em_covariances_are_symmetric_to_the_bit(p, centred):
         out = _em_stack(X, resps, default_regularization(X), 1e-8, 500)
         fit = fit_gmm_em(X, 3, n_init=2, seed=p)
     covs = [c for r in out for c in r[3]]
-    covs += [comp.covariance for comp in fit.model.components]
+    covs += list(fit.model.covariances)
     assert len(covs) == 9
     for c in covs:
         assert np.array_equal(c, c.T)

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 import distinguish
-from distinguish import (ClusterConfiguration, DataMatrix, GaussianComponent,
-                         McEstimate, MergeStep, MergeTrace, MixtureModel,
-                         Partition, as_matrix, mixture, validate)
-from distinguish.models import gaussian_log_density
+from distinguish import (ClusterConfiguration, DataMatrix, McEstimate,
+                         MergeStep, MergeTrace, MixtureModel, Partition,
+                         as_matrix, mixture)
 
 
 def unit_mixture(means, weights=None):
@@ -23,7 +22,10 @@ class TestMixtureFactory:
     def test_well_formed(self):
         m = unit_mixture([[0.0], [3.0]], [0.5, 0.5])
         assert m.kappa == 2 and m.p == 1
-        assert validate(m) == []
+        assert np.array_equal(m.weights, [0.5, 0.5])
+        assert np.array_equal(m.means, [[0.0], [3.0]])
+        assert np.array_equal(m.covariances, np.ones((2, 1, 1)))
+        assert np.array_equal(m.chol, np.ones((2, 1, 1)))
 
     def test_weight_sum_violation_rejected(self):
         with pytest.raises(ValueError, match="weights sum 0.8999"):
@@ -75,46 +77,93 @@ class TestMixtureFactory:
                            match=f"^component 1 {name} not finite$"):
             mixture([0.5, 0.5], [[0.0], mean], [[[1.0]], cov])
 
-    @pytest.mark.parametrize("weights, means, covs", [
-        ([0.7, 0.2], [[0.0], [3.0]], [[[1.0]]] * 2),
-        ([1.0, 0.0], [[0.0], [3.0]], [[[1.0]]] * 2),
-        ([1.0, np.nan], [[0.0], [3.0]], [[[1.0]]] * 2),
-        ([0.5, 0.5], [[0.0], [np.inf]], [[[1.0]]] * 2),
-        ([0.5, 0.5], [[0.0], [0.0]], [[[1.0]], [[np.nan]]]),
-        ([1.0], [[0.0, 0.0]], [[[1.0, 0.5], [0.1, 1.0]]]),
-        ([0.25, 0.25, 0.5], [[0.0], [3.0]], [[[1.0]]] * 2),
-        ([1.0], [[0.0, 0.0]], [[[1.0, 2.0], [2.0, 1.0]]]),  # eigenvalues 3, -1
-        ([0.5, 0.5], [[0.0], [0.0, 0.0]], [np.eye(1), np.eye(2)]),
+    # each report is the text the former validate() gave for the same model
+    @pytest.mark.parametrize("weights, means, covs, report", [
+        ([0.7, 0.2], [[0.0], [3.0]], [[[1.0]]] * 2,
+         "weights sum 0.89999999999999991, more than 1e-12 from 1"),
+        ([1.0, 0.0], [[0.0], [3.0]], [[[1.0]]] * 2,
+         "weight 1 not strictly positive: 0.0"),
+        ([1.0, np.nan], [[0.0], [3.0]], [[[1.0]]] * 2,
+         "weight 1 not strictly positive: nan"),
+        ([0.5, 0.5], [[0.0], [np.inf]], [[[1.0]]] * 2,
+         "component 1 mean not finite"),
+        ([0.5, 0.5], [[0.0], [0.0]], [[[1.0]], [[np.nan]]],
+         "component 1 covariance not finite"),
+        ([1.0], [[0.0, 0.0]], [[[1.0, 0.5], [0.1, 1.0]]],
+         "component 0 covariance not symmetric"),
+        ([0.25, 0.25, 0.5], [[0.0], [3.0]], [[[1.0]]] * 2,
+         "weights length 3 != component count 2"),
+        ([1.0], [[0.0, 0.0]], [[[1.0, 2.0], [2.0, 1.0]]],  # eigenvalues 3, -1
+         "component 0 covariance not positive definite"),
+        ([0.5, 0.5], [[0.0], [0.0, 0.0]], [np.eye(1), np.eye(2)],
+         "components disagree on dimension: [1, 2]"),
+        ([[0.5], [0.5]], [[0.0], [3.0]], [[[1.0]]] * 2,
+         "weights must be a flat list of numbers, got shape [2, 1]"),
+        ([0.5, 0.0, 0.2], [[0.0, 0.0], [np.nan, 0.0], [1.0, 1.0]],
+         [[[1.0, 2.0], [2.0, 1.0]], np.eye(2), [[1.0, 0.5], [0.1, 1.0]]],
+         "weight 1 not strictly positive: 0.0; weights sum "
+         "0.69999999999999996, more than 1e-12 from 1; component 0 "
+         "covariance not positive definite; component 1 mean not finite; "
+         "component 2 covariance not symmetric"),
     ], ids=["bad-sum", "zero-weight", "nan-weight", "inf-mean", "nan-cov",
-            "asymmetric", "count-mismatch", "indefinite", "mixed-dims"])
-    def test_raises_the_validate_report(self, weights, means, covs):
-        report = validate(MixtureModel(
-            np.array(weights, dtype=float),
-            tuple(GaussianComponent(np.array(m, dtype=float),
-                                    np.array(c, dtype=float))
-                  for m, c in zip(means, covs))))
-        assert report
+            "asymmetric", "count-mismatch", "indefinite", "mixed-dims",
+            "nested-weights", "several"])
+    def test_raises_the_validate_report(self, weights, means, covs, report):
+        """Construction, mixture() and from_dict raise the same report;
+        means of two dimensions do not stack, so construction refuses
+        them, and from_dict names the dimensions before stacking."""
+        d = {"weights": weights, "components": [
+            {"mean": m, "covariance": np.asarray(c).tolist()}
+            for m, c in zip(means, covs)]}
         with pytest.raises(ValueError) as exc:
-            mixture(weights, means, covs)
-        assert str(exc.value) == "; ".join(report)
+            MixtureModel.from_dict(d)
+        assert str(exc.value) == report
+        for build in (MixtureModel, mixture):
+            with pytest.raises(ValueError) as exc:
+                build(weights, means, covs)
+            if not report.startswith("components disagree"):
+                assert str(exc.value) == report
+
+    @pytest.mark.parametrize("means, covs", [
+        (np.zeros(2), np.ones((2, 1, 1))),
+        (np.zeros((2, 1)), np.ones((2, 1))),
+        (np.zeros((2, 2)), np.ones((2, 2, 1))),
+        (np.zeros((1, 2)), np.ones((2, 2, 2))),
+        (np.zeros((1, 0)), np.ones((1, 0, 0))),
+    ], ids=["flat-means", "flat-covs", "non-square", "count", "p-zero"])
+    def test_wrong_shapes_are_refused(self, means, covs):
+        with pytest.raises(ValueError) as exc:
+            mixture(np.full(len(means), 1.0 / len(means)), means, covs)
+        assert str(exc.value) == (
+            "means and covariances must have shapes (kappa, p) and "
+            f"(kappa, p, p), p >= 1, got {list(means.shape)} and "
+            f"{list(covs.shape)}")
+
+    def test_arrays_are_copied(self):
+        w, means, covs = np.array([1.0]), np.zeros((1, 2)), np.eye(2)[None]
+        m = mixture(w, means, covs)
+        for a in (w, means, covs):
+            assert a.flags.writeable
+            a[...] = 7.0
+        assert m.weights.tolist() == [1.0] and not m.means.any()
+        assert np.array_equal(m.covariances[0], np.eye(2))
 
 
 class TestValidate:
     def test_reports_bad_weight_sum(self):
-        m = MixtureModel(np.array([0.7, 0.2]),
-                         (GaussianComponent(np.zeros(1), np.eye(1)),
-                          GaussianComponent(np.ones(1), np.eye(1))))
-        issues = validate(m)
-        assert any("sum" in s for s in issues)
+        with pytest.raises(ValueError) as exc:
+            MixtureModel(np.array([0.7, 0.2]), np.array([[0.0], [1.0]]),
+                         np.ones((2, 1, 1)))
+        assert str(exc.value) == ("weights sum 0.89999999999999991, more "
+                                  "than 1e-12 from 1")
 
     def test_reports_indefinite_covariance(self):
         # eigenvalues 3 and -1
-        m = MixtureModel(np.array([1.0]),
-                         (GaussianComponent(np.zeros(2),
-                                            np.array([[1.0, 2.0],
-                                                      [2.0, 1.0]])),))
-        issues = validate(m)
-        assert any("positive definite" in s for s in issues)
+        with pytest.raises(ValueError) as exc:
+            MixtureModel(np.array([1.0]), np.zeros((1, 2)),
+                         np.array([[[1.0, 2.0], [2.0, 1.0]]]))
+        assert str(exc.value) == ("component 0 covariance not positive "
+                                  "definite")
 
     @pytest.mark.parametrize("mean, cov, name", [
         ([np.nan, 0.0], np.eye(2), "mean"),
@@ -123,39 +172,41 @@ class TestValidate:
         ([0.0, 0.0], [[np.inf, 0.0], [0.0, 1.0]], "covariance"),
     ])
     def test_reports_non_finite_component_by_name(self, mean, cov, name):
-        m = MixtureModel(np.array([0.5, 0.5]),
-                         (GaussianComponent(np.zeros(2), np.eye(2)),
-                          GaussianComponent(np.array(mean), np.array(cov))))
-        assert validate(m) == [f"component 1 {name} not finite"]
+        with pytest.raises(ValueError) as exc:
+            MixtureModel(np.array([0.5, 0.5]), np.array([np.zeros(2), mean]),
+                         np.array([np.eye(2), cov]))
+        assert str(exc.value) == f"component 1 {name} not finite"
 
     def test_reports_dimension_mismatch(self):
-        m = MixtureModel(np.array([0.5, 0.5]),
-                         (GaussianComponent(np.zeros(1), np.eye(1)),
-                          GaussianComponent(np.zeros(2), np.eye(2))))
-        assert validate(m)
+        with pytest.raises(ValueError) as exc:
+            MixtureModel.from_dict({"weights": [0.5, 0.5], "components": [
+                {"mean": [0.0], "covariance": [[1.0]]},
+                {"mean": [0.0, 0.0], "covariance": np.eye(2).tolist()}]})
+        assert str(exc.value) == "components disagree on dimension: [1, 2]"
+        with pytest.raises(ValueError):
+            MixtureModel(np.array([0.5, 0.5]), [np.zeros(1), np.zeros(2)],
+                         [np.eye(1), np.eye(2)])
 
     def test_caches_each_cholesky_factor(self):
-        m = MixtureModel(np.array([0.5, 0.5]),
-                         (GaussianComponent(np.zeros(2), np.eye(2)),
-                          GaussianComponent(np.ones(2), 2.0 * np.eye(2))))
-        assert validate(m) == []
-        for comp in m.components:
-            assert comp._chol is not None
-            assert np.array_equal(comp._chol,
-                                  np.linalg.cholesky(comp.covariance))
+        rng = np.random.default_rng(1)
+        A = rng.normal(size=(3, 4, 4))
+        covs = A @ A.swapaxes(-1, -2) + 0.5 * np.eye(4)
+        m = MixtureModel(np.full(3, 1 / 3), rng.normal(size=(3, 4)),
+                         (covs + covs.swapaxes(-1, -2)) / 2)
+        assert m.chol.shape == (3, 4, 4)
+        for L, cov in zip(m.chol, m.covariances):
+            assert L.tobytes() == np.linalg.cholesky(cov).tobytes()
+        for a in (m.weights, m.means, m.covariances, m.chol):
+            assert not a.flags.writeable
 
 
-class TestGaussianComponent:
+class TestMixtureModel:
     def test_log_density_matches_closed_form(self):
-        comp = GaussianComponent(np.array([1.0]), np.array([[4.0]]))
-        x = np.array([[3.0]])
+        m = mixture([1.0], [[1.0]], [[[4.0]]])
+        got = m.log_component_densities(np.array([[3.0]]))
         expect = -0.5 * np.log(2 * np.pi * 4.0) - 0.5 * (2.0 ** 2) / 4.0
-        got = gaussian_log_density(x, comp.mean[None], comp.chol[None])[:, 0]
-        assert np.isclose(got[0], expect, rtol=0, atol=1e-12)
-
-    def test_cholesky_cached(self):
-        comp = GaussianComponent(np.zeros(2), np.eye(2))
-        assert comp.chol is comp.chol
+        assert got.shape == (1, 1)
+        assert np.isclose(got[0, 0], expect, rtol=0, atol=1e-12)
 
 
 class TestDataMatrix:
@@ -205,9 +256,9 @@ def test_json_round_trip_is_bit_identical():
     m = mixture([0.2, 0.3, 0.5], means, covs)
     back = MixtureModel.from_dict(json.loads(json.dumps(m.to_dict())))
     assert np.array_equal(m.weights, back.weights)
-    for a, b in zip(m.components, back.components):
-        assert np.array_equal(a.mean, b.mean)
-        assert np.array_equal(a.covariance, b.covariance)
+    assert np.array_equal(m.means, back.means)
+    assert np.array_equal(m.covariances, back.covariances)
+    assert np.array_equal(m.chol, back.chol)
 
 
 def test_merge_trace_round_trip():
@@ -233,7 +284,7 @@ def test_public_surface():
     # adding or removing a public name is a deliberate edit of this list
     assert sorted(distinguish.__all__) == [
         "ClusterConfiguration", "DEFAULT_SEED", "DataMatrix",
-        "DegenerateFitError", "DeltaMatrix", "EmFit", "GaussianComponent",
+        "DegenerateFitError", "DeltaMatrix", "EmFit",
         "HclustTree", "KmeansFit", "McEstimate", "MergeStep", "MergeTrace",
         "MixtureModel", "Partition", "PcaResult", "PhmDendrogram",
         "PmcSettings", "adjusted_rand_index", "argmax_gap", "as_matrix",
@@ -246,6 +297,6 @@ def test_public_surface():
         "pmc_statistic", "pmc_upper_bound", "prediction_strength",
         "pvalue_bootstrap", "pvalue_mc", "sample_mixture", "save_csv",
         "select_gmm_bic", "select_k_constrained", "selection_table",
-        "silhouette", "standardize", "stream", "test_report", "validate"]
+        "silhouette", "standardize", "stream", "test_report"]
     for name in distinguish.__all__:
         assert hasattr(distinguish, name)

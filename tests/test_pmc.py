@@ -106,9 +106,9 @@ class TestSampling:
                            (min(CHUNK, M - lo), m.p))
                        for c, lo in enumerate(range(0, M, CHUNK))])
         assert np.all(np.diff(labels) >= 0)
-        for j, comp in enumerate(m.components):
+        for j, (mean, L) in enumerate(zip(m.means, m.chol)):
             rows = labels == j
-            assert np.array_equal(X[rows], comp.mean + Z[rows] @ comp.chol.T)
+            assert np.array_equal(X[rows], mean + Z[rows] @ L.T)
 
     def test_seed_changes_sample(self):
         m = two_gauss()
@@ -271,9 +271,7 @@ class TestMonteCarlo:
         rng = np.random.default_rng(4)
         m = random_mixture(rng, 4, 2)
         perm = [2, 0, 3, 1]
-        m2 = mixture(m.weights[perm],
-                     [m.components[i].mean for i in perm],
-                     [m.components[i].covariance for i in perm])
+        m2 = mixture(m.weights[perm], m.means[perm], m.covariances[perm])
         X, _ = sample_mixture(m, 20000, seed=6)
         v1, se1 = pmc_from_sample(m, None, X, "randomized")
         v2, se2 = pmc_from_sample(m2, None, X, "randomized")

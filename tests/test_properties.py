@@ -33,7 +33,7 @@ from distinguish.estimators import (HclustTree, _gaussian_moments,
                                     _segment_means, _stack_sq_dists,
                                     fit_kmeans_many, sq_dists)
 from distinguish.models import (BLOCK_ELEMENTS, ClusterConfiguration,
-                                GaussianComponent, gaussian_log_density)
+                                gaussian_log_density)
 from distinguish.pmc import (RULES, _CHAIN_ROWS, _normalise,
                              _posteriors_and_density, _row_max,
                              _summation_order, _summands)
@@ -74,8 +74,8 @@ def test_component_relabelling_is_bit_identical(shape, rnd):
     model, rng = build(*shape)
     perm = list(range(model.kappa))
     rnd.shuffle(perm)
-    relabelled = MixtureModel(model.weights[perm],
-                              tuple(model.components[j] for j in perm))
+    relabelled = MixtureModel(model.weights[perm], model.means[perm],
+                              model.covariances[perm])
     X = rng.normal(0, 3, (300, model.p))
     for rule in RULES:
         assert (pmc_from_sample(relabelled, None, X, rule)
@@ -90,8 +90,8 @@ def test_relabelling_permutes_pair_deltas_bit_for_bit(shape, rnd, per_block):
     model, rng = build(*shape)
     perm = list(range(model.kappa))
     rnd.shuffle(perm)
-    relabelled = MixtureModel(model.weights[perm],
-                              tuple(model.components[j] for j in perm))
+    relabelled = MixtureModel(model.weights[perm], model.means[perm],
+                              model.covariances[perm])
     X = rng.normal(0, 3, (2000, model.p))
     s = PmcSettings(m_samples=X.shape[0])
 
@@ -124,8 +124,8 @@ def assert_relabelling_is_bit_identical(model, config, X, rnd):
     rnd.shuffle(perm)
     renumber = list(range(config.K))
     rnd.shuffle(renumber)
-    relabelled = MixtureModel(model.weights[perm],
-                              tuple(model.components[j] for j in perm))
+    relabelled = MixtureModel(model.weights[perm], model.means[perm],
+                              model.covariances[perm])
     moved = ClusterConfiguration(
         tuple(renumber[config.assignment[j]] for j in perm), config.K)
     for rule in RULES:
@@ -164,13 +164,13 @@ def tied_model(kind, seed):
     ("weight"), also one mean ("weight-mean"), or they are three pairs of
     identical components ("identical")."""
     model, _ = build(seed, 6, 2)
-    comps = model.components
+    means, covs = model.means, model.covariances
     if kind == "weight-mean":
-        comps = tuple(GaussianComponent(comps[0].mean, c.covariance)
-                      for c in comps)
+        means = means[[0] * 6]
     elif kind == "identical":
-        comps = tuple(comps[j // 2] for j in range(6))
-    return MixtureModel(np.full(6, 1 / 6), comps)
+        pairs = [j // 2 for j in range(6)]
+        means, covs = means[pairs], covs[pairs]
+    return MixtureModel(np.full(6, 1 / 6), means, covs)
 
 
 @pytest.mark.parametrize("kind", ["weight", "weight-mean", "identical"])
@@ -362,10 +362,10 @@ def test_risk_within_zero_and_upper_bound(shape, rule):
 @given(shapes)
 def test_log_density_matches_scipy(shape):
     model, rng = build(*shape)
-    for comp in model.components:
-        X = comp.mean + rng.normal(0, 2, (50, model.p))
-        expect = multivariate_normal(comp.mean, comp.covariance).logpdf(X)
-        got = gaussian_log_density(X, comp.mean[None], comp.chol[None])[:, 0]
+    for mean, cov, L in zip(model.means, model.covariances, model.chol):
+        X = mean + rng.normal(0, 2, (50, model.p))
+        expect = multivariate_normal(mean, cov).logpdf(X)
+        got = gaussian_log_density(X, mean[None], L[None])[:, 0]
         assert np.allclose(got, expect, rtol=0, atol=1e-10)
 
 
@@ -377,12 +377,10 @@ def test_stacked_kernel_matches_scipy_across_row_blocks(seed, kappa, p,
     model, rng = build(seed, kappa, p)
     n = BLOCK_ELEMENTS // (kappa * p) + extra
     X = rng.normal(0, 4, (n, p))
-    got = gaussian_log_density(
-        X, np.array([c.mean for c in model.components]),
-        np.array([c.chol for c in model.components]))
+    got = gaussian_log_density(X, model.means, model.chol)
     assert got.shape == (n, kappa)
-    for j, comp in enumerate(model.components):
-        expect = multivariate_normal(comp.mean, comp.covariance).logpdf(X)
+    for j, (mean, cov) in enumerate(zip(model.means, model.covariances)):
+        expect = multivariate_normal(mean, cov).logpdf(X)
         assert np.allclose(got[:, j], expect, rtol=0, atol=1e-10)
 
 
@@ -471,8 +469,7 @@ def test_chain_arrays_are_component_major(p, monkeypatch):
     is one contiguous row, and the delta matrix reads pi in place."""
     model, rng = build(p, 6, p)
     X = rng.normal(0, 3, (3000, p))
-    means = np.array([c.mean for c in model.components])
-    L = np.array([c.chol for c in model.components])
+    means, L = model.means, model.chol
     a = gaussian_log_density(X, means, L)
     assert a.swapaxes(-1, -2).flags.c_contiguous
     batched = gaussian_log_density(np.stack([X, X]), np.stack([means, means]),
@@ -548,13 +545,13 @@ def test_posterior_matrix_memory_is_bounded():
 
 def test_far_mean_keeps_precision():
     mean, sd = np.array([1e6, -1e6]), 1e-3
-    comp = mixture([1.0], [mean], [np.eye(2) * sd**2]).components[0]
+    model = mixture([1.0], [mean], [np.eye(2) * sd**2])
     offsets = np.random.default_rng(0).normal(0, 3 * sd, (200, 2))
     X = mean + offsets
     r = (X - mean) / sd
     expect = (-0.5 * (r * r).sum(axis=1) - 2 * np.log(sd)
               - np.log(2 * np.pi))
-    got = gaussian_log_density(X, comp.mean[None], comp.chol[None])[:, 0]
+    got = gaussian_log_density(X, model.means, model.chol)[:, 0]
     assert np.allclose(got, expect, rtol=0, atol=1e-8)
 
 
@@ -562,7 +559,7 @@ def draw(model, rng, n):
     """n rows drawn from the mixture, in random component order."""
     labels = rng.choice(model.kappa, size=n, p=model.weights)
     z = rng.standard_normal((n, model.p))
-    return np.array([model.components[j].mean + model.components[j].chol @ v
+    return np.array([model.means[j] + model.chol[j] @ v
                      for j, v in zip(labels, z)])
 
 
@@ -572,9 +569,8 @@ def same_fit(a, b):
     assert (a.iterations, a.converged) == (b.iterations, b.converged)
     assert [v.hex() for v in a.loglik_path] == [v.hex() for v in b.loglik_path]
     assert np.array_equal(a.model.weights, b.model.weights)
-    for c, d in zip(a.model.components, b.model.components, strict=True):
-        assert np.array_equal(c.mean, d.mean)
-        assert np.array_equal(c.covariance, d.covariance)
+    assert np.array_equal(a.model.means, b.model.means)
+    assert np.array_equal(a.model.covariances, b.model.covariances)
 
 
 # 30 examples missed a start whose responsibilities had a stack-dependent
@@ -780,9 +776,8 @@ def test_stacked_moments_equal_one_by_one(seed, D, n, p, K):
         model = partition_to_gaussians(Xs[d], Partition(labels[d], K))
         assert np.array_equal(model.weights, w[d])
         assert np.sum(w[d]) == 1.0
-        for k, comp in enumerate(model.components):
-            assert np.array_equal(comp.mean, means[d, k])
-            assert np.array_equal(comp.covariance, covs[d, k])
+        assert np.array_equal(model.means, means[d])
+        assert np.array_equal(model.covariances, covs[d])
 
 
 def scipy_tree(V):
