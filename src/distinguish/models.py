@@ -253,15 +253,22 @@ class MixtureModel:
     @classmethod
     def from_dict(cls, d: dict) -> "MixtureModel":
         """The model of a `pmc --model` object.  Each component is read on
-        its own, so that a list that is not an array of numbers names its
+        its own, so that a list that is not an array of numbers, or a
+        covariance whose shape does not match its mean, names its
         component; mixed dimensions are named before anything is stacked."""
         means, covs = [], []
         for k, comp in enumerate(d["components"]):
             try:
-                means.append(np.asarray(comp["mean"], dtype=float))
-                covs.append(np.asarray(comp["covariance"], dtype=float))
+                mean = np.asarray(comp["mean"], dtype=float)
+                cov = np.asarray(comp["covariance"], dtype=float)
+                if mean.ndim != 1 or cov.shape != mean.shape * 2:
+                    raise ValueError(f"mean and covariance must have shapes "
+                                     f"(p,) and (p, p), got {list(mean.shape)}"
+                                     f" and {list(cov.shape)}")
             except ValueError as exc:
                 raise ValueError(f"component {k}: {exc}") from None
+            means.append(mean)
+            covs.append(cov)
         dims = sorted({m.size for m in means})
         if len(dims) > 1:
             raise ValueError(f"components disagree on dimension: {dims}")

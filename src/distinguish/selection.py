@@ -2,17 +2,18 @@
 selection, and the validity indices used for comparison (silhouette,
 adjusted Rand, split stability, prediction strength).
 
-The k-means fits of one K that share a row count run as one stack of
-restarts (estimators.fit_kmeans_many): the observed gap fit with all gap
-reference datasets, and each side of the half-splits across all
-repetitions, the stability and prediction-strength splits of selection_table
-together.  Starts do not interact, so every fit equals its lone fit to the
-bit.  A Ward tree does not depend on K: each dataset's tree is fitted once
-and cut at every K.  At K = 1 nothing is fitted: every row is in cluster 0.  Stability and
-prediction strength carry a half's clustering to the other half by nearest
-centroid with the Lloyd loop's own assignment (estimators._nearest_centres),
-so a row equidistant from two centroids goes to the first, as in k-means
-itself.
+The data are clustered once per K (_partitions), and every column of a
+selection_table row scores that partition; stability and prediction
+strength share one set of split fits (_split_fits).  The k-means fits of
+one K that share a row count run as one stack of restarts
+(estimators.fit_kmeans_many): the B gap references, and each side of the
+half-splits across all repetitions.  Starts do not interact, so every
+fit equals its lone fit to the bit.  A Ward tree does not depend on K:
+each dataset's tree is fitted once and cut at every K.  At K = 1 nothing
+is fitted: every row is in cluster 0.  A half's clustering is carried to
+the other half by nearest centroid with the Lloyd loop's own assignment
+(estimators._nearest_centres), so a row equidistant from two centroids
+goes to the first, as in k-means itself.
 """
 from __future__ import annotations
 
@@ -63,27 +64,33 @@ def _within_dispersion(X: np.ndarray, part: Partition) -> float:
     return total
 
 
+def _partitions(V: np.ndarray, method: str, ks: list[int],
+                seed: int | None) -> dict[int, Partition]:
+    """The data's partition at each K of ks: one fit_kmeans per K, seeded
+    derive_seed(seed, "gap-obs", K), or one Ward tree cut at every K."""
+    tree = fit_hclust(V) if method == "hclust" and ks[-1] > 1 else None
+    return {K: cut_tree(tree, K) if tree is not None and K > 1 else
+            _cluster(V, K, method, derive_seed(seed, "gap-obs", K))
+            for K in ks}
+
+
 def gap_statistic(X, clusterer: str = "kmeans",
                   k_range=range(1, 9), B: int = 50,
-                  seed: int | None = None, *, _tree=None
+                  seed: int | None = None, *, _parts=None
                   ) -> dict[int, tuple[float | None, float | None]]:
     """Gap and its standard error per K.
 
     gap(K) compares log within-cluster dispersion of the data against the
     mean over B reference datasets drawn uniformly over the feature-wise
-    bounding box; the standard error carries the sqrt(1 + 1/B) factor.
-    A K whose clusters have no within-cluster dispersion (K reaches the
-    number of distinct rows) has no log dispersion: its gap and standard
-    error are None.
-
-    Per K the data and the B references are clustered as one (B + 1, n, p)
-    stack, the data first, seeded with derive_seed(seed, "gap-obs", K) and
-    the b-th reference with derive_seed(seed, "gap-fit", (b << 12) | K).
-    The references of a K are so fitted even where the data turn out to
-    have no dispersion; those fits are discarded.  With hclust, the Ward
-    tree of each of the B + 1 datasets is fitted once, at the first K >= 2,
-    and cut at every K; _tree is the data's tree, when the caller already
-    holds it.
+    bounding box, the b-th from stream(seed, "gap-ref", b); the standard
+    error carries the sqrt(1 + 1/B) factor.  A K whose clusters have no
+    within-cluster dispersion (K reaches the number of distinct rows) has
+    no log dispersion: its gap and standard error are None, and no
+    reference is clustered at it.  _parts is the data's _partitions, when
+    the caller already holds them.  Per K the references are clustered as
+    one (B, n, p) stack, the b-th seeded with derive_seed(seed, "gap-fit",
+    (b << 12) | K); with hclust, each reference's Ward tree is fitted once
+    and cut at every K.
     """
     V = as_matrix(X)
     ks = sorted(set(int(k) for k in k_range))
@@ -91,35 +98,28 @@ def gap_statistic(X, clusterer: str = "kmeans",
         raise ValueError("k_range is empty")
     if B < 10:
         raise ValueError("B must be >= 10")
+    _parts = _parts or _partitions(V, clusterer, ks, seed)
     lo, hi = V.min(axis=0), V.max(axis=0)
-    stack = np.empty((B + 1,) + V.shape)
-    stack[0] = V
-    refs = stack[1:]
-    for b in range(B):
-        refs[b] = lo + stream(seed, "gap-ref", b).random(V.shape) * (hi - lo)
+    refs = np.empty((B,) + V.shape)
+    for R, rng in zip(refs, stream(seed, "gap-ref", range(B))):
+        R[...] = lo + rng.random(V.shape) * (hi - lo)
     out: dict[int, tuple[float, float]] = {}
     trees = []
     for K in ks:
-        if clusterer == "hclust" and K > 1:
-            if not trees:
-                trees = [_tree if _tree is not None else fit_hclust(V)]
-                trees += [fit_hclust(R) for R in refs]
-            part, *ref_parts = [cut_tree(tree, K) for tree in trees]
-        else:
-            part, *ref_parts = _cluster_many(
-                stack, K, clusterer, [derive_seed(seed, "gap-obs", K)]
-                + [derive_seed(seed, "gap-fit", (b << 12) | K)
-                   for b in range(B)])
-        within = _within_dispersion(V, part)
+        within = _within_dispersion(V, _parts[K])
         if within == 0.0:
             out[K] = (None, None)
             continue
-        log_w = np.log(within)
+        if clusterer == "hclust" and K > 1:
+            trees = trees or [fit_hclust(R) for R in refs]
+            ref_parts = [cut_tree(tree, K) for tree in trees]
+        else:
+            ref_parts = _cluster_many(refs, K, clusterer, [
+                derive_seed(seed, "gap-fit", (b << 12) | K) for b in range(B)])
         ref_log = np.array([np.log(_within_dispersion(R, rp))
                             for R, rp in zip(refs, ref_parts)])
-        gap = float(ref_log.mean() - log_w)
-        sd = float(ref_log.std(ddof=0) * np.sqrt(1.0 + 1.0 / B))
-        out[K] = (gap, sd)
+        out[K] = (float(ref_log.mean() - np.log(within)),
+                  float(ref_log.std(ddof=0) * np.sqrt(1.0 + 1.0 / B)))
     return out
 
 
@@ -226,27 +226,27 @@ def _nearest(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return _nearest_centres(X[None], X.T[:, None], centroids[None])[0]
 
 
-def _split_fits(V: np.ndarray, K: int, clusterer: str, reps: int, draws):
-    """For each draw (seed, split, fit) of the list draws, per repetition r,
-    the two halves of a random split of the rows (from
-    stream(seed, split, r)) and a partition of each half.
+def _split_fits(V: np.ndarray, K: int, clusterer: str, reps: int,
+                seed: int | None):
+    """Per repetition r, the two halves of a random split of the rows (from
+    stream(seed, "stability-split", r)) and a partition of each half, side
+    s seeded with derive_seed(seed, "stability-fit", 2 * r + s).
 
-    Side 0 of every draw and repetition is clustered as one stack, since
-    every first half has n // 2 rows, and side 1 as another; side s of
-    repetition r is seeded with derive_seed(seed, fit, 2 * r + s).
+    Side 0 of every repetition is clustered as one stack, since every
+    first half has n // 2 rows, and side 1 as another.  Stability and
+    prediction strength score these split fits alike.
     """
     if reps < 2:
         raise ValueError("reps must be >= 2")
     n = V.shape[0]
-    halves = [np.split(stream(seed, split, r).permutation(n), [n // 2])
-              for seed, split, _ in draws for r in range(reps)]
+    halves = [np.split(rng.permutation(n), [n // 2])
+              for rng in stream(seed, "stability-split", range(reps))]
     sides = [_cluster_many(V[np.array([h[side] for h in halves])], K,
                            clusterer,
-                           [derive_seed(seed, fit, 2 * r + side)
-                            for seed, _, fit in draws for r in range(reps)])
+                           [derive_seed(seed, "stability-fit", 2 * r + side)
+                            for r in range(reps)])
              for side in (0, 1)]
-    fits = list(zip(halves, zip(*sides)))
-    return [fits[i:i + reps] for i in range(0, len(fits), reps)]
+    return list(zip(halves, zip(*sides)))
 
 
 def _kept_together(labels: np.ndarray) -> float:
@@ -264,14 +264,12 @@ def lange_stability(X, clusterer: str, K: int, reps: int = 20,
     Each repetition splits the rows in two, clusters both halves, extends
     each half's clustering to the other by nearest centroid, and scores the
     adjusted Rand agreement with the direct clustering of that half.
-    _splits is the draw's _split_fits, when the caller already holds it.
+    _splits is the _split_fits of seed, when the caller already holds it.
     """
     V = as_matrix(X)
     if K < 2:
         raise ValueError("stability requires K >= 2")
-    if _splits is None:
-        _splits = _split_fits(V, K, clusterer, reps, [
-            (seed, "stability-split", "stability-fit")])[0]
+    _splits = _splits or _split_fits(V, K, clusterer, reps, seed)
     scores = []
     for halves, parts in _splits:
         cents = [_centroids(V[idx], part) for idx, part in zip(halves, parts)]
@@ -289,27 +287,20 @@ def prediction_strength(X, clusterer: str, K: int, reps: int = 20,
     For each split, test points are clustered directly and also classified
     by nearest training centroid; each test cluster is scored by the
     fraction of its point pairs kept together by the classifier, and the
-    minimum over clusters is averaged over repetitions.  _splits is the
-    draw's _split_fits, when the caller already holds it.
+    minimum over clusters is averaged over repetitions, on the split fits
+    lange_stability scores; _splits holds them, when the caller does.
     """
     V = as_matrix(X)
     if K < 2:
         raise ValueError("prediction strength requires K >= 2")
-    if _splits is None:
-        _splits = _split_fits(V, K, clusterer, reps,
-                              [(seed, "ps-split", "ps-fit")])[0]
+    _splits = _splits or _split_fits(V, K, clusterer, reps, seed)
     values = []
     for (train, test), (train_part, test_part) in _splits:
         transfer = _nearest(V[test], _centroids(V[train], train_part))
-        worst = 1.0
-        scored = False
-        for c in range(test_part.K):
-            members = np.nonzero(test_part.labels == c)[0]
-            if members.size < 2:
-                continue
-            scored = True
-            worst = min(worst, _kept_together(transfer[members]))
-        values.append(worst if scored else 1.0)
+        groups = (transfer[test_part.labels == c] for c in range(test_part.K))
+        # a cluster of one row has no pair; a split with no pair scores 1
+        values.append(min((_kept_together(g) for g in groups if g.size > 1),
+                          default=1.0))
     return float(np.mean(values))
 
 
@@ -320,9 +311,11 @@ def selection_table(X, method: str = "kmeans", k_range=range(1, 9),
 
     Rows carry gap, gap sd, risk of the fitted per-cluster Gaussians,
     silhouette, split stability, and prediction strength (the last three
-    only for K >= 2).  Only a K with a defined gap can be selected.  Every
-    argument is checked before any fit: 1 <= K <= n, and K <= n // 2 from
-    K = 2 on, since the split halves are clustered into K clusters too.
+    only for K >= 2), all of one partition of the data; both split scores
+    take the split fits seeded derive_seed(seed, "table-st", K).  Only a K
+    with a defined gap can be selected.  Every argument is checked before
+    any fit: a non-empty k_range, 1 <= K <= n, and K <= n // 2 from K = 2
+    on, since the split halves are clustered into K clusters too.
     """
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must be in [0, 1]")
@@ -331,6 +324,8 @@ def selection_table(X, method: str = "kmeans", k_range=range(1, 9),
     settings = PmcSettings(m_samples=m_samples)
     V = as_matrix(X)
     ks = sorted(set(int(k) for k in k_range))
+    if not ks:
+        raise ValueError("k_range is empty")
     n = V.shape[0]
     for K in ks:
         if not 1 <= K <= n:
@@ -341,38 +336,30 @@ def selection_table(X, method: str = "kmeans", k_range=range(1, 9),
                              "strength cluster")
     if reps < 2 and any(K >= 2 for K in ks):
         raise ValueError("reps must be >= 2")
-    # the data's Ward tree serves the gap statistic and every table fit
-    tree = fit_hclust(V) if method == "hclust" and ks[-1] > 1 else None
-    gaps = gap_statistic(V, method, ks, B=B, seed=seed, _tree=tree)
+    parts = _partitions(V, method, ks, seed)
+    gaps = gap_statistic(V, method, ks, B=B, seed=seed, _parts=parts)
     defined = _defined(gaps)
     rows = []
-    pmc_by_k: dict[int, float] = {}
     for K in ks:
-        part = (cut_tree(tree, K) if tree is not None and K > 1 else
-                _cluster(V, K, method, derive_seed(seed, "table-fit", K)))
-        model = partition_to_gaussians(V, part)
+        model = partition_to_gaussians(V, parts[K])
         est = pmc_mc(model, None, replace(
             settings, seed=derive_seed(seed, "table-pmc", K)))
-        pmc_by_k[K] = est.value
         row = {"K": K, "gap": gaps[K][0], "gap_sd": gaps[K][1],
                "pmc": est.value, "pmc_std_error": est.std_error,
                "silhouette": None, "stability": None,
                "prediction_strength": None}
         if K >= 2:
-            st_seed = derive_seed(seed, "table-st", K)
-            ps_seed = derive_seed(seed, "table-ps", K)
-            st, ps = _split_fits(V, K, method, reps, [
-                (st_seed, "stability-split", "stability-fit"),
-                (ps_seed, "ps-split", "ps-fit")])
+            splits = _split_fits(V, K, method, reps,
+                                 derive_seed(seed, "table-st", K))
             row.update(
-                silhouette=silhouette(V, part),
-                stability=lange_stability(V, method, K, reps, st_seed,
-                                          _splits=st),
+                silhouette=silhouette(V, parts[K]),
+                stability=lange_stability(V, method, K, _splits=splits),
                 prediction_strength=prediction_strength(
-                    V, method, K, reps, ps_seed, _splits=ps))
+                    V, method, K, _splits=splits))
         rows.append(row)
     scores = {K: -gaps[K][0] for K in defined}
-    chosen = select_k_constrained(scores, {K: pmc_by_k[K] for K in scores},
-                                  tau)
+    chosen = select_k_constrained(
+        scores, {row["K"]: row["pmc"] for row in rows if row["K"] in scores},
+        tau)
     return {"rows": rows, "tau": tau, "selected_K": chosen.K,
             "infeasible": chosen.infeasible}

@@ -139,7 +139,8 @@ class TestPmcCommand:
          "invalid model: component 1: "),
         ([{"mean": [0.0], "covariance": [[1.0]]},
           {"mean": [3.0], "covariance": [[1.0, 0.0], [0.0, 1.0]]}],
-         "invalid model: "),
+         "invalid model: component 1: mean and covariance must have shapes "
+         "(p,) and (p, p), got [1] and [2, 2]"),
         ([{"mean": [0.0], "covariance": [[1.0]]},
           {"mean": [3.0, 0.0], "covariance": [[1.0, 0.0], [0.0, 1.0]]}],
          "invalid model: components disagree on dimension: [1, 2]"),

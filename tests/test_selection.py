@@ -141,7 +141,9 @@ class TestGap:
         # datasets take 15.3 MiB and their 50 partitions 7.6 MiB of that.
         rng = np.random.default_rng(15)
         X = rng.normal(size=(20_000, 2))
-        # one Lloyd iteration per reference start
+        # one Lloyd iteration per start, of the data's fit and the references'
+        monkeypatch.setattr(selection, "fit_kmeans", functools.partial(
+            estimators.fit_kmeans, max_iter=1))
         monkeypatch.setattr(selection, "fit_kmeans_many", functools.partial(
             estimators.fit_kmeans_many, max_iter=1))
         tracemalloc.start()
@@ -259,26 +261,28 @@ class TestSelectionTable:
         assert out["infeasible"] is True
 
 
+def lone_cluster(R, method, K, s):
+    """R in K clusters by a lone fit_kmeans seeded s, or a lone Ward tree."""
+    if method == "kmeans":
+        return estimators.fit_kmeans(R, K, seed=s).partition
+    return estimators.cut_tree(estimators.fit_hclust(R), K)
+
+
 def lone_gap(X, method, ks, B, seed):
     """Reference gap table: every clustering a lone fit, K = 1 included, as
     gap_statistic computed it with one fit_kmeans or Ward tree per dataset."""
-    def cluster(R, K, s):
-        if method == "kmeans":
-            return estimators.fit_kmeans(R, K, seed=s).partition
-        return estimators.cut_tree(estimators.fit_hclust(R), K)
-
     lo, hi = X.min(axis=0), X.max(axis=0)
     refs = [lo + stream(seed, "gap-ref", b).random(X.shape) * (hi - lo)
             for b in range(B)]
     out = {}
     for K in ks:
         within = _within_dispersion(
-            X, cluster(X, K, derive_seed(seed, "gap-obs", K)))
+            X, lone_cluster(X, method, K, derive_seed(seed, "gap-obs", K)))
         if within == 0.0:
             out[K] = (None, None)
             continue
-        ref_log = np.array([np.log(_within_dispersion(R, cluster(
-            R, K, derive_seed(seed, "gap-fit", (b << 12) | K))))
+        ref_log = np.array([np.log(_within_dispersion(R, lone_cluster(
+            R, method, K, derive_seed(seed, "gap-fit", (b << 12) | K))))
             for b, R in enumerate(refs)])
         out[K] = (float(ref_log.mean() - np.log(within)),
                   float(ref_log.std(ddof=0) * np.sqrt(1.0 + 1.0 / B)))
@@ -318,8 +322,45 @@ def test_shared_stacks_equal_lone_fits(method, name):
             continue
         assert row["stability"] == lange_stability(
             X, method, K, reps=reps, seed=derive_seed(seed, "table-st", K))
+        # both scores come from the one set of split fits
         assert row["prediction_strength"] == prediction_strength(
-            X, method, K, reps=reps, seed=derive_seed(seed, "table-ps", K))
+            X, method, K, reps=reps, seed=derive_seed(seed, "table-st", K))
+
+
+def test_no_reference_is_clustered_without_dispersion(monkeypatch):
+    # three distinct rows: at K = 3 the data's clusters have no dispersion,
+    # so the data are clustered there and no reference is
+    X = SHARED_INPUTS["repeated"][0]
+    calls = []
+
+    def spy(name):
+        fit = getattr(estimators, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fit(*args, **kwargs)
+        return wrapped
+
+    for name in ("fit_kmeans", "fit_kmeans_many", "fit_hclust"):
+        monkeypatch.setattr(selection, name, spy(name))
+    for method, fits in (("kmeans", ["fit_kmeans"]),
+                         ("hclust", ["fit_hclust"])):
+        calls.clear()
+        assert gap_statistic(X, method, [1, 3], B=10, seed=11)[3] == (
+            None, None)
+        assert calls == fits
+
+
+@pytest.mark.parametrize("method", ["kmeans", "hclust"])
+def test_empty_k_range_is_refused_before_any_fit(monkeypatch, blobs3,
+                                                 method):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit ran before the arguments were checked")
+
+    for name in ("fit_kmeans", "fit_kmeans_many", "fit_hclust"):
+        monkeypatch.setattr(selection, name, no_fit)
+    with pytest.raises(ValueError, match="^k_range is empty$"):
+        selection_table(blobs3, method, [], B=10, reps=2, m_samples=2000)
 
 
 def test_k1_fits_nothing(monkeypatch, blobs3):
@@ -360,9 +401,8 @@ def test_k1_dispersion_equals_the_fitted_one(blobs3):
 
 
 def test_table_runs_four_lloyd_stacks_per_k(monkeypatch, blobs3):
-    # per K >= 2: the observed gap fit with its references, the table fit,
-    # and one stack for each side of the stability and prediction-strength
-    # half-splits; K = 1 runs none
+    # per K >= 2: the data's fit, the gap references as one stack, and one
+    # stack for each side of the half-splits; K = 1 runs none
     shapes = []
     lloyd = estimators._lloyd
 
@@ -378,9 +418,9 @@ def test_table_runs_four_lloyd_stacks_per_k(monkeypatch, blobs3):
 
 def test_hclust_table_fits_each_tree_once(monkeypatch):
     # a Ward tree does not depend on K: the data and the B = 10 gap
-    # references take one tree each, the table fits cut the data's tree,
-    # and each K >= 2 clusters 2 draws x 3 repetitions x 2 sides of split
-    # halves, 11 + 3 * 12 = 47 trees on 47 distinct datasets
+    # references take one tree each, and each K >= 2 clusters 3 repetitions
+    # x 2 sides of split halves, 11 + 3 * 6 = 29 trees on 29 distinct
+    # datasets
     fitted = []
 
     def spy(X):
@@ -390,23 +430,23 @@ def test_hclust_table_fits_each_tree_once(monkeypatch):
     monkeypatch.setattr(selection, "fit_hclust", spy)
     selection_table(two_blobs(120), "hclust", range(1, 5), B=10, reps=3,
                     m_samples=2000, seed=3)
-    assert len(fitted) == 47
-    assert len(set(fitted)) == 47
+    assert len(fitted) == 29
+    assert len(set(fitted)) == 29
 
 
-@pytest.mark.parametrize("name", SHARED_INPUTS)
-def test_hclust_table_equals_lone_fits(name):
-    # every row as a lone Ward tree per K gives it: the gap, and the risk
-    # and silhouette of the table fit
+def check_rows_score_the_gap_partition(name, method):
+    """Every row as lone fits give it: the gap, and the risk and silhouette
+    of the partition the gap scores, a lone Ward tree or the k-means fit
+    seeded derive_seed(seed, "gap-obs", K)."""
     X, ks = SHARED_INPUTS[name]
     seed, B, m = 11, 10, 2000
-    out = selection_table(X, "hclust", ks, B=B, reps=3, m_samples=m,
+    out = selection_table(X, method, ks, B=B, reps=3, m_samples=m,
                           seed=seed)
-    gaps = lone_gap(X, "hclust", ks, B, seed)
+    gaps = lone_gap(X, method, ks, B, seed)
     for row in out["rows"]:
         K = row["K"]
-        part = (estimators.cut_tree(estimators.fit_hclust(X), K) if K > 1
-                else Partition(np.zeros(len(X), dtype=int), 1))
+        part = (lone_cluster(X, method, K, derive_seed(seed, "gap-obs", K))
+                if K > 1 else Partition(np.zeros(len(X), dtype=int), 1))
         est = pmc_mc(partition_to_gaussians(X, part), None,
                      PmcSettings(m_samples=m,
                                  seed=derive_seed(seed, "table-pmc", K)))
@@ -414,3 +454,15 @@ def test_hclust_table_equals_lone_fits(name):
         assert (row["pmc"], row["pmc_std_error"]) == (est.value,
                                                       est.std_error)
         assert row["silhouette"] == (silhouette(X, part) if K > 1 else None)
+
+
+@pytest.mark.parametrize("name", SHARED_INPUTS)
+def test_hclust_table_equals_lone_fits(name):
+    check_rows_score_the_gap_partition(name, "hclust")
+
+
+@pytest.mark.parametrize("name", SHARED_INPUTS)
+def test_kmeans_rows_score_the_gap_partition(name):
+    # at the "odd" input's K = 4, a k-means fit seeded otherwise finds
+    # another partition
+    check_rows_score_the_gap_partition(name, "kmeans")
