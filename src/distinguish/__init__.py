@@ -17,7 +17,7 @@ from .models import (ClusterConfiguration, DataMatrix, McEstimate,
                      as_matrix, mixture)
 from .phm import PhmDendrogram, build_dendrogram, phm_run
 from .pmc import (DeltaMatrix, PmcSettings, cluster_posterior_matrix,
-                  delta_matrix, pmc, pmc_from_sample, pmc_mc, pmc_quadrature,
+                  delta_matrix, pmc_from_sample, pmc_mc, pmc_quadrature,
                   pmc_upper_bound, sample_mixture)
 from .preprocess import PcaResult, load_csv, pca, save_csv, standardize
 from .rng import DEFAULT_SEED, derive_seed, stream
@@ -36,7 +36,7 @@ __all__ = [
     "cut_tree", "default_regularization", "delta_matrix",
     "derive_seed", "fit_gmm_em", "fit_hclust", "fit_kmeans", "free_parameters",
     "gap_statistic", "lange_stability", "load_csv", "mixture",
-    "null_distribution", "partition_to_gaussians", "pca", "phm_run", "pmc",
+    "null_distribution", "partition_to_gaussians", "pca", "phm_run",
     "pmc_from_sample", "pmc_mc", "pmc_quadrature", "pmc_statistic",
     "pmc_upper_bound", "prediction_strength", "pvalue_bootstrap", "pvalue_mc",
     "sample_mixture", "save_csv", "select_gmm_bic", "select_k_constrained",

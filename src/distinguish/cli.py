@@ -25,10 +25,10 @@ import numpy as np
 from . import __version__
 from .estimators import DegenerateFitError, fit_gmm_em, select_gmm_bic
 from .hyptest import test_report
-from .models import ClusterConfiguration, MixtureModel
+from .models import ClusterConfiguration, McEstimate, MixtureModel
 from .phm import build_dendrogram, phm_run
-from .pmc import (PmcSettings, _mc_sample, cluster_posterior_matrix,
-                  delta_matrix, pmc, pmc_mc)
+from .pmc import (PmcSettings, cluster_posterior_matrix, delta_matrix,
+                  pmc_mc, pmc_quadrature)
 from .preprocess import load_csv, pca, save_csv, standardize
 from .rng import DEFAULT_SEED
 from .selection import selection_table
@@ -140,24 +140,21 @@ def _cmd_pmc(args) -> int:
         if config.kappa != model.kappa:
             raise CliError("validation",
                            "config component count != model components")
-    settings = PmcSettings(m_samples=args.m, seed=args.seed, rule=args.rule,
-                           quadrature=args.quadrature)
-    if args.delta and not args.quadrature and config.K > 1:
-        # one sample pass gives the estimate and the delta matrix; one
-        # cluster needs no sample for either
-        sample = _mc_sample(model, config, settings)
-        est = pmc_mc(model, config, settings, _sample=sample)
-    else:
-        sample = None
-        est = pmc(model, config, settings)
+    settings = PmcSettings(m_samples=args.m, seed=args.seed, rule=args.rule)
+    # the cubature first: it refuses p > 2 before any sample is drawn
+    if args.quadrature:
+        value = pmc_quadrature(model, config, args.rule)
+        est = McEstimate(max(value, 0.0), 0.0, 0, None)
+    delta = delta_matrix(model, config, settings) if args.delta else None
+    if not args.quadrature:
+        est = delta.estimate if args.delta else pmc_mc(model, config, settings)
     report = {
         "provenance": _provenance("pmc", args.seed, *digests),
         "estimate": est.to_dict(),
         "rule": args.rule,
     }
     if args.delta:
-        report["delta"] = delta_matrix(model, config, settings,
-                                       _sample=sample).to_dict()
+        report["delta"] = delta.to_dict()
     _emit(report)
     return 0
 

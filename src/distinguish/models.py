@@ -309,7 +309,16 @@ class ClusterConfiguration:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ClusterConfiguration":
-        return cls(tuple(d["assignment"]), int(d["K"]))
+        """The configuration of a `pmc --config` object, whose assignment
+        is a list of JSON integers and K a JSON integer; a float, a string
+        or a bool is refused, not truncated.  A JSON integer parses to an
+        int, and a bool's type is bool, not int."""
+        a, K = d["assignment"], d["K"]
+        if type(a) is not list or any(type(v) is not int for v in a):
+            raise ValueError("assignment must be a list of integers")
+        if type(K) is not int:
+            raise ValueError("K must be an integer")
+        return cls(tuple(a), K)
 
 
 @dataclass(frozen=True)

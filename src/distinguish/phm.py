@@ -10,12 +10,11 @@ size behind the model.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .models import (ClusterConfiguration, McEstimate, MergeStep, MergeTrace,
-                     MixtureModel)
+from .models import ClusterConfiguration, MergeStep, MergeTrace, MixtureModel
 from .pmc import DeltaMatrix, PmcSettings, delta_matrix
 
 
@@ -38,8 +37,7 @@ def phm_run(model: MixtureModel, tau: float,
     D = precomputed if precomputed is not None else delta_matrix(
         model, None, settings)
     raw = D.values.tolist()
-    initial = McEstimate(min(max(D.pmc, 0.0), 1.0), D.pmc_std_error,
-                         D.m_samples, D.seed)
+    initial = replace(D.estimate, value=min(max(D.pmc, 0.0), 1.0))
     # active clusters by smallest member, keys in ascending order, so max
     # over the pairs below keeps the smallest (i, j) among equal reductions
     members = {i: (i,) for i in range(kappa)}

@@ -13,9 +13,9 @@ adaptive Gauss-Kronrod cubature as an oracle in one and two dimensions:
 `_cubature` does in numpy what scipy's `integrate.cubature(rule="gk21")`
 does, with the same bits, so the oracle loads no scipy.  Both routes and
 the delta matrix take posteriors from one path, `_posteriors_and_density`,
-and per-point loss from `_summands`.  `pmc_mc` and `delta_matrix` score
-the seeded sample in one pass, `_mc_sample`, which `pmc --delta` hands to
-both.
+and per-point loss from `_summands`.  `delta_matrix` draws and scores the
+seeded sample once, in `_mc_sample`, and hands it to `pmc_mc`: the delta
+matrix carries the risk estimate of the sample it sums.
 
 `_posteriors_and_density` runs log weight, log-density and normalisation
 over blocks of _CHAIN_ROWS rows, whose temporaries stay in cache, and
@@ -89,12 +89,11 @@ _GAUSS_WEIGHTS = (0.2955242247147533, 0.26926671930999674,
 
 @dataclass(frozen=True)
 class PmcSettings:
-    """Estimation controls: sample count, seed, decision rule, quadrature."""
+    """Estimation controls: sample count, seed, decision rule."""
 
     m_samples: int = 100000
     seed: int | None = None
     rule: str = "randomized"
-    quadrature: bool = False
 
     def __post_init__(self):
         if self.m_samples < 1000:
@@ -267,10 +266,9 @@ def sample_mixture(model: MixtureModel, m_samples: int,
 
 def _mc_sample(model: MixtureModel, config: ClusterConfiguration | None,
                settings: PmcSettings) -> tuple[np.ndarray, np.ndarray]:
-    """The seeded Monte Carlo sample and its (M, K) posterior matrix.
-
-    This is the one sample pass behind pmc_mc and delta_matrix; a caller
-    that needs both passes it to each as _sample.
+    """The seeded Monte Carlo sample and its (M, K) posterior matrix: the
+    one sample pass behind pmc_mc and delta_matrix, which hands it to
+    pmc_mc as _sample.
     """
     X, _ = sample_mixture(model, settings.m_samples, settings.seed)
     return X, cluster_posterior_matrix(model, config, X)
@@ -298,8 +296,8 @@ def pmc_mc(model: MixtureModel, config: ClusterConfiguration | None = None,
            ) -> McEstimate:
     """Monte Carlo risk estimate under the configured decision rule.
 
-    _sample is _mc_sample(model, config, settings), when the caller already
-    holds it.
+    _sample is _mc_sample(model, config, settings), when delta_matrix
+    already holds it.
     """
     if settings is None:
         settings = PmcSettings()
@@ -438,19 +436,20 @@ class DeltaMatrix:
     and needs no clamp; the diagonal is zero.  `pmc` is the ascending
     upper-triangle sum and serves as the shared-sample risk estimate: the
     pairwise decomposition makes that sum the estimate by definition,
-    keeping merge bookkeeping exact in floating point.
+    keeping merge bookkeeping exact in floating point.  `estimate` is
+    pmc_mc's estimate on the same sample: its value is the mean per-point
+    loss, within rounding of `pmc`, and its standard error is `pmc`'s.
     """
 
     values: np.ndarray
-    m_samples: int
-    seed: int | None
     pmc: float
-    pmc_std_error: float
+    estimate: McEstimate
 
     def to_dict(self) -> dict:
-        return {"values": self.values.tolist(), "m_samples": self.m_samples,
-                "seed": self.seed, "pmc": self.pmc,
-                "pmc_std_error": self.pmc_std_error}
+        return {"values": self.values.tolist(),
+                "m_samples": self.estimate.m_samples,
+                "seed": self.estimate.seed, "pmc": self.pmc,
+                "pmc_std_error": self.estimate.std_error}
 
 
 def _pair_deltas(pi: np.ndarray) -> np.ndarray:
@@ -481,11 +480,12 @@ def delta_matrix(model: MixtureModel,
                  settings: PmcSettings | None = None, *,
                  _sample: tuple[np.ndarray, np.ndarray] | None = None
                  ) -> DeltaMatrix:
-    """All pairwise merge reductions estimated from ONE shared sample.
+    """All pairwise merge reductions estimated from ONE shared sample, with
+    pmc_mc's estimate on that sample.
 
     Only the randomized rule decomposes pairwise, so that rule is required.
-    _sample is _mc_sample(model, config, settings), when the caller already
-    holds it.
+    _sample is (X, cluster_posterior_matrix(model, config, X)) in place of
+    the seeded sample; one cluster needs no sample.
     """
     if settings is None:
         settings = PmcSettings()
@@ -494,14 +494,14 @@ def delta_matrix(model: MixtureModel,
     if config is None:
         config = ClusterConfiguration.singletons(model.kappa)
     if config.K == 1:
-        return DeltaMatrix(np.zeros((1, 1)), settings.m_samples,
-                           settings.seed, 0.0, 0.0)
-    _, pi = _mc_sample(model, config, settings) if _sample is None else _sample
-    delta = _pair_deltas(pi)
+        return DeltaMatrix(np.zeros((1, 1)), 0.0,
+                           pmc_mc(model, config, settings))
+    if _sample is None:
+        _sample = _mc_sample(model, config, settings)
+    delta = _pair_deltas(_sample[1])
     total = float(np.sort(delta[np.triu_indices(config.K, 1)]).sum())
-    _, clusters = _summation_order(model, config)
-    _, se = _mean_and_se(_summands(pi, "randomized", clusters))
-    return DeltaMatrix(delta, settings.m_samples, settings.seed, total, se)
+    return DeltaMatrix(delta, total,
+                       pmc_mc(model, config, settings, _sample=_sample))
 
 
 def pmc_upper_bound(weights, rule: str = "randomized") -> float:
@@ -512,14 +512,3 @@ def pmc_upper_bound(weights, rule: str = "randomized") -> float:
     if rule == "optimal":
         return float(1.0 - w.max())
     raise ValueError(f"rule must be one of {RULES}")
-
-
-def pmc(model: MixtureModel, config: ClusterConfiguration | None = None,
-        settings: PmcSettings | None = None) -> McEstimate:
-    """Gauss-Kronrod cubature if settings.quadrature, else Monte Carlo."""
-    if settings is None:
-        settings = PmcSettings()
-    if settings.quadrature:
-        value = pmc_quadrature(model, config, settings.rule)
-        return McEstimate(max(value, 0.0), 0.0, 0, None)
-    return pmc_mc(model, config, settings)

@@ -105,6 +105,8 @@ def standardize(X, center: bool = True, scale: bool = True) -> DataMatrix:
     if center:
         V -= V.mean(axis=0)
     if scale:
+        if len(V) < 2:
+            raise ValueError(f"scaling needs at least 2 rows, got {len(V)}")
         sd = V.std(axis=0, ddof=1)
         bad = np.nonzero(sd == 0)[0]
         if bad.size:
@@ -128,7 +130,6 @@ class PcaResult:
     """Principal component scores and the quantities behind a scree plot."""
 
     scores: DataMatrix
-    singular_values: np.ndarray
     stdev_per_component: np.ndarray
     loadings: np.ndarray
 
@@ -141,6 +142,8 @@ def pca(X, q: int) -> PcaResult:
     """
     V = as_matrix(X)
     n, p = V.shape
+    if n < 2:
+        raise ValueError(f"PCA needs at least 2 rows, got {n}")
     if not 1 <= q <= min(n - 1, p):
         raise ValueError(f"q must be in [1, {min(n - 1, p)}], got {q}")
     C = V - V.mean(axis=0)
@@ -152,4 +155,4 @@ def pca(X, q: int) -> PcaResult:
             load[:, j] = -load[:, j]
     stdev = s / np.sqrt(n - 1)
     scores = C @ load[:, :q]
-    return PcaResult(DataMatrix(scores), s.copy(), stdev, load[:, :q].copy())
+    return PcaResult(DataMatrix(scores), stdev, load[:, :q].copy())

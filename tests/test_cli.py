@@ -1,5 +1,4 @@
 import hashlib
-import importlib
 import json
 import os
 import subprocess
@@ -13,10 +12,8 @@ from hypothesis import (HealthCheck, example, given, settings,
                         strategies as st)
 
 from distinguish import MixtureModel, cli, fit_gmm_em, load_csv, mixture
+from distinguish import pmc as pmc_module
 from distinguish.cli import main
-
-# the package exports the function pmc under the module's name
-pmc_module = importlib.import_module("distinguish.pmc")
 
 
 @pytest.fixture
@@ -68,8 +65,8 @@ def refuse_fits(monkeypatch):
     run fail the test if it is called."""
     def no_fit(*args, **kwargs):
         raise AssertionError("a fit ran before the arguments were checked")
-    for name in ("cli.fit_gmm_em", "cli.select_gmm_bic", "cli.pmc",
-                 "cli._mc_sample", "selection.fit_kmeans",
+    for name in ("cli.fit_gmm_em", "cli.select_gmm_bic", "cli.delta_matrix",
+                 "cli.pmc_mc", "cli.pmc_quadrature", "selection.fit_kmeans",
                  "selection.fit_kmeans_many", "selection.fit_hclust",
                  "hyptest._statistics"):
         monkeypatch.setattr(f"distinguish.{name}", no_fit)
@@ -172,6 +169,28 @@ class TestPmcCommand:
             "kind": "validation",
             "message": "invalid config: need 1 <= K <= number of components"}
 
+    @pytest.mark.parametrize("config, message", [
+        ('{"assignment": [0.7, 1.2], "K": 2}',
+         "assignment must be a list of integers"),
+        ('{"assignment": "01", "K": 2}',
+         "assignment must be a list of integers"),
+        ('{"assignment": [true, false], "K": 2}',
+         "assignment must be a list of integers"),
+        ('{"assignment": [0, 1], "K": 2.9}', "K must be an integer"),
+        ('{"assignment": [0, 1], "K": "2"}', "K must be an integer"),
+    ], ids=["float-entries", "string", "bool-entries", "float-K", "string-K"])
+    def test_non_integer_config_is_refused(self, capsys, model_path,
+                                           tmp_path, config, message):
+        # each of these once truncated to the configuration [0, 1]
+        path = tmp_path / "config.json"
+        path.write_text(config)
+        code, out, err = run(capsys, "pmc", "--model", model_path,
+                             "--config", str(path), "--m", "2000")
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert parse_err(err) == {"kind": "validation",
+                                  "message": f"invalid config: {message}"}
+
     def test_weight_sum_message_carries_the_exact_sum(self, capsys, tmp_path):
         path = tmp_path / "offsum.json"
         path.write_text(
@@ -264,6 +283,22 @@ class TestPmcCommand:
                             "--delta")
         assert code == 0
         assert calls == []
+
+    def test_delta_scores_the_sample_once(self, capsys, model_path,
+                                          monkeypatch):
+        # one per-point loss, mean and standard error serve the estimate
+        # and the delta block; one summation order for the posteriors and
+        # one for the loss
+        calls = {"_summands": [], "_summation_order": []}
+        for name, seen in calls.items():
+            def spy(*args, _seen=seen, _f=getattr(pmc_module, name)):
+                _seen.append(args)
+                return _f(*args)
+            monkeypatch.setattr(pmc_module, name, spy)
+        code, _ = run_quiet(capsys, "pmc", "--model", model_path, "--m",
+                            "20000", "--seed", "7", "--delta")
+        assert code == 0
+        assert [len(seen) for seen in calls.values()] == [1, 2]
 
     def test_data_option_is_unrecognised(self, capsys, model_path, tmp_path):
         # pmc scores the model alone: it takes no data
@@ -892,6 +927,24 @@ class TestPreprocessCommand:
         assert parse_err(err) == {"kind": "validation",
                                   "message": "scree export requires --pca"}
         assert not out_path.exists() and not scree_path.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--scale",), "scaling needs at least 2 rows, got 1"),
+        (("--center", "--scale"), "scaling needs at least 2 rows, got 1"),
+        (("--pca", "1"), "PCA needs at least 2 rows, got 1"),
+        (("--center", "--pca", "1"), "PCA needs at least 2 rows, got 1"),
+    ], ids=["scale", "center-scale", "pca", "center-pca"])
+    def test_one_row_is_refused(self, capsys, tmp_path, argv, message):
+        src = tmp_path / "in.csv"
+        src.write_text("1.0,2.0\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "preprocess", "--data", str(src),
+                                 *argv, "--out", str(tmp_path / "o.csv"))
+        assert [str(w.message) for w in caught] == []
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert parse_err(err) == {"kind": "validation", "message": message}
 
     def test_non_numeric_input(self, capsys, tmp_path):
         src = tmp_path / "in.csv"

@@ -293,7 +293,7 @@ def test_public_surface():
         "fit_gmm_em", "fit_hclust", "fit_kmeans", "free_parameters",
         "gap_statistic", "lange_stability", "load_csv", "mixture",
         "null_distribution", "partition_to_gaussians", "pca", "phm_run",
-        "pmc", "pmc_from_sample", "pmc_mc", "pmc_quadrature",
+        "pmc_from_sample", "pmc_mc", "pmc_quadrature",
         "pmc_statistic", "pmc_upper_bound", "prediction_strength",
         "pvalue_bootstrap", "pvalue_mc", "sample_mixture", "save_csv",
         "select_gmm_bic", "select_k_constrained", "selection_table",

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from distinguish import (ClusterConfiguration, DeltaMatrix, PmcSettings,
-                         build_dendrogram, delta_matrix, mixture, phm_run)
+from distinguish import (ClusterConfiguration, DeltaMatrix, McEstimate,
+                         PmcSettings, build_dendrogram, delta_matrix, mixture,
+                         phm_run)
 
 
 def identical_mixture(K, p=1):
@@ -22,7 +23,8 @@ def random_mixture(rng, kappa, p):
 
 
 def hand_delta(raw, pmc_value):
-    return DeltaMatrix(raw, 1000, 0, pmc_value, 0.0)
+    return DeltaMatrix(raw, pmc_value,
+                       McEstimate(min(pmc_value, 1.0), 0.0, 1000, 0))
 
 
 class TestPhmRun:
@@ -152,3 +154,14 @@ def test_precomputed_matrix_skips_sampling():
     assert trace.initial_pmc.value == 0.25
     assert trace.steps[0].pmc_after == 0.0
     assert config.K == 1
+
+
+def test_initial_pmc_is_the_delta_sum_with_its_error():
+    rng = np.random.default_rng(5)
+    m = random_mixture(rng, 4, 2)
+    s = PmcSettings(m_samples=10000, seed=3)
+    trace, _ = phm_run(m, 0.0, s)
+    D = delta_matrix(m, None, s)
+    assert D.estimate.std_error > 0
+    assert trace.initial_pmc == McEstimate(D.pmc, D.estimate.std_error,
+                                           10000, 3)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from distinguish import (ClusterConfiguration, PmcSettings, cluster_posterior_matrix,
-                         delta_matrix, mixture, pmc, pmc_mc, pmc_quadrature,
+                         delta_matrix, mixture, pmc_mc, pmc_quadrature,
                          pmc_upper_bound, sample_mixture, stream)
 from distinguish.pmc import CHUNK, _cubature, _gk21_product, pmc_from_sample
 
@@ -285,11 +285,6 @@ class TestMonteCarlo:
         vo, _ = pmc_from_sample(m, None, X, "optimal")
         assert vr >= vo - 1e-12
 
-    def test_dispatch_honors_quadrature_flag(self):
-        est = pmc(two_gauss(), None, PmcSettings(quadrature=True))
-        assert est.std_error == 0.0
-        assert np.isclose(est.value, TWO_GAUSS_RANDOMIZED, atol=1e-6)
-
 
 class TestBounds:
     def test_complete_overlap_hits_bound_k2(self):
@@ -348,7 +343,8 @@ class TestDeltaMatrix:
         back = json.loads(json.dumps(D.to_dict()))
         assert np.array_equal(np.array(back["values"]), D.values)
         assert back["pmc"] == D.pmc
-        assert back["pmc_std_error"] == D.pmc_std_error
+        assert back["pmc_std_error"] == D.estimate.std_error
+        assert (back["m_samples"], back["seed"]) == (5000, 7)
 
 
 def test_mc_error_halves_when_m_quadruples():

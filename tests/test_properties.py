@@ -9,7 +9,6 @@ and for the k-means kernels: the running-minimum assignment against the
 argmin, and the unmasked segment means against the masked ones."""
 import contextlib
 import heapq
-import importlib
 import random
 import tracemalloc
 from unittest import mock
@@ -21,8 +20,8 @@ from hypothesis.extra.numpy import arrays
 from scipy.cluster.hierarchy import linkage
 from scipy.stats import multivariate_normal
 
-from distinguish import (DeltaMatrix, MixtureModel, Partition, PmcSettings,
-                         cluster_posterior_matrix, cut_tree,
+from distinguish import (DeltaMatrix, McEstimate, MixtureModel, Partition,
+                         PmcSettings, cluster_posterior_matrix, cut_tree,
                          default_regularization, delta_matrix, derive_seed,
                          estimators, fit_gmm_em, fit_hclust, fit_kmeans,
                          hyptest, mixture, partition_to_gaussians, phm_run,
@@ -34,12 +33,10 @@ from distinguish.estimators import (HclustTree, _gaussian_moments,
                                     fit_kmeans_many, sq_dists)
 from distinguish.models import (BLOCK_ELEMENTS, ClusterConfiguration,
                                 gaussian_log_density)
+from distinguish import pmc as pmc_module
 from distinguish.pmc import (RULES, _CHAIN_ROWS, _normalise,
                              _posteriors_and_density, _row_max,
                              _summation_order, _summands)
-
-# the package exports the function pmc under the module's name
-pmc_module = importlib.import_module("distinguish.pmc")
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=30)
 
@@ -64,7 +61,9 @@ def test_delta_matrix_shares_the_mc_estimate(shape):
     s = PmcSettings(m_samples=4000, seed=shape[0])
     D = delta_matrix(model, None, s)
     est = pmc_mc(model, None, s)
-    assert D.pmc_std_error == est.std_error
+    assert D.estimate == est
+    assert (float(D.estimate.value).hex(), float(D.estimate.std_error).hex()
+            ) == (float(est.value).hex(), float(est.std_error).hex())
     assert abs(D.pmc - est.value) <= 1e-12
 
 
@@ -104,7 +103,7 @@ def test_relabelling_permutes_pair_deltas_bit_for_bit(shape, rnd, per_block):
     with mock.patch.object(pmc_module, "BLOCK_ELEMENTS", X.shape[0] * per_block):
         R = deltas(relabelled)
     assert np.array_equal(R.values, D.values[perm][:, perm])
-    assert R.pmc == D.pmc and R.pmc_std_error == D.pmc_std_error
+    assert R.pmc == D.pmc and R.estimate == D.estimate
 
 
 def grouped_config(kappa, rnd):
@@ -319,7 +318,7 @@ def tied_deltas(draw):
 def test_merge_order_matches_the_former_heap_loop(values, tau):
     kappa = values.shape[0]
     total = float(np.sort(values[np.triu_indices(kappa, 1)]).sum())
-    D = DeltaMatrix(values, 1000, 0, total, 0.0)
+    D = DeltaMatrix(values, total, McEstimate(min(total, 1.0), 0.0, 1000, 0))
     model = mixture(np.full(kappa, 1.0 / kappa), np.arange(kappa)[:, None],
                     [np.eye(1)] * kappa)
     trace, config = phm_run(model, tau, precomputed=D)
