@@ -280,6 +280,11 @@ def mixture(weights, means, covariances) -> MixtureModel:
     return MixtureModel(weights, means, covariances)
 
 
+def _is_integer(v) -> bool:
+    """A Python or numpy integer; a bool, though an int, is not one."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class ClusterConfiguration:
     """Assignment of each mixture component to one of K clusters."""
@@ -288,8 +293,15 @@ class ClusterConfiguration:
     K: int
 
     def __post_init__(self):
+        # Python or numpy integers only: a float, a string or a bool is
+        # refused, not truncated
+        if not all(map(_is_integer, self.assignment)):
+            raise ValueError("assignment must be a list of integers")
+        if not _is_integer(self.K):
+            raise ValueError("K must be an integer")
         a = tuple(int(v) for v in self.assignment)
         object.__setattr__(self, "assignment", a)
+        object.__setattr__(self, "K", int(self.K))
         if self.K < 1 or self.K > len(a):
             raise ValueError("need 1 <= K <= number of components")
         seen = set(a)
@@ -310,14 +322,11 @@ class ClusterConfiguration:
     @classmethod
     def from_dict(cls, d: dict) -> "ClusterConfiguration":
         """The configuration of a `pmc --config` object, whose assignment
-        is a list of JSON integers and K a JSON integer; a float, a string
-        or a bool is refused, not truncated.  A JSON integer parses to an
-        int, and a bool's type is bool, not int."""
+        is a list of JSON integers and K a JSON integer; the constructor
+        refuses any other value."""
         a, K = d["assignment"], d["K"]
-        if type(a) is not list or any(type(v) is not int for v in a):
+        if type(a) is not list:
             raise ValueError("assignment must be a list of integers")
-        if type(K) is not int:
-            raise ValueError("K must be an integer")
         return cls(tuple(a), K)
 
 

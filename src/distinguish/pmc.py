@@ -12,16 +12,22 @@ Estimates are Monte Carlo over samples drawn from the mixture, with
 adaptive Gauss-Kronrod cubature as an oracle in one and two dimensions:
 `_cubature` does in numpy what scipy's `integrate.cubature(rule="gk21")`
 does, with the same bits, so the oracle loads no scipy.  Both routes and
-the delta matrix take posteriors from one path, `_posteriors_and_density`,
+the delta matrix take posteriors from one chain, `_posteriors_and_density`,
 and per-point loss from `_summands`.  `delta_matrix` draws and scores the
-seeded sample once, in `_mc_sample`, and hands it to `pmc_mc`: the delta
+seeded sample once and hands its per-point loss to `pmc_mc`: the delta
 matrix carries the risk estimate of the sample it sums.
 
-`_posteriors_and_density` runs log weight, log-density and normalisation
-over blocks of _CHAIN_ROWS rows, whose temporaries stay in cache, and
-writes each block into one preallocated posterior matrix and density.
-Every step is row-local, so the blocks change no bit; the per-point loss,
-the mean and the pair sums then run over the whole matrix.
+A sample is scored in row blocks, in `_score`, and no (M, K) posterior
+matrix is kept.  The blocks are the largest subtrees of numpy's
+pairwise-summation tree over the M rows that hold at most _CHAIN_ROWS
+rows (`_tree_sum`).  Each block runs log weight, log-density and
+normalisation, whose temporaries stay in cache, writes its rows of one
+(M,) per-point loss and, for the delta matrix, sums its pair products
+while its posteriors are still in cache.  Every step of the chain is
+row-local, so the blocks change no bit; the block sums of each pair add
+back along numpy's tree, so each equals numpy's sum of the pair's whole
+column of products.  `cluster_posterior_matrix` runs the same chain over
+blocks of _CHAIN_ROWS rows into one matrix.
 
 Every (rows, components) array of the chain, from the log-density to the
 posterior matrix, keeps its (n, K) shape but is stored component-major:
@@ -38,8 +44,9 @@ loss) add whole columns left to right from +0.0, in one canonical order
 per (model, configuration) that `_summation_order` derives from the
 component parameters alone.
 Sums across rows (the risk mean, its standard error, each pair's delta)
-add pairwise in row order, which a relabeling does not change.  The delta
-matrix's upper-triangle total adds in ascending value order.
+add pairwise in row order, along numpy's tree, which a relabeling does not
+change.  The delta matrix's upper-triangle total adds in ascending value
+order.
 """
 from __future__ import annotations
 
@@ -55,7 +62,7 @@ from .rng import stream
 
 CHUNK = 16384
 
-# Rows the posterior chain scores per block.  A block's fixed cost (one
+# Most rows the posterior chain scores per block.  A block's fixed cost (one
 # kernel call, a pass per column) grows with kappa as its work does, so a
 # row count suits every kappa where a term count does not: timed at kappa
 # 2-20 against blocks of 2^13-2^18 terms and of 2048-16384 rows, 8192 rows
@@ -174,40 +181,51 @@ def _normalise(a: np.ndarray, groups, clusters
 
 def _posteriors_and_density(model: MixtureModel,
                             config: ClusterConfiguration | None,
-                            X) -> tuple[np.ndarray, np.ndarray]:
+                            X, order=None) -> tuple[np.ndarray, np.ndarray]:
     """Posteriors and the (n,) mixture density, one normalization for both.
 
     log w + log-density + _normalise run over blocks of _CHAIN_ROWS rows,
     so that a block's temporaries stay in cache, into one (n, K) posterior
-    matrix, stored component-major, and one (n,) density.  Every step is
-    row-local, so a row's values do not depend on its block.
+    matrix, stored component-major, and one (n,) density; one block's are
+    returned as _normalise gives them.  Every step is row-local, so a
+    row's values do not depend on its block.  order is
+    _summation_order(model, config), when the caller already holds it.
     """
     X = np.atleast_2d(as_matrix(X))
-    if config is None:
-        config = ClusterConfiguration.singletons(model.kappa)
-    order = _summation_order(model, config)
+    if order is None:
+        if config is None:
+            config = ClusterConfiguration.singletons(model.kappa)
+        order = _summation_order(model, config)
     log_w = np.log(model.weights)
+
+    def chain(rows):
+        a = model.log_component_densities(rows)
+        a += log_w
+        return _normalise(a, *order)
+
     n = X.shape[0]
-    pi = np.empty((config.K, n)).T
+    if n <= _CHAIN_ROWS:
+        return chain(X)
+    pi = np.empty((len(order[0]), n)).T
     density = np.empty(n)
     for lo in range(0, n, _CHAIN_ROWS):
         block = slice(lo, lo + _CHAIN_ROWS)
-        a = model.log_component_densities(X[block])
-        a += log_w
-        pi[block], density[block] = _normalise(a, *order)
+        pi[block], density[block] = chain(X[block])
     return pi, density
 
 
 def cluster_posterior_matrix(model: MixtureModel,
                              config: ClusterConfiguration | None,
-                             X) -> np.ndarray:
+                             X, *, _order=None) -> np.ndarray:
     """(n, K) posterior cluster probabilities, log-space normalized.
 
     A cluster's posterior is the sum of its member components' posteriors.
     Within each row, the total and each cluster's sum add their component
     terms in the canonical order, so they do not depend on the labels.
+    _order is _summation_order(model, config), when the caller already
+    holds it.
     """
-    return _posteriors_and_density(model, config, X)[0]
+    return _posteriors_and_density(model, config, X, _order)[0]
 
 
 def _summands(pi: np.ndarray, rule: str, clusters) -> np.ndarray:
@@ -246,8 +264,9 @@ def sample_mixture(model: MixtureModel, m_samples: int,
     Per-component counts are floor(M * alpha) with the remainder drawn
     multinomially; rows come out grouped by component, labels alongside.
     Standard normals are generated in fixed-size chunks whose RNG streams
-    depend only on (seed, chunk index); each component then maps its
-    contiguous block of rows through its mean and Cholesky factor.
+    depend only on (seed, chunk index), all opened in one stream() call;
+    each component then maps its contiguous block of rows through its
+    mean and Cholesky factor.
     """
     alpha = model.weights
     base = np.floor(m_samples * alpha).astype(int)
@@ -256,38 +275,97 @@ def sample_mixture(model: MixtureModel, m_samples: int,
         base = base + stream(seed, "mc-strata").multinomial(rest, alpha)
     labels = np.repeat(np.arange(model.kappa), base)
     X = np.empty((m_samples, model.p))
-    for c, lo in enumerate(range(0, m_samples, CHUNK)):
-        stream(seed, "mc-chunk", c).standard_normal(out=X[lo:lo + CHUNK])
+    chunks = range(0, m_samples, CHUNK)
+    for lo, rng in zip(chunks, stream(seed, "mc-chunk", range(len(chunks)))):
+        rng.standard_normal(out=X[lo:lo + CHUNK])
     ends = np.cumsum(base)
     for L, mean, lo, hi in zip(model.chol, model.means, ends - base, ends):
         np.add(X[lo:hi] @ L.T, mean, out=X[lo:hi])
     return X, labels
 
 
-def _mc_sample(model: MixtureModel, config: ClusterConfiguration | None,
-               settings: PmcSettings) -> tuple[np.ndarray, np.ndarray]:
-    """The seeded Monte Carlo sample and its (M, K) posterior matrix: the
-    one sample pass behind pmc_mc and delta_matrix, which hands it to
-    pmc_mc as _sample.
+def _mc_sample(model: MixtureModel, settings: PmcSettings) -> np.ndarray:
+    """The seeded Monte Carlo sample (M, p), drawn once per pmc_mc or
+    delta_matrix call: delta_matrix scores it and hands it to pmc_mc with
+    its per-point loss, as _sample."""
+    return sample_mixture(model, settings.m_samples, settings.seed)[0]
+
+
+def _tree_sum(leaf, lo: int, hi: int):
+    """leaf(a, b) summed over the row blocks [a, b) that tile [lo, hi),
+    added along numpy's pairwise-summation tree.
+
+    numpy's add.reduce over n contiguous terms splits them at half = n // 2,
+    less half % 8, until n is at most 128, and adds the halves' sums.
+    Here the recursion stops at blocks of at most _CHAIN_ROWS rows, each a
+    subtree of numpy's own, so when leaf(a, b) is numpy's sum of rows
+    [a, b), the result is numpy's sum over all the rows, bit for bit.
     """
-    X, _ = sample_mixture(model, settings.m_samples, settings.seed)
-    return X, cluster_posterior_matrix(model, config, X)
+    n = hi - lo
+    if n <= _CHAIN_ROWS:
+        return leaf(lo, hi)
+    half = n // 2
+    half -= half % 8
+    return _tree_sum(leaf, lo, lo + half) + _tree_sum(leaf, lo + half, hi)
+
+
+def _pair_sums(pi: np.ndarray) -> np.ndarray:
+    """The sums over the rows of pi (n, K) of pi_i pi_j for each pair
+    i < j, in np.triu_indices order, each added pairwise in row order.
+
+    The pairs (i, j > i) go in chunks of at most BLOCK_ELEMENTS products
+    (one pair when n is larger): row i of a contiguous pi^T times the rows
+    of j.  The chain's component-major pi is that pi^T in its own memory,
+    so no copy is made.  A pair's sum does not depend on its chunk.
+    """
+    n, K = pi.shape
+    cols = np.ascontiguousarray(pi.T)
+    rows = max(1, BLOCK_ELEMENTS // n)
+    sums = np.empty(K * (K - 1) // 2)
+    at = 0
+    for i in range(K - 1):
+        for lo in range(i + 1, K, rows):
+            hi = min(K, lo + rows)
+            sums[at:at + hi - lo] = (cols[i] * cols[lo:hi]).sum(axis=-1)
+            at += hi - lo
+    return sums
+
+
+def _score(model: MixtureModel, config: ClusterConfiguration, X, rule: str,
+           pairs: bool = False) -> tuple[np.ndarray, np.ndarray | float]:
+    """The per-point loss (M,) of the rows of X under rule and, when
+    pairs, their _pair_sums; 0.0 otherwise.
+
+    The rows go in the blocks of _tree_sum, each scored while it is in
+    cache: its posteriors, its rows of the loss and its pair sums, which
+    _tree_sum adds back so that each equals the whole column's numpy sum.
+    No (M, K) posterior matrix is kept.
+    """
+    X = np.atleast_2d(as_matrix(X))
+    order = _summation_order(model, config)
+    loss = np.empty(X.shape[0])
+
+    def leaf(lo, hi):
+        pi = cluster_posterior_matrix(model, config, X[lo:hi], _order=order)
+        loss[lo:hi] = _summands(pi, rule, order[1])
+        return _pair_sums(pi) if pairs else 0.0
+
+    return loss, _tree_sum(leaf, 0, X.shape[0])
 
 
 def pmc_from_sample(model: MixtureModel, config: ClusterConfiguration | None,
                     X, rule: str = "randomized", *,
-                    _pi: np.ndarray | None = None) -> tuple[float, float]:
+                    _loss: np.ndarray | None = None) -> tuple[float, float]:
     """Risk estimate and standard error evaluated on a given sample.
 
-    _pi is cluster_posterior_matrix(model, config, X), when the caller
-    already holds it.
+    The rows are scored block by block (_score); _loss is their per-point
+    loss under rule, when the caller already scored them.
     """
     if config is None:
         config = ClusterConfiguration.singletons(model.kappa)
-    if _pi is None:
-        _pi = cluster_posterior_matrix(model, config, X)
-    _, clusters = _summation_order(model, config)
-    return _mean_and_se(_summands(_pi, rule, clusters))
+    if _loss is None:
+        _loss, _ = _score(model, config, X, rule)
+    return _mean_and_se(_loss)
 
 
 def pmc_mc(model: MixtureModel, config: ClusterConfiguration | None = None,
@@ -296,8 +374,8 @@ def pmc_mc(model: MixtureModel, config: ClusterConfiguration | None = None,
            ) -> McEstimate:
     """Monte Carlo risk estimate under the configured decision rule.
 
-    _sample is _mc_sample(model, config, settings), when delta_matrix
-    already holds it.
+    _sample is (_mc_sample(model, settings), its per-point loss), when
+    delta_matrix already scored it.
     """
     if settings is None:
         settings = PmcSettings()
@@ -305,8 +383,10 @@ def pmc_mc(model: MixtureModel, config: ClusterConfiguration | None = None,
         config = ClusterConfiguration.singletons(model.kappa)
     if config.K == 1:
         return McEstimate(0.0, 0.0, settings.m_samples, settings.seed)
-    X, pi = _mc_sample(model, config, settings) if _sample is None else _sample
-    value, se = pmc_from_sample(model, config, X, settings.rule, _pi=pi)
+    if _sample is None:
+        _sample = _mc_sample(model, settings), None
+    X, loss = _sample
+    value, se = pmc_from_sample(model, config, X, settings.rule, _loss=loss)
     return McEstimate(value, se, settings.m_samples, settings.seed)
 
 
@@ -411,14 +491,14 @@ def pmc_quadrature(model: MixtureModel,
         config = ClusterConfiguration.singletons(model.kappa)
     if config.K == 1:
         return 0.0
-    _, clusters = _summation_order(model, config)
+    order = _summation_order(model, config)
     sds = np.sqrt(np.diagonal(model.covariances, axis1=1, axis2=2))
     lo = (model.means - 10.0 * sds).min(axis=0)
     hi = (model.means + 10.0 * sds).max(axis=0)
 
     def integrand(x: np.ndarray) -> np.ndarray:
-        pi, dens = _posteriors_and_density(model, config, x)
-        return dens * _summands(pi, rule, clusters)
+        pi, dens = _posteriors_and_density(model, config, x, order)
+        return dens * _summands(pi, rule, order[1])
 
     with np.errstate(over="ignore", invalid="ignore"):
         value = _cubature(integrand, lo, hi, atol=1e-8, rtol=1.49e-8)
@@ -452,40 +532,19 @@ class DeltaMatrix:
                 "pmc_std_error": self.estimate.std_error}
 
 
-def _pair_deltas(pi: np.ndarray) -> np.ndarray:
-    """(K, K) symmetric 2 E[pi_i pi_j] over the rows of pi (M, K), with a
-    zero diagonal.
-
-    The pairs (i, j > i) go in blocks of at most BLOCK_ELEMENTS products
-    (one pair when M is larger): row i of a contiguous pi^T times the rows
-    of j, each product row summed pairwise in row order.  The chain's
-    component-major pi is that pi^T in its own memory, so no copy is made.
-    A pair's sum does not depend on its block, so a relabeling permutes
-    the entries exactly.
-    """
-    M, K = pi.shape
-    cols = np.ascontiguousarray(pi.T)
-    rows = max(1, BLOCK_ELEMENTS // M)
-    delta = np.zeros((K, K))
-    for i in range(K - 1):
-        for lo in range(i + 1, K, rows):
-            hi = min(K, lo + rows)
-            delta[i, lo:hi] = delta[lo:hi, i] = 2.0 * (
-                (cols[i] * cols[lo:hi]).sum(axis=-1) / M)
-    return delta
-
-
 def delta_matrix(model: MixtureModel,
                  config: ClusterConfiguration | None = None,
                  settings: PmcSettings | None = None, *,
-                 _sample: tuple[np.ndarray, np.ndarray] | None = None
-                 ) -> DeltaMatrix:
+                 _sample: np.ndarray | None = None) -> DeltaMatrix:
     """All pairwise merge reductions estimated from ONE shared sample, with
     pmc_mc's estimate on that sample.
 
     Only the randomized rule decomposes pairwise, so that rule is required.
-    _sample is (X, cluster_posterior_matrix(model, config, X)) in place of
-    the seeded sample; one cluster needs no sample.
+    One block-by-block pass (_score) gives the per-point loss, which goes
+    to pmc_mc, and each pair's sum of pi_i pi_j over the M rows, equal to
+    the sum of that column of products over an (M, K) posterior matrix.
+    _sample is an (M, p) sample in place of the seeded one; one cluster
+    needs no sample.
     """
     if settings is None:
         settings = PmcSettings()
@@ -496,12 +555,14 @@ def delta_matrix(model: MixtureModel,
     if config.K == 1:
         return DeltaMatrix(np.zeros((1, 1)), 0.0,
                            pmc_mc(model, config, settings))
-    if _sample is None:
-        _sample = _mc_sample(model, config, settings)
-    delta = _pair_deltas(_sample[1])
-    total = float(np.sort(delta[np.triu_indices(config.K, 1)]).sum())
+    X = _mc_sample(model, settings) if _sample is None else _sample
+    loss, sums = _score(model, config, X, settings.rule, pairs=True)
+    upper = np.triu_indices(config.K, 1)
+    delta = np.zeros((config.K, config.K))
+    delta[upper] = delta[upper[::-1]] = 2.0 * (sums / loss.size)
+    total = float(np.sort(delta[upper]).sum())
     return DeltaMatrix(delta, total,
-                       pmc_mc(model, config, settings, _sample=_sample))
+                       pmc_mc(model, config, settings, _sample=(X, loss)))
 
 
 def pmc_upper_bound(weights, rule: str = "randomized") -> float:

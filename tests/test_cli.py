@@ -286,19 +286,29 @@ class TestPmcCommand:
 
     def test_delta_scores_the_sample_once(self, capsys, model_path,
                                           monkeypatch):
-        # one per-point loss, mean and standard error serve the estimate
-        # and the delta block; one summation order for the posteriors and
-        # one for the loss
-        calls = {"_summands": [], "_summation_order": []}
+        # the sample's rows go through the posterior chain and the
+        # per-point loss once each, in blocks of at most _CHAIN_ROWS rows
+        # that tile it in order, and these serve the estimate and the
+        # delta block; one summation order serves every block
+        calls = {"cluster_posterior_matrix": [], "_summands": [],
+                 "_summation_order": []}
         for name, seen in calls.items():
-            def spy(*args, _seen=seen, _f=getattr(pmc_module, name)):
+            def spy(*args, _seen=seen, _f=getattr(pmc_module, name),
+                    **kwargs):
                 _seen.append(args)
-                return _f(*args)
+                return _f(*args, **kwargs)
             monkeypatch.setattr(pmc_module, name, spy)
         code, _ = run_quiet(capsys, "pmc", "--model", model_path, "--m",
                             "20000", "--seed", "7", "--delta")
         assert code == 0
-        assert [len(seen) for seen in calls.values()] == [1, 2]
+        model = mixture([0.5, 0.5], [[0.0], [4.0]], [np.eye(1), np.eye(1)])
+        X, _ = pmc_module.sample_mixture(model, 20000, 7)
+        blocks = [args[2] for args in calls["cluster_posterior_matrix"]]
+        rows = [len(block) for block in blocks]
+        assert rows == [5000] * 4
+        assert np.concatenate(blocks).tobytes() == X.tobytes()
+        assert [len(args[0]) for args in calls["_summands"]] == rows
+        assert len(calls["_summation_order"]) == 1
 
     def test_data_option_is_unrecognised(self, capsys, model_path, tmp_path):
         # pmc scores the model alone: it takes no data

@@ -231,6 +231,31 @@ class TestClusterConfiguration:
         cfg = ClusterConfiguration((0, 1, 1, 0), 2)
         assert ClusterConfiguration.from_dict(cfg.to_dict()) == cfg
 
+    @pytest.mark.parametrize("assignment, K, message", [
+        ((0.7, 1.2), 2, "assignment must be a list of integers"),
+        ((True, False), 2, "assignment must be a list of integers"),
+        ((np.True_, np.False_), 2, "assignment must be a list of integers"),
+        ((0.0, 1.0), 2, "assignment must be a list of integers"),
+        ("01", 2, "assignment must be a list of integers"),
+        ((0, 1), 2.0, "K must be an integer"),
+        ((0, 1), True, "K must be an integer"),
+        ((0, 1), "2", "K must be an integer"),
+        ((0, 1), np.float64(2), "K must be an integer"),
+    ])
+    def test_non_integers_are_refused(self, assignment, K, message):
+        # the constructor refuses what from_dict refuses, in its words,
+        # where int() truncated or range() raised a TypeError
+        with pytest.raises(ValueError) as exc:
+            ClusterConfiguration(assignment, K)
+        assert str(exc.value) == message
+
+    def test_numpy_integers_are_accepted(self):
+        cfg = ClusterConfiguration(tuple(np.array([0, 1, 1], np.int32)),
+                                   np.int64(2))
+        assert cfg == ClusterConfiguration((0, 1, 1), 2)
+        assert [type(v) for v in (*cfg.assignment, cfg.K)] == [int] * 4
+        assert json.dumps(cfg.to_dict()) == '{"assignment": [0, 1, 1], "K": 2}'
+
 
 class TestPartition:
     def test_missing_label_rejected(self):

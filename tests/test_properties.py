@@ -95,11 +95,10 @@ def test_relabelling_permutes_pair_deltas_bit_for_bit(shape, rnd, per_block):
     s = PmcSettings(m_samples=X.shape[0])
 
     def deltas(m):
-        sample = (X, cluster_posterior_matrix(m, None, X))
-        return delta_matrix(m, None, s, _sample=sample)
+        return delta_matrix(m, None, s, _sample=X)
 
     D = deltas(model)
-    # blocks of per_block pairs: a pair's sum does not depend on its block
+    # chunks of per_block pairs: a pair's sum does not depend on its chunk
     with mock.patch.object(pmc_module, "BLOCK_ELEMENTS", X.shape[0] * per_block):
         R = deltas(relabelled)
     assert np.array_equal(R.values, D.values[perm][:, perm])
@@ -156,6 +155,115 @@ def test_relabelling_is_bit_identical_at_wide_kappa(kappa):
         relabel.inner_test(shape, random.Random(seed))
         pair_deltas.inner_test(shape, random.Random(seed), 1 + seed)
         grouped.inner_test(shape, random.Random(seed))
+
+
+# Sample sizes for the row-block tree: either side of the block cut and of
+# powers of two, odd sizes, and 1 to 16 blocks.
+TREE_SIZES = (1000, _CHAIN_ROWS - 1, _CHAIN_ROWS, _CHAIN_ROWS + 1,
+              2 ** 14 - 1, 2 ** 14 + 1, 2 ** 15 + 1, 2 ** 16 - 1,
+              2 ** 16 + 1, 12_345, 40_001, 100_000)
+
+
+@pytest.mark.parametrize("M", TREE_SIZES)
+@settings(derandomize=True, deadline=None, max_examples=5)
+@given(st.integers(0, 2**32 - 1))
+def test_block_tree_sums_equal_numpy_sums(M, seed):
+    """_tree_sum's blocks tile the rows in order, at most _CHAIN_ROWS
+    each, and their numpy sums added along its tree give numpy's own sum
+    of every row, bit for bit.  Terms of mixed sign and magnitude make the
+    sum depend on the order of its additions."""
+    rng = np.random.default_rng(seed)
+    terms = rng.standard_normal((3, M)) * 10.0 ** rng.uniform(-8, 8, (3, M))
+    blocks = []
+
+    def leaf(lo, hi):
+        blocks.append((lo, hi))
+        return terms[:, lo:hi].sum(axis=-1)
+
+    got = pmc_module._tree_sum(leaf, 0, M)
+    assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
+    assert blocks[-1][1] == M
+    assert all(0 < hi - lo <= _CHAIN_ROWS for lo, hi in blocks)
+    assert got.tobytes() == terms.sum(axis=-1).tobytes()
+    assert got[0].tobytes() == terms[0].sum().tobytes()
+
+
+def one_shot_pair_deltas(pi):
+    """(K, K) 2 E[pi_i pi_j] of a whole (M, K) posterior matrix, each
+    pair's M products summed by numpy in one call: the full-matrix
+    computation that the row blocks replace."""
+    M, K = pi.shape
+    cols = np.ascontiguousarray(pi.T)
+    delta = np.zeros((K, K))
+    for i in range(K - 1):
+        delta[i, i + 1:] = delta[i + 1:, i] = 2.0 * (
+            (cols[i] * cols[i + 1:]).sum(axis=-1) / M)
+    return delta
+
+
+@pytest.mark.parametrize("M", TREE_SIZES)
+@settings(derandomize=True, deadline=None, max_examples=4)
+@given(shapes, st.randoms(use_true_random=False))
+def test_block_scoring_equals_the_one_shot_reference(M, shape, rnd):
+    """pmc_from_sample, pmc_mc and delta_matrix score the sample in row
+    blocks and keep every bit of the one-shot computation on the whole
+    (M, K) posterior matrix: the per-point loss, its mean and standard
+    error, and each pair delta.  A relabelling of the components and
+    clusters permutes the block-summed delta matrix exactly."""
+    model, _ = build(*shape)
+    s = PmcSettings(m_samples=M, seed=shape[0])
+    X, _ = pmc_module.sample_mixture(model, M, s.seed)
+    for config in (ClusterConfiguration.singletons(model.kappa),
+                   grouped_config(model.kappa, rnd)):
+        pi = cluster_posterior_matrix(model, config, X)
+        _, clusters = _summation_order(model, config)
+        for rule in RULES:
+            value, se = pmc_module._mean_and_se(_summands(pi, rule, clusters))
+            got = pmc_from_sample(model, config, X, rule)
+            assert np.array(got).tobytes() == np.array([value, se]).tobytes()
+            if config.K > 1:
+                est = pmc_mc(model, config, PmcSettings(M, s.seed, rule))
+                assert est == McEstimate(value, se, M, s.seed)
+                assert np.array([est.value, est.std_error]).tobytes() \
+                    == np.array([value, se]).tobytes()
+        if config.K == 1:
+            continue
+        D = delta_matrix(model, config, s)
+        expect = one_shot_pair_deltas(pi)
+        assert D.values.tobytes() == expect.tobytes()
+        upper = np.triu_indices(config.K, 1)
+        assert D.pmc == float(np.sort(expect[upper]).sum())
+        assert D.estimate == pmc_mc(model, config, s)
+        perm = list(range(model.kappa))
+        rnd.shuffle(perm)
+        renumber = list(range(config.K))
+        rnd.shuffle(renumber)
+        relabelled = MixtureModel(model.weights[perm], model.means[perm],
+                                  model.covariances[perm])
+        moved = ClusterConfiguration(
+            tuple(renumber[config.assignment[j]] for j in perm), config.K)
+        R = delta_matrix(relabelled, moved, s, _sample=X)
+        assert (R.values[np.ix_(renumber, renumber)].tobytes()
+                == D.values.tobytes())
+        assert R.pmc == D.pmc and R.estimate == D.estimate
+
+
+def test_delta_matrix_memory_is_bounded():
+    """delta_matrix keeps no (M, K) posterior matrix, which at M = 200k
+    and kappa = 20 would take 32 MB alone: the peak is the (M, 2) sample,
+    its labels, the (M,) loss with _mean_and_se's two (M,) temporaries and
+    a few blocks.  Measured: 9.5 MiB; with the whole matrix, 42.8 MiB."""
+    kappa, M = 20, 200_000
+    model, _ = build(3, kappa, 2)
+    delta_matrix(model, None, PmcSettings(m_samples=1000, seed=1))
+    tracemalloc.start()
+    try:
+        delta_matrix(model, None, PmcSettings(m_samples=M, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    posteriors = M * kappa * 8
+    assert peak < posteriors / 2
 
 
 def tied_model(kind, seed):
@@ -465,7 +573,7 @@ def test_kernel_keeps_the_row_major_bits(seed, kappa, p, lead, rows):
 @pytest.mark.parametrize("p", [2, 5])
 def test_chain_arrays_are_component_major(p, monkeypatch):
     """Each component's column of the log-density and the posterior matrix
-    is one contiguous row, and the delta matrix reads pi in place."""
+    is one contiguous row, and the pair sums read pi in place."""
     model, rng = build(p, 6, p)
     X = rng.normal(0, 3, (3000, p))
     means, L = model.means, model.chol
@@ -490,7 +598,7 @@ def test_chain_arrays_are_component_major(p, monkeypatch):
 
     contiguous = np.ascontiguousarray
     monkeypatch.setattr(np, "ascontiguousarray", spy)
-    pmc_module._pair_deltas(pi)
+    pmc_module._pair_sums(pi)
     assert reads and all(reads)
 
 
